@@ -29,7 +29,7 @@ from .path_signature import (
     log_signature_many,
     signature_many,
 )
-from .scoring import ScaleFactors
+from .scoring import ScaleFactors, score_rows
 from .tensor_algebra import feature_length
 
 __all__ = [
@@ -54,6 +54,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 PROTOCOLS = ("plain", "fixed", "ova", "oracle")
+
+# Stream-point and feature bytes per evaluation block: flat memory, few folds.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,10 +92,11 @@ class ClassModel:
         for z in self.classes:
             if not ref.same_space(self.representatives[z]):
                 raise ValueError(f"representative of class {z!r} has mismatched metadata")
-        for table in (self.lambda_rmse, self.lambda_mae):
+        for name in ("lambda_rmse", "lambda_mae"):
+            table = {z: ScaleFactors.identity(z) for z in self.classes} | getattr(self, name)
             for z in self.classes:
-                table.setdefault(z, ScaleFactors.identity(z))
                 table[z].resolve(len(ref))
+            object.__setattr__(self, name, table)
 
     @property
     def feature_length(self) -> int:
@@ -146,9 +150,8 @@ def _stream_points(model_config: ModelConfig, pixel_list) -> np.ndarray:
 def _features_and_dim(images, config: ModelConfig) -> tuple[np.ndarray, int]:
     pixel_list = [im.pixels if isinstance(im, LabeledImage) else im for im in images]
     pts = _stream_points(config, pixel_list)
-    if config.kind == SIGNATURE:
-        return signature_many(pts, config.order), pts.shape[2]
-    return log_signature_many(pts, config.order), pts.shape[2]
+    many = signature_many if config.kind == SIGNATURE else log_signature_many
+    return many(pts, config.order), pts.shape[2]
 
 
 def features_for_images(images, config: ModelConfig) -> np.ndarray:
@@ -164,13 +167,14 @@ def _as_features(config: ModelConfig, dim: int, values: np.ndarray) -> SigFeatur
     return SigFeatures(dim=dim, order=config.order, values=values, kind=config.kind)
 
 
-def _test_feature(model: ClassModel, pixels: np.ndarray, augment_seed=None) -> np.ndarray:
-    """Feature vector of one test image, averaging augmented copies if enabled."""
+def _test_features(model: ClassModel, pixel_list, seeds) -> np.ndarray:
+    """(n, F) test features: row i is the mean over the augmented copies drawn
+    from augment seed seeds[i], or over the image alone without augmentation."""
     spec = model.config.augment
-    if spec is None:
-        return features_for_images([pixels], model.config)[0]
-    copies = augment(pixels, spec, seed=augment_seed)
-    return features_for_images(copies, model.config).mean(axis=0)
+    if spec is not None:
+        pixel_list = [c for px, s in zip(pixel_list, seeds) for c in augment(px, spec, seed=s)]
+    feats = features_for_images(pixel_list, model.config)
+    return feats.reshape(len(seeds), -1, feats.shape[1]).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,44 +256,40 @@ def _rep_matrix(model: ClassModel) -> np.ndarray:
 
 def _lambda_matrix(model: ClassModel) -> np.ndarray:
     n = model.feature_length
-    rows = []
-    for z in model.classes:
-        lam = model.scale_factors(z).resolve(n)
-        rows.append(np.full(n, lam) if np.isscalar(lam) else lam)
-    return np.stack(rows)
+    return np.stack([np.broadcast_to(model.scale_factors(z).resolve(n), n) for z in model.classes])
 
 
-def _score_rows(model: ClassModel, scaled_x: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    diff = reps - scaled_x
-    if model.config.metric == "rmse":
-        return np.sqrt(np.mean(diff * diff, axis=1))
-    return np.mean(np.abs(diff), axis=1)
-
-
-def _protocol_scores(model: ClassModel, x: np.ndarray, protocol: str, true_label=None) -> np.ndarray:
-    reps = _rep_matrix(model)
-    if protocol == "plain":
-        return _score_rows(model, x[None, :], reps)
-    if protocol == "fixed":
-        return _score_rows(model, _lambda_matrix(model) * x[None, :], reps)
+def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, thresholds=None):
+    """(predicted class indices (n,), score matrix (n, Z)) of feature rows x."""
+    reps, lams = _rep_matrix(model), _lambda_matrix(model)
     if protocol == "oracle":
-        lam = model.scale_factors(true_label).resolve(x.size)
-        return _score_rows(model, (lam * x)[None, :], reps)
-    raise ValueError(f"unknown scoring protocol {protocol!r}")
+        x = lams[true_idx] * x
+    per_class = protocol in ("fixed", "ova")
+    # one class at a time: temporaries stay (n, F), never (n, Z, F)
+    cols = [score_rows(rep, lams[zi] * x if per_class else x, model.config.metric)
+            for zi, rep in enumerate(reps)]
+    scores = np.stack(cols, axis=1)
+    if protocol != "ova":
+        return np.argmin(scores, axis=1), scores
+    tau = np.array([max(thresholds[z], 1e-12) for z in model.classes])
+    normalized = scores / tau
+    # a class over its threshold is out, unless every class is
+    rejected = (scores > tau) & (scores <= tau).any(axis=1, keepdims=True)
+    return np.argmin(np.where(rejected, np.inf, normalized), axis=1), normalized
 
 
-def _scores_dict(model: ClassModel, scores: np.ndarray) -> dict[str, float]:
-    return {z: float(s) for z, s in zip(model.classes, scores)}
+def _predict_one(model, image, protocol, augment_seed, true_idx=None, thresholds=None):
+    pixels = image.pixels if isinstance(image, LabeledImage) else image
+    x = _test_features(model, [pixels], [augment_seed])
+    predicted, scores = _classify(model, x, protocol, true_idx, thresholds)
+    return model.classes[int(predicted[0])], {z: float(v) for z, v in zip(model.classes, scores[0])}
 
 
 def predict(model: ClassModel, image, protocol: str = "plain", augment_seed=None):
     """Label and per-class scores for one image; ties go to the lowest class index."""
     if protocol not in ("plain", "fixed"):
         raise ValueError(f"predict supports 'plain' and 'fixed', got {protocol!r}")
-    pixels = image.pixels if isinstance(image, LabeledImage) else image
-    x = _test_feature(model, pixels, augment_seed)
-    scores = _protocol_scores(model, x, protocol)
-    return model.classes[int(np.argmin(scores))], _scores_dict(model, scores)
+    return _predict_one(model, image, protocol, augment_seed)
 
 
 def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None):
@@ -300,11 +300,9 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
     """
     if true_label not in model.classes:
         raise ValueError(f"unknown label {true_label!r}")
-    pixels = image.pixels if isinstance(image, LabeledImage) else image
-    x = _test_feature(model, pixels, augment_seed)
-    scores = _protocol_scores(model, x, "oracle", true_label=true_label)
-    predicted = model.classes[int(np.argmin(scores))]
-    return predicted == true_label, predicted, _scores_dict(model, scores)
+    true_idx = [model.classes.index(true_label)]
+    predicted, scores = _predict_one(model, image, "oracle", augment_seed, true_idx)
+    return predicted == true_label, predicted, scores
 
 
 def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[str, float]:
@@ -318,11 +316,7 @@ def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[st
     for zi, label in enumerate(model.classes):
         feats = features_for_images(groups[label], model.config)
         lam = model.scale_factors(label).resolve(feats.shape[1])
-        diff = feats * lam - reps[zi][None, :]
-        if model.config.metric == "rmse":
-            scores = np.sqrt(np.mean(diff * diff, axis=1))
-        else:
-            scores = np.mean(np.abs(diff), axis=1)
+        scores = score_rows(feats * lam, reps[zi], model.config.metric)
         thresholds[label] = float(slack * scores.max())
     return thresholds
 
@@ -330,64 +324,68 @@ def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[st
 def predict_ova(model: ClassModel, image, thresholds: dict[str, float], augment_seed=None):
     """One-vs-all: accept classes scoring under their threshold, pick the
     best normalized score; fall back to normalized argmin if none accept."""
-    pixels = image.pixels if isinstance(image, LabeledImage) else image
-    x = _test_feature(model, pixels, augment_seed)
-    scores = _protocol_scores(model, x, "fixed")
-    tau = np.array([max(thresholds[z], 1e-12) for z in model.classes])
-    normalized = scores / tau
-    accepted = scores <= tau
-    if accepted.any():
-        masked = np.where(accepted, normalized, np.inf)
-        idx = int(np.argmin(masked))
-    else:
-        idx = int(np.argmin(normalized))
-    return model.classes[idx], _scores_dict(model, normalized)
+    return _predict_one(model, image, "ova", augment_seed, thresholds=thresholds)
 
 
-def evaluate(model: ClassModel, test, protocol: str, thresholds=None, seed: int = 0) -> EvalReport:
+def evaluate(
+    model: ClassModel, test, protocol, thresholds=None, seed: int = 0
+) -> EvalReport | tuple[EvalReport, ...]:
     """Aggregate per-sample predictions over a labeled test set.
 
+    protocol is one name, giving one EvalReport, or a sequence of names,
+    giving a tuple of reports in the same order from one feature pass.
     Augmentation randomness (when the model enables it) is drawn from a
     per-sample stream keyed by (seed, sample index), so the report is
-    deterministic and independent of evaluation order.
+    deterministic and independent of evaluation order.  The test set is
+    walked in blocks of about BLOCK_BYTES; every report is bit-identical
+    to one built from per-image predict*() calls.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    protocols = (protocol,) if isinstance(protocol, str) else tuple(protocol)
+    for name in protocols:
+        if name not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {name!r}")
     test = list(test)
     if not test:
         raise ValueError("test set is empty")
-    if protocol == "ova" and thresholds is None:
+    if "ova" in protocols and thresholds is None:
         raise ValueError("protocol 'ova' requires thresholds")
-    index = {z: i for i, z in enumerate(model.classes)}
     unknown = sorted({im.label for im in test} - set(model.classes))
     if unknown:
         raise ValueError(f"test set contains unknown classes: {unknown}")
 
-    z = len(model.classes)
-    confusion = np.zeros((z, z), dtype=np.int64)
-    margins = []
-    for i, im in enumerate(test):
-        aug_seed = [seed, i]
-        if protocol == "oracle":
-            _, predicted, scores = predict_oracle(model, im, im.label, augment_seed=aug_seed)
-        elif protocol == "ova":
-            predicted, scores = predict_ova(model, im, thresholds, augment_seed=aug_seed)
-        else:
-            predicted, scores = predict(model, im, protocol, augment_seed=aug_seed)
-        confusion[index[im.label], index[predicted]] += 1
-        ordered = np.sort(np.array([scores[c] for c in model.classes]))
-        margins.append(float(ordered[1] - ordered[0]) if z > 1 else 0.0)
+    true_idx = np.array([model.classes.index(im.label) for im in test])
+    cfg = model.config
+    copies = cfg.augment.copies if cfg.augment is not None else 1
+    n_points = cfg.convention.stream_shape(*cfg.image_size, 1)[0]
+    dim = model.representatives[model.classes[0]].dim
+    block = max(1, BLOCK_BYTES // (8 * copies * (model.feature_length + n_points * dim)))
+    parts = {name: [] for name in protocols}
+    for start in range(0, len(test), block):
+        stop = min(start + block, len(test))
+        seeds = [[seed, i] for i in range(start, stop)]
+        x = _test_features(model, [im.pixels for im in test[start:stop]], seeds)
+        for name in parts:
+            parts[name].append(_classify(model, x, name, true_idx[start:stop], thresholds))
+    reports = tuple(_report(name, model.classes, true_idx, parts[name]) for name in protocols)
+    return reports[0] if isinstance(protocol, str) else reports
 
+
+def _report(protocol: str, classes, true_idx, parts) -> EvalReport:
+    predicted, scores = (np.concatenate(column) for column in zip(*parts))
+    z = len(classes)
+    confusion = np.zeros((z, z), dtype=np.int64)
+    np.add.at(confusion, (true_idx, predicted), 1)
+    ordered = np.sort(scores, axis=1)
+    margins = ordered[:, 1] - ordered[:, 0] if z > 1 else np.zeros(len(scores))
     total = confusion.sum()
-    accuracy = float(np.trace(confusion) / total)
     per_class = {}
-    for label, zi in index.items():
+    for zi, label in enumerate(classes):
         row = confusion[zi].sum()
         per_class[label] = float(confusion[zi, zi] / row) if row else float("nan")
     return EvalReport(
         protocol=protocol,
-        classes=model.classes,
-        accuracy=accuracy,
+        classes=classes,
+        accuracy=float(np.trace(confusion) / total),
         per_class_accuracy=per_class,
         confusion=confusion,
         mean_margin=float(np.mean(margins)),

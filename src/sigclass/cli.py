@@ -424,8 +424,8 @@ def cmd_eval(args) -> int:
 
     os.makedirs(config.out_dir, exist_ok=True)
     eval_seed = substream_seed(config.seed, "augment")
-    for protocol in protocols:
-        report = evaluate(model, test, protocol, thresholds=thresholds, seed=eval_seed)
+    reports = evaluate(model, test, protocols, thresholds=thresholds, seed=eval_seed)
+    for protocol, report in zip(protocols, reports):
         report_path = os.path.join(config.out_dir, f"report_{protocol}.json")
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(report_to_dict(report), fh, indent=2)

@@ -182,31 +182,30 @@ def signature_tensor(s: Stream, order: int) -> TruncatedTensor:
 
 def signature(s: Stream, order: int) -> SigFeatures:
     """Truncated signature of a stream, flattened to levels 1..order."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    levels = _signature_levels(s.points[None, :, :], order)
-    return SigFeatures(
-        dim=s.dim,
-        order=order,
-        values=np.concatenate([lv[0] for lv in levels[1:]]),
-        kind=SIGNATURE,
-    )
+    values = _features_batch(s.points[None, :, :], order, SIGNATURE, 1)[0]
+    return SigFeatures(dim=s.dim, order=order, values=values, kind=SIGNATURE)
 
 
 def log_signature(s: Stream, order: int) -> SigFeatures:
     """Truncated log-signature: tensor logarithm of the signature, flattened."""
+    values = _features_batch(s.points[None, :, :], order, LOG_SIGNATURE, 1)[0]
+    return SigFeatures(dim=s.dim, order=order, values=values, kind=LOG_SIGNATURE)
+
+
+# Byte budget for one fold chunk's top level (8 * d**order bytes a stream):
+# wide order-3 streams are memory-bound and fold fastest one or two at a
+# time, narrow ones need wide chunks to amortise per-step numpy dispatch.
+FOLD_BYTES = 384 * 1024
+
+
+def _features_batch(points: np.ndarray, order: int, kind: str, chunk: int | None) -> np.ndarray:
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3:
+        raise ValueError(f"expected (batch, n, d) points, got shape {points.shape}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    levels = ta.log_levels(_signature_levels(s.points[None, :, :], order))
-    return SigFeatures(
-        dim=s.dim,
-        order=order,
-        values=np.concatenate([lv[0] for lv in levels[1:]]),
-        kind=LOG_SIGNATURE,
-    )
-
-
-def _features_batch(points: np.ndarray, order: int, kind: str, chunk: int) -> np.ndarray:
+    if chunk is None:
+        chunk = max(1, FOLD_BYTES // (8 * points.shape[2] ** order))
     rows = []
     for start in range(0, points.shape[0], chunk):
         levels = _signature_levels(points[start : start + chunk], order)
@@ -216,24 +215,19 @@ def _features_batch(points: np.ndarray, order: int, kind: str, chunk: int) -> np
     return np.concatenate(rows, axis=0)
 
 
-def signature_many(points: np.ndarray, order: int, chunk: int = 256) -> np.ndarray:
+def signature_many(points: np.ndarray, order: int, chunk: int | None = None) -> np.ndarray:
     """Signatures of a batch of equal-length streams, shape (batch, n, d).
 
     Returns the stacked flat feature matrix (batch, feature_length).  Each
     row is computed by exactly the same arithmetic as signature(), so batch
-    results are bit-identical to one-at-a-time results.
+    results are bit-identical to one-at-a-time results.  Streams are folded
+    `chunk` at a time; by default the chunk follows from FOLD_BYTES.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3:
-        raise ValueError(f"expected (batch, n, d) points, got shape {points.shape}")
     return _features_batch(points, order, SIGNATURE, chunk)
 
 
-def log_signature_many(points: np.ndarray, order: int, chunk: int = 256) -> np.ndarray:
+def log_signature_many(points: np.ndarray, order: int, chunk: int | None = None) -> np.ndarray:
     """Log-signature analogue of signature_many()."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3:
-        raise ValueError(f"expected (batch, n, d) points, got shape {points.shape}")
     return _features_batch(points, order, LOG_SIGNATURE, chunk)
 
 

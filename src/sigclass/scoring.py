@@ -9,7 +9,7 @@ import numpy as np
 
 from .path_signature import SigFeatures
 
-__all__ = ["ScaleFactors", "elementwise_mean", "rmse", "mae"]
+__all__ = ["ScaleFactors", "elementwise_mean", "score_rows", "rmse", "mae"]
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,22 @@ def elementwise_mean(features: Sequence[SigFeatures]) -> SigFeatures:
     )
 
 
-def _scaled_diff(x: SigFeatures, y: SigFeatures, scale_x, scale_y) -> np.ndarray:
+def score_rows(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
+    """RMSE or MAE of a - b along the last axis: the one scoring kernel."""
+    diff = a - b
+    if metric == "rmse":
+        return np.sqrt(np.mean(diff * diff, axis=-1))
+    if metric == "mae":
+        return np.mean(np.abs(diff), axis=-1)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def _scaled(x: SigFeatures, y: SigFeatures, scale_x, scale_y) -> tuple[np.ndarray, np.ndarray]:
     if len(x) != len(y):
         raise ValueError(f"feature length mismatch: {len(x)} vs {len(y)}")
     lx = scale_x.resolve(len(x)) if scale_x is not None else 1.0
     ly = scale_y.resolve(len(y)) if scale_y is not None else 1.0
-    return ly * y.values - lx * x.values
+    return ly * y.values, lx * x.values
 
 
 def rmse(
@@ -86,8 +96,7 @@ def rmse(
     scale_y: ScaleFactors | None = None,
 ) -> float:
     """Root mean squared error between scaled feature vectors."""
-    diff = _scaled_diff(x, y, scale_x, scale_y)
-    return float(np.sqrt(np.mean(diff * diff)))
+    return float(score_rows(*_scaled(x, y, scale_x, scale_y), "rmse"))
 
 
 def mae(
@@ -97,5 +106,4 @@ def mae(
     scale_y: ScaleFactors | None = None,
 ) -> float:
     """Mean absolute error between scaled feature vectors."""
-    diff = _scaled_diff(x, y, scale_x, scale_y)
-    return float(np.mean(np.abs(diff)))
+    return float(score_rows(*_scaled(x, y, scale_x, scale_y), "mae"))

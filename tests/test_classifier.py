@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import sigclass as sc
+from sigclass import classifier
 from sigclass.classifier import (
+    PROTOCOLS,
     ClassModel,
     ModelConfig,
-    _protocol_scores,
     calibrate,
     confusion_csv,
     evaluate,
@@ -20,7 +21,7 @@ from sigclass.classifier import (
     predict_ova,
     save_model,
 )
-from sigclass.data_io import AugmentSpec, LabeledImage, ShapeJitter, gen_four_shapes
+from sigclass.data_io import AugmentSpec, LabeledImage, ShapeJitter, augment, gen_four_shapes
 from sigclass.path_signature import StreamConvention
 
 ROWS = StreamConvention("rows", True)
@@ -130,10 +131,13 @@ def test_tie_breaks_to_lowest_class_index():
 
 
 def test_argmin_invariant_under_joint_positive_scaling():
+    # a scalar factor c on every class makes "fixed" score c*x against the
+    # representatives; scaling those by c too must not move the argmin
     rng = np.random.default_rng(5)
     images = tiny_images(rng, ["a", "b", "c"])
     model = fit(images, cfg())
-    x = features_for_images([tiny_images(rng, ["q"])[0]], cfg())[0]
+    probe = tiny_images(rng, ["q"])[0]
+    base_label, _ = predict(model, probe, "plain")
     for c in (0.25, 7.0):
         scaled_reps = {
             z: sc.SigFeatures(
@@ -149,10 +153,10 @@ def test_argmin_invariant_under_joint_positive_scaling():
             classes=model.classes,
             representatives=scaled_reps,
             train_counts=dict(model.train_counts),
+            lambda_rmse={z: sc.ScaleFactors(c, z) for z in model.classes},
         )
-        base = _protocol_scores(model, x, "plain")
-        scaled = _protocol_scores(scaled_model, c * x, "plain")
-        assert np.argmin(base) == np.argmin(scaled)
+        scaled_label, _ = predict(scaled_model, probe, "fixed")
+        assert scaled_label == base_label
 
 
 def test_oracle_with_identity_lambda_equals_plain():
@@ -275,6 +279,69 @@ def test_evaluate_deterministic_with_augmentation():
     assert a.mean_margin == b.mean_margin
 
 
+AUG = AugmentSpec(
+    contrast=(0.8, 1.2), brightness=(-0.1, 0.1), noise="speckle", noise_level=0.05,
+    copies=3, seed=0,
+)
+
+
+def calibrated_aug_model(metric):
+    tr, va, te = shapes_split(per_class=13, train=4, val=4)
+    model = fit(tr, cfg(size=16, metric=metric, augment=AUG))
+    model = calibrate(model, va, method="closed_form", epsilon=1e-3)
+    return model, ova_thresholds(model, va), te
+
+
+@pytest.mark.parametrize("metric", ["rmse", "mae"])
+def test_evaluate_matches_per_image_predictions(monkeypatch, metric):
+    model, thresholds, te = calibrated_aug_model(metric)
+    # five images per block: 20 test images span four blocks
+    per_image = 8 * AUG.copies * (model.feature_length + 17 * 16)
+    monkeypatch.setattr(classifier, "BLOCK_BYTES", 5 * per_image)
+    reports = evaluate(model, te, PROTOCOLS, thresholds=thresholds, seed=9)
+    index = {z: i for i, z in enumerate(model.classes)}
+    for protocol, report in zip(PROTOCOLS, reports):
+        assert report.protocol == protocol
+        confusion = np.zeros_like(report.confusion)
+        margins = []
+        for i, im in enumerate(te):
+            seed = [9, i]
+            if protocol == "oracle":
+                _, label, scores = predict_oracle(model, im, im.label, augment_seed=seed)
+            elif protocol == "ova":
+                label, scores = predict_ova(model, im, thresholds, augment_seed=seed)
+            else:
+                label, scores = predict(model, im, protocol, augment_seed=seed)
+            confusion[index[im.label], index[label]] += 1
+            ordered = np.sort([scores[z] for z in model.classes])
+            margins.append(float(ordered[1] - ordered[0]))
+        assert np.array_equal(report.confusion, confusion)
+        assert report.mean_margin == float(np.mean(margins))
+        single = evaluate(model, te, protocol, thresholds=thresholds, seed=9)
+        assert np.array_equal(single.confusion, report.confusion)
+        assert single.mean_margin == report.mean_margin
+
+
+@pytest.mark.parametrize("metric", ["rmse", "mae"])
+def test_predict_scores_match_reference_kernel(metric):
+    # reference: mean of the augmented copies' features, scored one class at
+    # a time by sigclass.scoring
+    model, _, te = calibrated_aug_model(metric)
+    reference = sc.rmse if metric == "rmse" else sc.mae
+    im = te[0]
+    copies = augment(im.pixels, AUG, seed=[3, 1])
+    x = features_for_images(copies, model.config).mean(axis=0)
+    x = sc.SigFeatures(dim=16, order=2, values=x)
+    reps = model.representatives
+    _, plain = predict(model, im, "plain", augment_seed=[3, 1])
+    _, fixed = predict(model, im, "fixed", augment_seed=[3, 1])
+    _, _, oracle = predict_oracle(model, im, im.label, augment_seed=[3, 1])
+    for z in model.classes:
+        assert plain[z] == reference(x, reps[z])
+        assert fixed[z] == reference(x, reps[z], scale_x=model.scale_factors(z))
+        assert oracle[z] == reference(x, reps[z], scale_x=model.scale_factors(im.label))
+
+
 def test_evaluate_error_paths():
     rng = np.random.default_rng(12)
     images = tiny_images(rng, ["a"])
@@ -292,6 +359,22 @@ def test_evaluate_error_paths():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+
+def test_class_model_leaves_caller_factor_dicts_alone():
+    rng = np.random.default_rng(18)
+    model = fit(tiny_images(rng, ["a", "b"]), cfg())
+    given = {"a": sc.ScaleFactors(2.0, "a")}
+    built = ClassModel(
+        config=model.config,
+        classes=model.classes,
+        representatives=model.representatives,
+        train_counts=model.train_counts,
+        lambda_rmse=given,
+    )
+    assert list(given) == ["a"]
+    assert built.lambda_rmse["a"].values == 2.0
+    assert built.lambda_rmse["b"].values == 1.0
 
 
 def test_model_json_roundtrip_exact(tmp_path):

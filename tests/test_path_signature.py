@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sigclass.path_signature import (
+    FOLD_BYTES,
     SigFeatures,
     Stream,
     StreamConvention,
@@ -210,6 +211,17 @@ def test_batch_matches_single_bitwise():
     for i in range(6):
         single = log_signature(Stream(pts[i]), 3).values
         assert np.array_equal(lbatch[i], single)
+
+
+def test_fold_chunk_does_not_change_bits():
+    # MNIST-row width at order 3: the byte-budget chunk is smaller than the batch
+    rng = np.random.default_rng(18)
+    pts = rng.random((5, 4, 28))
+    assert FOLD_BYTES // (8 * 28**3) < pts.shape[0]
+    for many in (signature_many, log_signature_many):
+        derived = many(pts, 3)
+        assert np.array_equal(many(pts, 3, chunk=1), derived)
+        assert np.array_equal(many(pts, 3, chunk=pts.shape[0]), derived)
 
 
 def test_increment_exp_matches_tensor_exp_bitwise():
