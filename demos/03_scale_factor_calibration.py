@@ -19,7 +19,7 @@ rep = rng.uniform(1.0, 3.0, size=n)
 x = rep * rng.uniform(0.8, 1.25, size=n)  # multiplicative perturbation of the rep
 cal = CalibrationSet(
     representatives={"a": SigFeatures(dim=n, order=1, values=rep)},
-    validation={"a": [SigFeatures(dim=n, order=1, values=x)]},
+    validation={"a": x[None, :]},  # one (n_z, F) matrix per class
 )
 lam = closed_form_lambda(cal)["a"]
 print("lambda = rep / x:", np.round(lam.values, 4))
@@ -27,22 +27,20 @@ print("residual |lambda*x - rep|:", np.abs(lam.values * x - rep).max(), "\n")
 
 print("== two classes, separation-aware optimization ==")
 rep_b = rng.uniform(4.0, 7.0, size=n)
-val_a = [rep * (1 + rng.uniform(-0.1, 0.1, n)) for _ in range(8)]
-val_b = [rep_b * (1 + rng.uniform(-0.1, 0.1, n)) for _ in range(8)]
+val_a = rep * (1 + rng.uniform(-0.1, 0.1, (8, n)))
+val_b = rep_b * (1 + rng.uniform(-0.1, 0.1, (8, n)))
 cal2 = CalibrationSet(
     representatives={"a": SigFeatures(dim=n, order=1, values=rep),
                      "b": SigFeatures(dim=n, order=1, values=rep_b)},
-    validation={"a": [SigFeatures(dim=n, order=1, values=v) for v in val_a],
-                "b": [SigFeatures(dim=n, order=1, values=v) for v in val_b]},
+    validation={"a": val_a, "b": val_b},
 )
 
 for gamma in (0.0, 0.1, 0.3):
     out = optimize_lambda(cal2, gamma=gamma, box=5.0, iters=500)
-    xs = np.stack(val_a)
     own, other = rep, [rep_b]
     v_start, _ = _objective_and_subgrad(
-        np.clip(closed_form_lambda(cal2)["a"].values, -5, 5), xs, own, other, gamma)
-    v_final, _ = _objective_and_subgrad(out["a"].values, xs, own, other, gamma)
+        np.clip(closed_form_lambda(cal2)["a"].values, -5, 5), val_a, own, other, gamma)
+    v_final, _ = _objective_and_subgrad(out["a"].values, val_a, own, other, gamma)
     print(f"gamma={gamma:3.1f}: class-a objective start {v_start:9.4f} -> final {v_final:9.4f}"
           f"   ||lambda||_inf = {np.abs(out['a'].values).max():.3f}")
 

@@ -15,10 +15,12 @@ __all__ = ["CalibrationSet", "closed_form_lambda", "optimize_lambda"]
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Per class: a representative feature vector and validation instances."""
+    """Per class: a representative feature vector and an (n_z, F) matrix of
+    validation feature rows, stored as a read-only float64 copy (the
+    caller's dict and arrays are left untouched)."""
 
     representatives: dict[str, SigFeatures]
-    validation: dict[str, list[SigFeatures]]
+    validation: dict[str, np.ndarray]
 
     def __post_init__(self):
         if not self.representatives:
@@ -26,17 +28,23 @@ class CalibrationSet:
         if set(self.representatives) != set(self.validation):
             raise ValueError("representative and validation class sets differ")
         ref = next(iter(self.representatives.values()))
+        matrices = {}
         for label, rep in self.representatives.items():
             if not ref.same_space(rep):
                 raise ValueError(f"representative of class {label!r} has mismatched metadata")
-            vals = self.validation[label]
-            if not vals:
+            rows = np.array(self.validation[label], dtype=np.float64)
+            if rows.ndim != 2 or rows.shape[1] != len(rep):
+                raise ValueError(
+                    f"validation of class {label!r} must be an (n, {len(rep)}) matrix"
+                    f" to match its representative, got shape {rows.shape}"
+                )
+            if rows.shape[0] == 0:
                 raise ValueError(f"class {label!r} has no validation instances")
-            for f in vals:
-                if not ref.same_space(f):
-                    raise ValueError(
-                        f"validation instance of class {label!r} has mismatched metadata"
-                    )
+            if not np.all(np.isfinite(rows)):
+                raise ValueError(f"validation of class {label!r} contains non-finite entries")
+            rows.setflags(write=False)
+            matrices[label] = rows
+        object.__setattr__(self, "validation", matrices)
 
     @property
     def classes(self) -> list[str]:
@@ -66,7 +74,7 @@ def closed_form_lambda(
     out = {}
     for label in cal.classes:
         rep = cal.representatives[label].values
-        xs = np.stack([f.values for f in cal.validation[label]])
+        xs = cal.validation[label]
         if transposed:
             ratios = xs / _guarded(rep, epsilon)[None, :]
         else:
@@ -123,7 +131,7 @@ def optimize_lambda(
     reps = {label: cal.representatives[label].values for label in cal.classes}
     out = {}
     for class_index, label in enumerate(cal.classes):
-        xs_full = np.stack([f.values for f in cal.validation[label]])
+        xs_full = cal.validation[label]
         own = reps[label]
         others = [reps[l] for l in cal.classes if l != label]
         rng = np.random.default_rng(np.random.SeedSequence([seed, class_index]))

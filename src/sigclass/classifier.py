@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calibration import CalibrationSet, closed_form_lambda, optimize_lambda
-from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels
+from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels, group_by_label
 from .path_signature import (
     LOG_SIGNATURE,
     SIGNATURE,
@@ -134,22 +134,9 @@ def _prepared_pixels(model_config: ModelConfig, pixels: np.ndarray) -> np.ndarra
     return px
 
 
-def _stream_points(model_config: ModelConfig, pixel_list) -> np.ndarray:
-    conv = model_config.convention
-    stacked = np.stack([_prepared_pixels(model_config, px) for px in pixel_list])
-    b, h, w, c = stacked.shape
-    if conv.mode == "pixels":
-        pts = stacked.reshape(b, h * w, c)
-    else:
-        pts = stacked.reshape(b, h, w * c)
-    if conv.basepoint:
-        pts = np.concatenate([np.zeros((b, 1, pts.shape[2])), pts], axis=1)
-    return pts
-
-
 def _features_and_dim(images, config: ModelConfig) -> tuple[np.ndarray, int]:
     pixel_list = [im.pixels if isinstance(im, LabeledImage) else im for im in images]
-    pts = _stream_points(config, pixel_list)
+    pts = config.convention.points(np.stack([_prepared_pixels(config, px) for px in pixel_list]))
     many = signature_many if config.kind == SIGNATURE else log_signature_many
     return many(pts, config.order), pts.shape[2]
 
@@ -161,10 +148,6 @@ def features_for_images(images, config: ModelConfig) -> np.ndarray:
     model's image size.
     """
     return _features_and_dim(images, config)[0]
-
-
-def _as_features(config: ModelConfig, dim: int, values: np.ndarray) -> SigFeatures:
-    return SigFeatures(dim=dim, order=config.order, values=values, kind=config.kind)
 
 
 def _test_features(model: ClassModel, pixel_list, seeds) -> np.ndarray:
@@ -182,45 +165,35 @@ def _test_features(model: ClassModel, pixel_list, seeds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _group_by_label(images) -> dict[str, list]:
-    groups: dict[str, list] = {}
-    for im in images:
-        groups.setdefault(im.label, []).append(im)
-    return groups
-
-
 def fit(train, config: ModelConfig) -> ClassModel:
     """Fit per-class element-wise mean representatives from labeled images.
 
     Scale factors start at the identity; apply calibrate() afterwards.
     Classes are ordered lexicographically.
     """
-    groups = _group_by_label(train)
+    groups = group_by_label(train)
     if not groups:
         raise ValueError("training set is empty")
-    classes = tuple(sorted(groups))
+    classes = tuple(groups)
     reps, counts = {}, {}
     for label in classes:
         feats, dim = _features_and_dim(groups[label], config)
-        reps[label] = _as_features(config, dim, feats.mean(axis=0))
+        reps[label] = SigFeatures(
+            dim=dim, order=config.order, values=feats.mean(axis=0), kind=config.kind
+        )
         counts[label] = feats.shape[0]
     return ClassModel(config=config, classes=classes, representatives=reps, train_counts=counts)
 
 
 def calibration_set(model: ClassModel, val_images) -> CalibrationSet:
     """Bundle the model's representatives with validation features."""
-    groups = _group_by_label(val_images)
+    groups = group_by_label(val_images)
     missing = [z for z in model.classes if z not in groups]
     if missing:
         raise ValueError(f"validation set lacks classes: {missing}")
-    validation = {}
-    dim = model.representatives[model.classes[0]].dim
-    for label in model.classes:
-        feats = features_for_images(groups[label], model.config)
-        validation[label] = [_as_features(model.config, dim, row) for row in feats]
     return CalibrationSet(
         representatives={z: model.representatives[z] for z in model.classes},
-        validation=validation,
+        validation={z: features_for_images(groups[z], model.config) for z in model.classes},
     )
 
 
@@ -271,6 +244,9 @@ def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, th
     scores = np.stack(cols, axis=1)
     if protocol != "ova":
         return np.argmin(scores, axis=1), scores
+    missing = [z for z in model.classes if z not in thresholds]
+    if missing:
+        raise ValueError(f"thresholds lack classes: {missing}")
     tau = np.array([max(thresholds[z], 1e-12) for z in model.classes])
     normalized = scores / tau
     # a class over its threshold is out, unless every class is
@@ -307,7 +283,7 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
 
 def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[str, float]:
     """Per-class accept threshold: slack times the worst own-class validation score."""
-    groups = _group_by_label(val_images)
+    groups = group_by_label(val_images)
     missing = [z for z in model.classes if z not in groups]
     if missing:
         raise ValueError(f"validation set lacks classes: {missing}")
@@ -470,7 +446,12 @@ def model_from_dict(doc: dict) -> ClassModel:
             seed=aug["seed"],
         ),
     )
-    classes = tuple(doc["classes"])
+    classes = tuple(doc.get("classes") or ())
+    if not classes:
+        raise ValueError("model file lists no classes")
+    missing = [z for z in classes if z not in doc.get("per_class", {})]
+    if missing:
+        raise ValueError(f"model file 'per_class' lacks classes: {missing}")
     stream_dim = int(doc["stream_dim"])
     reps, counts, lam_r, lam_m = {}, {}, {}, {}
     for z in classes:

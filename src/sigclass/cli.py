@@ -36,6 +36,7 @@ from .data_io import (
     ShapeJitter,
     ensure_channels,
     gen_four_shapes,
+    group_by_label,
     load_cifar10,
     load_image_dir,
     load_mnist_idx,
@@ -238,13 +239,6 @@ def load_pools(config: RunConfig) -> tuple[list[LabeledImage], list[LabeledImage
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
-def _group_sorted(images) -> dict[str, list[LabeledImage]]:
-    groups: dict[str, list[LabeledImage]] = {}
-    for im in images:
-        groups.setdefault(im.label, []).append(im)
-    return {label: groups[label] for label in sorted(groups)}
-
-
 def split_dataset(config: RunConfig, pool, test_pool=None):
     """Seeded per-class split into (train, val, test) lists.
 
@@ -252,7 +246,7 @@ def split_dataset(config: RunConfig, pool, test_pool=None):
     otherwise from the unused remainder of `pool`.
     """
     budgets = config.budgets
-    groups = _group_sorted(pool)
+    groups = group_by_label(pool)
     train, val, test = [], [], []
     for ci, (label, items) in enumerate(groups.items()):
         rng = np.random.default_rng(
@@ -270,7 +264,7 @@ def split_dataset(config: RunConfig, pool, test_pool=None):
         if test_pool is None:
             test.extend(items[i] for i in perm[need : need + budgets["test"]])
     if test_pool is not None:
-        for ci, (label, items) in enumerate(_group_sorted(test_pool).items()):
+        for ci, (label, items) in enumerate(group_by_label(test_pool).items()):
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, STREAM_TAGS["split"], 1000 + ci])
             )

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "LabeledImage",
+    "group_by_label",
     "AugmentSpec",
     "ShapeJitter",
     "ParseError",
@@ -67,6 +68,15 @@ class LabeledImage:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.pixels.shape
+
+
+def group_by_label(images) -> dict[str, list[LabeledImage]]:
+    """Images grouped by label, groups in sorted label order, each group in
+    input order."""
+    groups: dict[str, list[LabeledImage]] = {}
+    for im in images:
+        groups.setdefault(im.label, []).append(im)
+    return {label: groups[label] for label in sorted(groups)}
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,15 @@ class StreamConvention:
             n += 1
         return n, d
 
+    def points(self, pixels: np.ndarray) -> np.ndarray:
+        """(b, n, d) stream points of a (b, H, W, C) batch of images."""
+        b, h, w, c = pixels.shape
+        n, d = self.stream_shape(h, w, c)
+        pts = pixels.reshape(b, n - int(self.basepoint), d)
+        if self.basepoint:
+            pts = np.concatenate([np.zeros((b, 1, d)), pts], axis=1)
+        return pts
+
 
 @dataclass(frozen=True)
 class Stream:
@@ -133,16 +142,9 @@ def image_to_stream(image, conv: StreamConvention = StreamConvention()) -> Strea
         img = img[:, :, None]
     if img.ndim != 3 or img.size == 0:
         raise ValueError(f"expected a nonempty H x W x C image, got shape {img.shape}")
-    h, w, c = img.shape
-    if c not in (1, 3):
-        raise ValueError(f"channel count must be 1 or 3, got {c}")
-    if conv.mode == PIXELS_AS_STEPS:
-        pts = img.reshape(h * w, c)
-    else:
-        pts = img.reshape(h, w * c)
-    if conv.basepoint:
-        pts = np.vstack([np.zeros((1, pts.shape[1])), pts])
-    return Stream(pts)
+    if img.shape[2] not in (1, 3):
+        raise ValueError(f"channel count must be 1 or 3, got {img.shape[2]}")
+    return Stream(conv.points(img[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -291,13 +291,13 @@ def test_criterion_5_closed_form_identity():
     assert np.abs(feats.values).min() > 1e-8
 
     cal = sc.CalibrationSet(
-        representatives={"a": feats}, validation={"a": [feats, feats, feats]}
+        representatives={"a": feats}, validation={"a": np.stack([feats.values] * 3)}
     )
     lam = closed_form_lambda(cal)["a"]
     ones_exact = np.array_equal(lam.values, np.ones(len(feats)))
 
     x = signature(Stream(rng.normal(size=(5, 2)) + 2.0), 2)
-    cal1 = sc.CalibrationSet(representatives={"a": feats}, validation={"a": [x]})
+    cal1 = sc.CalibrationSet(representatives={"a": feats}, validation={"a": x.values[None, :]})
     lam1 = closed_form_lambda(cal1)["a"]
     residual = rmse(x, feats, scale_x=lam1)
     _report(
@@ -318,7 +318,7 @@ def test_criterion_6_optimizer_sanity():
     x = rng.uniform(0.5, 3.0, size=10)
     cal = sc.CalibrationSet(
         representatives={"a": sc.SigFeatures(dim=10, order=1, values=rep)},
-        validation={"a": [sc.SigFeatures(dim=10, order=1, values=x)]},
+        validation={"a": x[None, :]},
     )
     lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=2000)["a"]
     ratio_err = np.abs(lam.values - rep / x).max()
@@ -331,7 +331,7 @@ def test_criterion_6_optimizer_sanity():
         xs_t = rep_t[None, :] * rng.uniform(0.7, 1.3, size=(5, n))
         cal_t = sc.CalibrationSet(
             representatives={"a": sc.SigFeatures(dim=n, order=1, values=rep_t)},
-            validation={"a": [sc.SigFeatures(dim=n, order=1, values=v) for v in xs_t]},
+            validation={"a": xs_t},
         )
         out = optimize_lambda(cal_t, gamma=0.0, box=5.0, iters=300)["a"]
         v_ones, _ = _objective_and_subgrad(np.ones(n), xs_t, rep_t, [], 0.0)

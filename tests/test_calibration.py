@@ -18,7 +18,7 @@ def feats(values):
 def one_class_set(rep, val_list, label="a"):
     return CalibrationSet(
         representatives={label: feats(rep)},
-        validation={label: [feats(v) for v in val_list]},
+        validation={label: np.array(val_list, dtype=float)},
     )
 
 
@@ -30,7 +30,7 @@ def synthetic_two_class(rng, n=12, per_class=6, spread=0.05):
     val_b = [base_b * (1 + rng.uniform(-spread, spread, n)) for _ in range(per_class)]
     return CalibrationSet(
         representatives={"a": feats(base_a), "b": feats(base_b)},
-        validation={"a": [feats(v) for v in val_a], "b": [feats(v) for v in val_b]},
+        validation={"a": np.stack(val_a), "b": np.stack(val_b)},
     )
 
 
@@ -67,15 +67,38 @@ def test_transposed_reading():
 
 def test_empty_validation_rejected():
     with pytest.raises(ValueError, match="no validation"):
-        CalibrationSet(representatives={"a": feats([1.0])}, validation={"a": []})
+        CalibrationSet(representatives={"a": feats([1.0])}, validation={"a": np.empty((0, 1))})
 
 
 def test_mismatched_class_sets_rejected():
     with pytest.raises(ValueError, match="class sets differ"):
         CalibrationSet(
             representatives={"a": feats([1.0])},
-            validation={"b": [feats([1.0])]},
+            validation={"b": np.ones((1, 1))},
         )
+
+
+def test_malformed_validation_matrix_rejected():
+    for rows, match in (
+        (np.ones((2, 3)), r"\(n, 2\) matrix .* got shape \(2, 3\)"),
+        (np.ones(2), r"\(n, 2\) matrix .* got shape \(2,\)"),
+        (np.array([[1.0, np.nan]]), "class 'a' contains non-finite"),
+        (np.array([[1.0, np.inf]]), "class 'a' contains non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            CalibrationSet(representatives={"a": feats([1.0, 2.0])}, validation={"a": rows})
+
+
+def test_validation_stored_read_only_without_touching_caller():
+    rows = np.array([[2.0, 4.0], [1.0, 1.0]])
+    validation = {"a": rows}
+    cal = CalibrationSet(representatives={"a": feats([1.0, 2.0])}, validation=validation)
+    assert cal.validation is not validation
+    assert list(validation) == ["a"] and validation["a"] is rows
+    assert rows.flags.writeable
+    rows[0, 0] = 8.0
+    assert np.array_equal(cal.validation["a"], [[2.0, 4.0], [1.0, 1.0]])
+    assert not cal.validation["a"].flags.writeable
 
 
 def test_bad_epsilon_rejected():
@@ -113,7 +136,7 @@ def test_descent_on_two_class_problem():
     gamma = 0.1
     out = optimize_lambda(cal, gamma=gamma, box=10.0, iters=300)
     for label in cal.classes:
-        xs = np.stack([f.values for f in cal.validation[label]])
+        xs = cal.validation[label]
         own = cal.representatives[label].values
         others = [cal.representatives[l].values for l in cal.classes if l != label]
         start = np.clip(closed_form_lambda(cal)[label].values, -10.0, 10.0)
@@ -128,7 +151,7 @@ def test_never_worse_than_all_ones_at_gamma_zero():
         cal = synthetic_two_class(rng, spread=0.2)
         out = optimize_lambda(cal, gamma=0.0, box=5.0, iters=200)
         for label in cal.classes:
-            xs = np.stack([f.values for f in cal.validation[label]])
+            xs = cal.validation[label]
             own = cal.representatives[label].values
             v_ones, _ = _objective_and_subgrad(np.ones(xs.shape[1]), xs, own, [], 0.0)
             v_out, _ = _objective_and_subgrad(out[label].values, xs, own, [], 0.0)

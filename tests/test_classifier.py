@@ -344,7 +344,7 @@ def test_predict_scores_match_reference_kernel(metric):
 
 def test_evaluate_error_paths():
     rng = np.random.default_rng(12)
-    images = tiny_images(rng, ["a"])
+    images = tiny_images(rng, ["a", "b"])
     model = fit(images, cfg())
     with pytest.raises(ValueError, match="empty"):
         evaluate(model, [], "plain")
@@ -354,6 +354,12 @@ def test_evaluate_error_paths():
         evaluate(model, images, "ova")
     with pytest.raises(ValueError, match="unknown classes"):
         evaluate(model, [LabeledImage(images[0].pixels, "zz", "x")], "plain")
+    with pytest.raises(ValueError, match=r"thresholds lack classes: \['b'\]"):
+        evaluate(model, images, "ova", thresholds={"a": 0.5})
+    with pytest.raises(ValueError, match=r"thresholds lack classes: \['a', 'b'\]"):
+        evaluate(model, images, ("plain", "ova"), thresholds={})
+    with pytest.raises(ValueError, match=r"thresholds lack classes: \['b'\]"):
+        predict_ova(model, images[0], {"a": 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +403,20 @@ def test_model_json_roundtrip_exact(tmp_path):
 
 
 def test_model_schema_version_checked():
-    doc = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a"]), cfg()))
-    doc["schema_version"] = 99
-    with pytest.raises(ValueError, match="schema_version"):
-        model_from_dict(doc)
+    good = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a"]), cfg()))
+    for key, value, match in (
+        ("schema_version", 99, "schema_version"),
+        ("per_class", None, r"'per_class' lacks classes: \['a'\]"),
+        ("classes", [], "no classes"),
+        ("classes", ["a", "c"], r"'per_class' lacks classes: \['c'\]"),
+    ):
+        doc = dict(good)
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(doc)
 
 
 def test_scalar_lambda_serialization():

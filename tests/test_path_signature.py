@@ -50,13 +50,18 @@ def test_basepoint_prepends_zero():
 
 
 def test_stream_shape_matches_builder():
-    for conv in (
-        StreamConvention("pixels", True),
-        StreamConvention("pixels", False),
-        StreamConvention("rows", True),
-    ):
-        s = image_to_stream(np.random.default_rng(0).random((4, 5, 3)), conv)
-        assert (s.length, s.dim) == conv.stream_shape(4, 5, 3)
+    rng = np.random.default_rng(0)
+    for channels in (1, 3):
+        batch = rng.random((3, 4, 5, channels))
+        for mode in ("pixels", "rows"):
+            for basepoint in (True, False):
+                conv = StreamConvention(mode, basepoint)
+                points = conv.points(batch)
+                # evaluate() sizes its blocks from stream_shape
+                assert points.shape == (3, *conv.stream_shape(4, 5, channels))
+                single = np.stack([image_to_stream(img, conv).points for img in batch])
+                assert points.dtype == single.dtype
+                assert points.tobytes() == single.tobytes()
 
 
 def test_empty_image_rejected():
