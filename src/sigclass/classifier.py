@@ -424,28 +424,34 @@ def model_to_dict(model: ClassModel) -> dict:
 def model_from_dict(doc: dict) -> ClassModel:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
+    for key in ("config", "stream_dim"):
+        if key not in doc:
+            raise ValueError(f"model file lacks field {key!r}")
     c = doc["config"]
     aug = c.get("augment")
-    config = ModelConfig(
-        kind=c["kind"],
-        order=c["order"],
-        metric=c["metric"],
-        convention=StreamConvention(
-            mode=c["convention"]["mode"], basepoint=c["convention"]["basepoint"]
-        ),
-        image_size=tuple(c["image_size"]),
-        channels=c["channels"],
-        augment=None
-        if aug is None
-        else AugmentSpec(
-            contrast=tuple(aug["contrast"]),
-            brightness=tuple(aug["brightness"]),
-            noise=aug["noise"],
-            noise_level=aug["noise_level"],
-            copies=aug["copies"],
-            seed=aug["seed"],
-        ),
-    )
+    try:
+        config = ModelConfig(
+            kind=c["kind"],
+            order=c["order"],
+            metric=c["metric"],
+            convention=StreamConvention(
+                mode=c["convention"]["mode"], basepoint=c["convention"]["basepoint"]
+            ),
+            image_size=tuple(c["image_size"]),
+            channels=c["channels"],
+            augment=None
+            if aug is None
+            else AugmentSpec(
+                contrast=tuple(aug["contrast"]),
+                brightness=tuple(aug["brightness"]),
+                noise=aug["noise"],
+                noise_level=aug["noise_level"],
+                copies=aug["copies"],
+                seed=aug["seed"],
+            ),
+        )
+    except KeyError as exc:
+        raise ValueError(f"model file 'config' lacks field {exc.args[0]!r}") from None
     classes = tuple(doc.get("classes") or ())
     if not classes:
         raise ValueError("model file lists no classes")
@@ -456,15 +462,18 @@ def model_from_dict(doc: dict) -> ClassModel:
     reps, counts, lam_r, lam_m = {}, {}, {}, {}
     for z in classes:
         entry = doc["per_class"][z]
-        reps[z] = SigFeatures(
-            dim=stream_dim,
-            order=config.order,
-            values=np.asarray(entry["representative"], dtype=np.float64),
-            kind=config.kind,
-        )
-        counts[z] = int(entry["train_count"])
-        lam_r[z] = _lambda_from_json(entry["lambda_rmse"], z)
-        lam_m[z] = _lambda_from_json(entry["lambda_mae"], z)
+        try:
+            reps[z] = SigFeatures(
+                dim=stream_dim,
+                order=config.order,
+                values=np.asarray(entry["representative"], dtype=np.float64),
+                kind=config.kind,
+            )
+            counts[z] = int(entry["train_count"])
+            lam_r[z] = _lambda_from_json(entry["lambda_rmse"], z)
+            lam_m[z] = _lambda_from_json(entry["lambda_mae"], z)
+        except KeyError as exc:
+            raise ValueError(f"model file class {z!r} lacks field {exc.args[0]!r}") from None
     return ClassModel(
         config=config,
         classes=classes,

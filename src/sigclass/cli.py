@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .classifier import (
 )
 from .data_io import (
     AugmentSpec,
+    SHAPE_LABELS,
     LabeledImage,
     ShapeJitter,
     ensure_channels,
@@ -204,24 +206,45 @@ def _jitter_from_dict(doc) -> ShapeJitter:
     )
 
 
-def load_pools(config: RunConfig) -> tuple[list[LabeledImage], list[LabeledImage] | None]:
-    """(train/validation pool, separate test pool or None)."""
+class _ShapeRef(NamedTuple):
+    """A four-shapes sample before it is rendered: its label and its
+    (class index, sample index) key into gen_four_shapes."""
+
+    label: str
+    key: tuple[int, int]
+
+
+def _shape_params(config: RunConfig) -> dict:
+    ds = config.dataset
+    per_class = ds.get("per_class")
+    if per_class is None:
+        b = config.budgets
+        per_class = b["train"] + b["val"] + b["test"]
+    return {
+        "per_class": per_class,
+        "size": ds.get("size", config.image_size[0]),
+        "jitter": _jitter_from_dict(ds.get("jitter")),
+        "seed": substream_seed(config.seed, "shapes"),
+    }
+
+
+def load_pools(config: RunConfig) -> tuple[list, list[LabeledImage] | None]:
+    """(train/validation pool, separate test pool or None).
+
+    A four-shapes pool is a list of unrendered `_ShapeRef`s in the order
+    gen_four_shapes renders the whole set; `prepare_images` renders only
+    the ones a command keeps.
+    """
     ds = config.dataset
     kind = ds["kind"]
     if kind == "four_shapes":
-        per_class = ds.get("per_class")
-        if per_class is None:
-            b = config.budgets
-            per_class = b["train"] + b["val"] + b["test"]
-        return (
-            gen_four_shapes(
-                per_class=per_class,
-                size=ds.get("size", config.image_size[0]),
-                jitter=_jitter_from_dict(ds.get("jitter")),
-                seed=substream_seed(config.seed, "shapes"),
-            ),
-            None,
-        )
+        per_class = _shape_params(config)["per_class"]
+        pool = [
+            _ShapeRef(label, (ci, i))
+            for ci, label in enumerate(SHAPE_LABELS)
+            for i in range(per_class)
+        ]
+        return pool, None
     if kind == "mnist":
         train = load_mnist_idx(ds["train_images"], ds["train_labels"])
         test = None
@@ -279,8 +302,11 @@ def split_dataset(config: RunConfig, pool, test_pool=None):
 
 
 def prepare_images(images, config: RunConfig) -> list[LabeledImage]:
-    """Resize every image to the configured size (channels are handled by
-    the model's feature extraction)."""
+    """Render the four-shapes refs among a split's items, in one
+    gen_four_shapes call, then resize every image to the configured size
+    (channels are handled by the model's feature extraction)."""
+    if config.dataset["kind"] == "four_shapes":
+        images = gen_four_shapes(**_shape_params(config), samples=[r.key for r in images])
     h, w = config.image_size
     out = []
     for im in images:

@@ -9,7 +9,9 @@ generation order cannot change the result.
 
 from __future__ import annotations
 
+import itertools
 import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass
@@ -109,7 +111,12 @@ class AugmentSpec:
 
 
 def _read_exact(fh, count: int, what: str, path: str) -> bytes:
-    buf = fh.read(count)
+    """Read exactly count bytes.  From a regular file the read is capped at
+    what the file still holds, so a header that declares more cannot
+    request a read of that size."""
+    st = os.fstat(fh.fileno())
+    held = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else count
+    buf = fh.read(max(min(count, held), 0))
     if len(buf) != count:
         raise ParseError(
             f"{path}: truncated {what}: expected {count} bytes, got {len(buf)}"
@@ -130,6 +137,8 @@ def load_mnist_idx(images_path, labels_path) -> list[LabeledImage]:
         count, rows, cols = struct.unpack(
             ">III", _read_exact(fh, 12, "dimension header", str(images_path))
         )
+        if rows < 1 or cols < 1:
+            raise ParseError(f"{images_path}: bad image size {rows} x {cols}, need >= 1 x 1")
         raw = _read_exact(fh, count * rows * cols, "pixel payload", str(images_path))
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
 
@@ -225,10 +234,13 @@ def read_pnm(path) -> np.ndarray:
     fields = []
     for name in ("width", "height", "maxval"):
         tok, pos = _next_token(data, pos)
-        if not tok.isdigit():
-            raise ParseError(f"{path}: bad {name} field {tok!r}")
+        # Past 9 digits no field is plausible, and int() refuses thousands.
+        if not tok.isdigit() or len(tok) > 9:
+            raise ParseError(f"{path}: bad {name} field {tok[:20]!r}")
         fields.append(int(tok))
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise ParseError(f"{path}: bad image size {width} x {height}, need >= 1 x 1")
     if not 0 < maxval < 256:
         raise ParseError(f"{path}: unsupported maxval {maxval} (need 1..255)")
     pos += 1  # single whitespace byte after maxval
@@ -305,14 +317,27 @@ class ShapeJitter:
     rotation: tuple[float, float] | None = (0.0, 2.0 * np.pi)
 
 
+# Samples per grid pass of the renderer.  A block shares one
+# (block, 2*size, 2*size) coverage test, which this bounds in memory; on a
+# 2-vCPU Xeon VM blocks larger than 32 rendered no faster.
+RENDER_BLOCK = 32
+
+
 def _point_in_polygon(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    inside = np.zeros(px.shape, dtype=bool)
-    x1, y1 = verts[-1]
-    for x2, y2 in verts:
+    """Even-odd test of the grid of columns px (1, W) and rows py (H, 1)
+    against each (k, 2) polygon of a (b, k, 2) stack; (b, H, W) booleans."""
+    inside = np.zeros((verts.shape[0], py.shape[0], px.shape[1]), dtype=bool)
+    edge = verts[:, :, :, None, None]  # (b, k, 2, 1, 1): broadcasts over the grid
+    x1, y1 = edge[:, -1, 0], edge[:, -1, 1]
+    for j in range(verts.shape[1]):
+        x2, y2 = edge[:, j, 0], edge[:, j, 1]
+        # Where an edge crosses a row, and the x at which it does, depend on
+        # the row alone.  A horizontal edge never crosses; its division by
+        # zero is masked out.
         crosses = (y1 > py) != (y2 > py)
-        if y2 != y1:
+        with np.errstate(divide="ignore", invalid="ignore"):
             x_at = (x2 - x1) * (py - y1) / (y2 - y1) + x1
-            inside ^= crosses & (px < x_at)
+        inside ^= crosses & (px < x_at)
         x1, y1 = x2, y2
     return inside
 
@@ -321,18 +346,24 @@ def _regular_polygon(cx, cy, radii, angles) -> np.ndarray:
     return np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], axis=1)
 
 
-def _render_shape(label: str, size: int, jitter: ShapeJitter, rng) -> np.ndarray:
+def _render_block(label: str, size: int, jitter: ShapeJitter, rngs) -> np.ndarray:
+    """(len(rngs), size, size) coverage of one shape class, one RNG per sample.
+
+    Each sample's draws and geometry are computed on their own, exactly as
+    for a single image; only the grid test runs over the whole block.
+    """
     ss = 2  # 2x2 subsamples per pixel: 4x supersampled coverage
     coords = (np.arange(size * ss) + 0.5) / ss
-    py, px = np.meshgrid(coords, coords, indexing="ij")
+    py, px = coords[:, None], coords[None, :]
 
     cf = jitter.center_frac
-    cx, cy = size / 2.0 + rng.uniform(-cf, cf, size=2) * size
-    radius = rng.uniform(*jitter.scale_range) * size / 2.0
-
-    if label == "circle":
-        inside = (px - cx) ** 2 + (py - cy) ** 2 <= radius**2
-    else:
+    shapes = []
+    for rng in rngs:
+        cx, cy = size / 2.0 + rng.uniform(-cf, cf, size=2) * size
+        radius = rng.uniform(*jitter.scale_range) * size / 2.0
+        if label == "circle":
+            shapes.append((cx, cy, radius**2))
+            continue
         theta = 0.0 if jitter.rotation is None else rng.uniform(*jitter.rotation)
         if label == "square":
             angles = theta + np.pi / 4.0 + np.arange(4) * (np.pi / 2.0)
@@ -346,10 +377,14 @@ def _render_shape(label: str, size: int, jitter: ShapeJitter, rng) -> np.ndarray
             verts = _regular_polygon(cx, cy, radii, angles)
         else:
             raise ValueError(f"unknown shape label {label!r}")
-        inside = _point_in_polygon(px, py, verts)
+        shapes.append(verts)
 
-    coverage = inside.reshape(size, ss, size, ss).mean(axis=(1, 3))
-    return coverage
+    if label == "circle":
+        cx, cy, r2 = np.array(shapes).T[:, :, None, None]
+        inside = (px - cx) ** 2 + (py - cy) ** 2 <= r2
+    else:
+        inside = _point_in_polygon(px, py, np.array(shapes))
+    return inside.reshape(len(rngs), size, ss, size, ss).mean(axis=(2, 4))
 
 
 def gen_four_shapes(
@@ -357,23 +392,41 @@ def gen_four_shapes(
     size: int = 16,
     jitter: ShapeJitter = ShapeJitter(),
     seed: int = 0,
+    samples=None,
 ) -> list[LabeledImage]:
     """Render white-on-black square/star/circle/triangle images.
 
-    Deterministic for a given seed: each sample draws from its own RNG
-    stream keyed by (seed, class index, sample index).
+    Sample i of class SHAPE_LABELS[ci] draws from its own RNG stream keyed
+    by (seed, ci, i), so its pixels do not depend on which other samples
+    are rendered with it.  With samples=None every one of the per_class
+    samples of each class is rendered, class by class in SHAPE_LABELS
+    order.  Otherwise samples is a sequence of (ci, i) keys with
+    0 <= i < per_class, and exactly those images are returned, in that
+    order, each bit-identical to the same key in the full render.
+    Consecutive keys of one class are rendered together, up to
+    RENDER_BLOCK at a time.
     """
     if size < 8:
         raise ValueError(f"image size must be >= 8, got {size}")
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
+    if samples is None:
+        samples = itertools.product(range(len(SHAPE_LABELS)), range(per_class))
+    samples = list(samples)
+    for ci, i in samples:
+        if not (0 <= ci < len(SHAPE_LABELS) and 0 <= i < per_class):
+            raise ValueError(f"sample key {(ci, i)} outside 4 classes x {per_class} per class")
     images = []
-    for ci, label in enumerate(SHAPE_LABELS):
-        for i in range(per_class):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, ci, i]))
-            coverage = _render_shape(label, size, jitter, rng)
-            images.append(
-                LabeledImage(coverage[:, :, None], label, f"shapes:{label}:{i}")
+    for ci, run in itertools.groupby(samples, key=lambda key: key[0]):
+        label = SHAPE_LABELS[ci]
+        indices = [i for _, i in run]
+        for start in range(0, len(indices), RENDER_BLOCK):
+            block = indices[start : start + RENDER_BLOCK]
+            rngs = [np.random.default_rng(np.random.SeedSequence([seed, ci, i])) for i in block]
+            coverage = _render_block(label, size, jitter, rngs)
+            images.extend(
+                LabeledImage(cov[:, :, None], label, f"shapes:{label}:{i}")
+                for cov, i in zip(coverage, block)
             )
     return images
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -404,17 +406,28 @@ def test_model_json_roundtrip_exact(tmp_path):
 
 def test_model_schema_version_checked():
     good = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a"]), cfg()))
-    for key, value, match in (
-        ("schema_version", 99, "schema_version"),
-        ("per_class", None, r"'per_class' lacks classes: \['a'\]"),
-        ("classes", [], "no classes"),
-        ("classes", ["a", "c"], r"'per_class' lacks classes: \['c'\]"),
+    for path, value, match in (
+        (("schema_version",), 99, "schema_version"),
+        (("per_class",), None, r"'per_class' lacks classes: \['a'\]"),
+        (("classes",), [], "no classes"),
+        (("classes",), ["a", "c"], r"'per_class' lacks classes: \['c'\]"),
+        (("config",), None, "lacks field 'config'"),
+        (("stream_dim",), None, "lacks field 'stream_dim'"),
+        (("config", "kind"), None, "'config' lacks field 'kind'"),
+        (("config", "convention", "mode"), None, "'config' lacks field 'mode'"),
+        (("per_class", "a", "train_count"), None, "class 'a' lacks field 'train_count'"),
+        (("per_class", "a", "representative"), None, "class 'a' lacks field 'representative'"),
+        (("per_class", "a", "lambda_rmse"), None, "class 'a' lacks field 'lambda_rmse'"),
+        (("per_class", "a", "lambda_mae"), None, "class 'a' lacks field 'lambda_mae'"),
     ):
-        doc = dict(good)
+        doc = copy.deepcopy(good)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
         if value is None:
-            del doc[key]
+            del parent[path[-1]]
         else:
-            doc[key] = value
+            parent[path[-1]] = value
         with pytest.raises(ValueError, match=match):
             model_from_dict(doc)
 

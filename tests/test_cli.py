@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 
+import sigclass.cli as cli
 from sigclass.cli import main
 from sigclass.classifier import load_model
+from sigclass.data_io import gen_four_shapes
 
 
 def write_config(tmp_path, **overrides):
@@ -189,6 +191,47 @@ def test_embed_perplexity_validation(tmp_path, capsys):
     assert main(["embed", "--config", str(config), "--samples", "20",
                  "--perplexity", "10", "--iterations", "10"]) == 1
     assert "perplexity" in read_stderr_error(capsys)["error"]
+
+
+# ---------------------------------------------------------------------------
+# four-shapes: each command renders only the samples it uses
+# ---------------------------------------------------------------------------
+
+
+def test_commands_render_only_what_they_use(tmp_path, monkeypatch):
+    rendered = []
+
+    def counting(*args, **kwargs):
+        images = gen_four_shapes(*args, **kwargs)
+        rendered.append(len(images))
+        return images
+
+    monkeypatch.setattr(cli, "gen_four_shapes", counting)
+    config = str(write_config(tmp_path))  # budgets train 4, val 6, test 6
+    for argv, expected in (
+        (["fit"], 4 * (4 + 6)),
+        (["eval", "--protocol", "plain,fixed,oracle"], 4 * 6),
+        (["eval", "--protocol", "fixed,ova"], 4 * (6 + 6)),
+        (["embed", "--samples", "40", "--perplexity", "5", "--iterations", "20"], 40),
+    ):
+        rendered.clear()
+        assert main([argv[0], "--config", config, *argv[1:]]) == 0
+        assert sum(rendered) == expected, argv
+
+
+def test_label_only_split_matches_rendered_pool(tmp_path):
+    config = cli.load_config(write_config(tmp_path))
+    refs, test_pool = cli.load_pools(config)
+    assert test_pool is None
+    eager = gen_four_shapes(**cli._shape_params(config))
+    assert [r.label for r in refs] == [im.label for im in eager]
+    for from_refs, from_pool in zip(cli.split_dataset(config, refs),
+                                    cli.split_dataset(config, eager)):
+        assert from_refs and len(from_refs) == len(from_pool)
+        rendered = cli.prepare_images(from_refs, config)
+        assert [im.source_id for im in rendered] == [im.source_id for im in from_pool]
+        for a, b in zip(rendered, from_pool):
+            assert a.label == b.label and a.pixels.tobytes() == b.pixels.tobytes()
 
 
 # ---------------------------------------------------------------------------

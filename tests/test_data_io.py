@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigclass.data_io import (
+    RENDER_BLOCK,
     AugmentSpec,
     LabeledImage,
     ParseError,
@@ -74,6 +75,22 @@ def test_mnist_count_mismatch(tmp_path):
         fh.write(struct.pack(">II", 0x801, 1))
         fh.write(bytes([0]))
     with pytest.raises(ParseError, match="count mismatch"):
+        load_mnist_idx(img, lbl)
+
+
+@pytest.mark.parametrize(
+    "dims, match",
+    [
+        ((0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), "truncated pixel payload"),
+        ((1, 0, 28), "bad image size 0 x 28"),
+        ((1, 28, 0), "bad image size 28 x 0"),
+    ],
+)
+def test_mnist_lying_header_rejected(tmp_path, dims, match):
+    _, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    img = tmp_path / "lying-idx3-ubyte"
+    img.write_bytes(struct.pack(">IIII", 0x803, *dims) + bytes(64))
+    with pytest.raises(ParseError, match=match):
         load_mnist_idx(img, lbl)
 
 
@@ -152,6 +169,12 @@ def test_pnm_comment_and_truncation(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([1, 2]))
     with pytest.raises(ParseError, match="truncated"):
         read_pnm(path)
+    path.write_bytes(b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4))
+    with pytest.raises(ParseError, match="bad width"):
+        read_pnm(path)
+    path.write_bytes(b"P5\n0 3\n255\n")
+    with pytest.raises(ParseError, match="bad image size 0 x 3"):
+        read_pnm(path)
 
 
 def test_pnm_roundtrip_quantization(tmp_path):
@@ -208,6 +231,68 @@ def test_minimum_size_enforced():
 def test_shape_pixels_in_unit_range():
     for im in gen_four_shapes(3, size=16, seed=2):
         assert im.pixels.min() >= 0.0 and im.pixels.max() <= 1.0
+
+
+def _reference_render(label, size, jitter, rng):
+    """One image at a time over the full meshgrid: the renderer's reference."""
+    coords = (np.arange(size * 2) + 0.5) / 2
+    py, px = np.meshgrid(coords, coords, indexing="ij")
+    cf = jitter.center_frac
+    cx, cy = size / 2.0 + rng.uniform(-cf, cf, size=2) * size
+    radius = rng.uniform(*jitter.scale_range) * size / 2.0
+    if label == "circle":
+        inside = (px - cx) ** 2 + (py - cy) ** 2 <= radius**2
+    else:
+        theta = 0.0 if jitter.rotation is None else rng.uniform(*jitter.rotation)
+        k, offset = {"square": (4, np.pi / 4.0), "triangle": (3, np.pi / 2.0),
+                     "star": (10, np.pi / 2.0)}[label]
+        angles = theta + offset + np.arange(k) * (2.0 * np.pi / k)
+        radii = np.where(np.arange(10) % 2 == 0, radius, 0.5 * radius) if k == 10 else radius
+        verts = np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], axis=1)
+        inside = np.zeros(px.shape, dtype=bool)
+        x1, y1 = verts[-1]
+        for x2, y2 in verts:
+            if y2 != y1:
+                x_at = (x2 - x1) * (py - y1) / (y2 - y1) + x1
+                inside ^= ((y1 > py) != (y2 > py)) & (px < x_at)
+            x1, y1 = x2, y2
+    return inside.reshape(size, 2, size, 2).mean(axis=(1, 3))
+
+
+@pytest.mark.parametrize("size", [8, 16, 32])
+@pytest.mark.parametrize("rotation", [None, (0.0, 2.0 * np.pi)])
+def test_shapes_subset_render_bit_exact(size, rotation):
+    jitter = ShapeJitter(rotation=rotation)
+    per_class = RENDER_BLOCK + 9  # blocks split every class
+    full = gen_four_shapes(per_class, size=size, jitter=jitter, seed=size)
+    by_key = {(SHAPE_LABELS.index(im.label), int(im.source_id.rsplit(":", 1)[1])): im
+              for im in full}
+    assert len(by_key) == 4 * per_class
+    for (ci, i), im in by_key.items():
+        rng = np.random.default_rng(np.random.SeedSequence([size, ci, i]))
+        expected = _reference_render(SHAPE_LABELS[ci], size, jitter, rng)
+        assert im.pixels[:, :, 0].tobytes() == expected.tobytes()
+
+    # Classes interleaved, a run longer than a block, repeats, any order.
+    rng = np.random.default_rng(0)
+    keys = [(int(ci), int(i)) for ci, i in zip(rng.integers(0, 4, 30),
+                                               rng.integers(0, per_class, 30))]
+    keys += [(2, i) for i in range(per_class - 1, -1, -1)] + [(0, 3), (0, 3)]
+    subset = gen_four_shapes(per_class, size=size, jitter=jitter, seed=size, samples=keys)
+    assert len(subset) == len(keys)
+    for key, im in zip(keys, subset):
+        ref = by_key[key]
+        assert (im.label, im.source_id) == (ref.label, ref.source_id)
+        assert im.pixels.tobytes() == ref.pixels.tobytes()
+
+
+def test_shapes_subset_keys_validated():
+    assert gen_four_shapes(2, samples=[]) == []
+    for key in [(4, 0), (-1, 0), (0, 2), (0, -1)]:
+        with pytest.raises(ValueError, match="sample key"):
+            gen_four_shapes(2, samples=[key])
+    with pytest.raises(ValueError, match="per_class"):
+        gen_four_shapes(0, samples=[])
 
 
 # ---------------------------------------------------------------------------
