@@ -15,7 +15,7 @@ per-class scale factors.  Four evaluation protocols are provided:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -385,27 +385,9 @@ def _lambda_from_json(values, label: str) -> ScaleFactors:
 
 
 def model_to_dict(model: ClassModel) -> dict:
-    cfg = model.config
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "kind": cfg.kind,
-            "order": cfg.order,
-            "metric": cfg.metric,
-            "convention": {"mode": cfg.convention.mode, "basepoint": cfg.convention.basepoint},
-            "image_size": list(cfg.image_size),
-            "channels": cfg.channels,
-            "augment": None
-            if cfg.augment is None
-            else {
-                "contrast": list(cfg.augment.contrast),
-                "brightness": list(cfg.augment.brightness),
-                "noise": cfg.augment.noise,
-                "noise_level": cfg.augment.noise_level,
-                "copies": cfg.augment.copies,
-                "seed": cfg.augment.seed,
-            },
-        },
+        "config": asdict(model.config),
         "classes": list(model.classes),
         "stream_dim": model.representatives[model.classes[0]].dim,
         "feature_length": model.feature_length,
@@ -421,37 +403,32 @@ def model_to_dict(model: ClassModel) -> dict:
     }
 
 
+# Config fields that hold a nested config object (or None)
+_NESTED = {"convention": StreamConvention, "augment": AugmentSpec}
+
+
+def _config_from_dict(doc: dict, cls):
+    """cls from a model file's JSON object holding every one of its fields;
+    lists become tuples and nested config objects are built the same way."""
+    missing = [f.name for f in fields(cls) if f.name not in doc]
+    if missing:
+        raise ValueError(f"model file 'config' lacks field {missing[0]!r}")
+    values = {}
+    for f in fields(cls):
+        v = doc[f.name]
+        if f.name in _NESTED and v is not None:
+            v = _config_from_dict(v, _NESTED[f.name])
+        values[f.name] = tuple(v) if isinstance(v, list) else v
+    return cls(**values)
+
+
 def model_from_dict(doc: dict) -> ClassModel:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     for key in ("config", "stream_dim"):
         if key not in doc:
             raise ValueError(f"model file lacks field {key!r}")
-    c = doc["config"]
-    aug = c.get("augment")
-    try:
-        config = ModelConfig(
-            kind=c["kind"],
-            order=c["order"],
-            metric=c["metric"],
-            convention=StreamConvention(
-                mode=c["convention"]["mode"], basepoint=c["convention"]["basepoint"]
-            ),
-            image_size=tuple(c["image_size"]),
-            channels=c["channels"],
-            augment=None
-            if aug is None
-            else AugmentSpec(
-                contrast=tuple(aug["contrast"]),
-                brightness=tuple(aug["brightness"]),
-                noise=aug["noise"],
-                noise_level=aug["noise_level"],
-                copies=aug["copies"],
-                seed=aug["seed"],
-            ),
-        )
-    except KeyError as exc:
-        raise ValueError(f"model file 'config' lacks field {exc.args[0]!r}") from None
+    config = _config_from_dict(doc["config"], ModelConfig)
     classes = tuple(doc.get("classes") or ())
     if not classes:
         raise ValueError("model file lists no classes")

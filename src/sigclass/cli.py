@@ -70,66 +70,46 @@ _DEFAULT_SIZES = {"mnist": (28, 28), "cifar10": (32, 32)}
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    out_dir: str = "out"
-    dataset: dict = None
-    image_size: tuple[int, int] = (16, 16)
-    channels: int | None = None
-    convention: StreamConvention = StreamConvention()
-    kind: str = "signature"
-    order: int = 2
-    metric: str = "rmse"
-    budgets: dict = None
-    calibration: dict = None
-    protocol: str = "fixed"
-    augment: AugmentSpec | None = None
-    ova_slack: float = 1.1
-    embed: dict = None
-    spectra: dict = None
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            kind=self.kind,
-            order=self.order,
-            metric=self.metric,
-            convention=self.convention,
-            image_size=self.image_size,
-            channels=self.channels,
-            augment=self.augment,
-        )
+    seed: int
+    out_dir: str
+    dataset: dict
+    model: ModelConfig
+    budgets: dict
+    calibration: dict  # "method" plus keyword arguments of its solver
+    protocol: str
+    ova_slack: float
+    embed: dict
 
 
-def _augment_from_dict(doc) -> AugmentSpec | None:
-    if doc is None:
-        return None
-    return AugmentSpec(
-        contrast=tuple(doc.get("contrast", (1.0, 1.0))),
-        brightness=tuple(doc.get("brightness", (0.0, 0.0))),
-        noise=doc.get("noise", "none"),
-        noise_level=doc.get("noise_level", 0.0),
-        copies=doc.get("copies", 8),
-        seed=doc.get("seed", 0),
-    )
+def _tuples(section: dict) -> dict:
+    """A JSON object as dataclass keyword arguments: lists become tuples."""
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    dataset = dict(doc.get("dataset") or {"kind": "four_shapes", "size": 16})
+    """Sections are passed to the library objects that own their keys, so
+    a key left out takes that object's default and an unknown key raises."""
+    dataset = dict(doc.get("dataset") or {"kind": "four_shapes"})
     kind = dataset.get("kind")
     if kind not in ("four_shapes", "mnist", "cifar10", "image_dir"):
         raise ValueError(f"unknown dataset kind {kind!r}")
 
-    if "image_size" in doc and doc["image_size"] is not None:
-        image_size = tuple(doc["image_size"])
-    elif kind == "four_shapes":
-        size = int(dataset.get("size", 16))
-        image_size = (size, size)
-    elif kind in _DEFAULT_SIZES:
-        image_size = _DEFAULT_SIZES[kind]
-    else:
-        raise ValueError("image_size is required for dataset kind 'image_dir'")
-
-    stream = doc.get("stream") or {}
     feature = doc.get("feature") or {}
+    unknown = sorted(set(feature) - {"kind", "order"})
+    if unknown:
+        raise ValueError(f"unknown feature key {unknown[0]!r}")
+    model = dict(feature, **{k: doc[k] for k in ("metric", "channels") if k in doc})
+    if doc.get("image_size") is not None:
+        model["image_size"] = tuple(doc["image_size"])
+    elif kind == "four_shapes" and "size" in dataset:
+        model["image_size"] = (int(dataset["size"]),) * 2
+    elif kind in _DEFAULT_SIZES:
+        model["image_size"] = _DEFAULT_SIZES[kind]
+    elif kind == "image_dir":
+        raise ValueError("image_size is required for dataset kind 'image_dir'")
+    if doc.get("augment") is not None:
+        model["augment"] = AugmentSpec(**_tuples(doc["augment"]))
+
     budgets = dict(doc.get("budgets") or {})
     budgets.setdefault("train", 10)
     budgets.setdefault("val", 100)
@@ -140,6 +120,8 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     calibration = dict(doc.get("calibration") or {})
     calibration.setdefault("method", "closed_form")
+    if calibration["method"] not in ("none", "closed_form", "optimize"):
+        raise ValueError(f"unknown calibration method {calibration['method']!r}")
 
     protocol = doc.get("protocol", "fixed")
     if protocol not in PROTOCOLS:
@@ -150,30 +132,16 @@ def config_from_dict(doc: dict) -> RunConfig:
     embed.setdefault("perplexity", 30.0)
     embed.setdefault("iterations", 500)
 
-    spectra = dict(doc.get("spectra") or {})
-    spectra.setdefault("window", 5)
-    spectra.setdefault("polyorder", 2)
-
     return RunConfig(
         seed=int(doc.get("seed", 0)),
         out_dir=str(doc.get("out_dir", "out")),
         dataset=dataset,
-        image_size=image_size,
-        channels=doc.get("channels"),
-        convention=StreamConvention(
-            mode=stream.get("mode", "pixels"),
-            basepoint=bool(stream.get("basepoint", True)),
-        ),
-        kind=feature.get("kind", "signature"),
-        order=int(feature.get("order", 2)),
-        metric=doc.get("metric", "rmse"),
+        model=ModelConfig(convention=StreamConvention(**(doc.get("stream") or {})), **model),
         budgets=budgets,
         calibration=calibration,
         protocol=protocol,
-        augment=_augment_from_dict(doc.get("augment")),
         ova_slack=float(doc.get("ova_slack", 1.1)),
         embed=embed,
-        spectra=spectra,
     )
 
 
@@ -191,19 +159,15 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _jitter_from_dict(doc) -> ShapeJitter:
-    if not doc:
-        return ShapeJitter()
-    if "rotation_deg" in doc:
-        rot = doc["rotation_deg"]
-        rotation = None if rot is None else tuple(np.deg2rad(v) for v in rot)
-    else:
-        rotation = (0.0, 2.0 * np.pi)
-    return ShapeJitter(
-        center_frac=doc.get("center_frac", 0.1),
-        scale_range=tuple(doc.get("scale_range", (0.6, 0.9))),
-        rotation=rotation,
-    )
+def _jitter(section) -> ShapeJitter:
+    """dataset.jitter as a ShapeJitter; the rotation band is given in degrees."""
+    section = dict(section or {})
+    if "rotation" in section:
+        raise ValueError("unknown dataset.jitter key 'rotation'; give the band as 'rotation_deg'")
+    if "rotation_deg" in section:
+        rot = section.pop("rotation_deg")
+        section["rotation"] = None if rot is None else tuple(np.deg2rad(v) for v in rot)
+    return ShapeJitter(**_tuples(section))
 
 
 class _ShapeRef(NamedTuple):
@@ -222,8 +186,8 @@ def _shape_params(config: RunConfig) -> dict:
         per_class = b["train"] + b["val"] + b["test"]
     return {
         "per_class": per_class,
-        "size": ds.get("size", config.image_size[0]),
-        "jitter": _jitter_from_dict(ds.get("jitter")),
+        "size": ds.get("size", config.model.image_size[0]),
+        "jitter": _jitter(ds.get("jitter")),
         "seed": substream_seed(config.seed, "shapes"),
     }
 
@@ -262,59 +226,50 @@ def load_pools(config: RunConfig) -> tuple[list, list[LabeledImage] | None]:
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
+def _permutation(config: RunConfig, key: int, n: int) -> np.ndarray:
+    """The seeded permutation of n items for split stream `key`."""
+    seq = np.random.SeedSequence([config.seed, STREAM_TAGS["split"], key])
+    return np.random.default_rng(seq).permutation(n)
+
+
 def split_dataset(config: RunConfig, pool, test_pool=None):
     """Seeded per-class split into (train, val, test) lists.
 
     train and val come from `pool`; test comes from `test_pool` when given,
     otherwise from the unused remainder of `pool`.
     """
-    budgets = config.budgets
-    groups = group_by_label(pool)
+    b = config.budgets
+    need = b["train"] + b["val"]
+    pool_need = need + (b["test"] if test_pool is None else 0)
     train, val, test = [], [], []
-    for ci, (label, items) in enumerate(groups.items()):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, STREAM_TAGS["split"], ci])
-        )
-        perm = rng.permutation(len(items))
-        need = budgets["train"] + budgets["val"]
-        pool_need = need + (budgets["test"] if test_pool is None else 0)
+    for ci, (label, items) in enumerate(group_by_label(pool).items()):
         if len(items) < pool_need:
-            raise ValueError(
-                f"class {label!r} has {len(items)} samples, needs {pool_need}"
-            )
-        train.extend(items[i] for i in perm[: budgets["train"]])
-        val.extend(items[i] for i in perm[budgets["train"] : need])
-        if test_pool is None:
-            test.extend(items[i] for i in perm[need : need + budgets["test"]])
-    if test_pool is not None:
-        for ci, (label, items) in enumerate(group_by_label(test_pool).items()):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, STREAM_TAGS["split"], 1000 + ci])
-            )
-            perm = rng.permutation(len(items))
-            take = budgets["test"] if budgets["test"] > 0 else len(items)
-            if len(items) < take:
-                raise ValueError(
-                    f"test class {label!r} has {len(items)} samples, needs {take}"
-                )
-            test.extend(items[i] for i in perm[:take])
+            raise ValueError(f"class {label!r} has {len(items)} samples, needs {pool_need}")
+        perm = _permutation(config, ci, len(items))
+        train.extend(items[i] for i in perm[: b["train"]])
+        val.extend(items[i] for i in perm[b["train"] : need])
+        test.extend(items[i] for i in perm[need:pool_need])
+    for ci, (label, items) in enumerate(group_by_label(test_pool or []).items()):
+        take = b["test"] or len(items)
+        if len(items) < take:
+            raise ValueError(f"test class {label!r} has {len(items)} samples, needs {take}")
+        test.extend(items[i] for i in _permutation(config, 1000 + ci, len(items))[:take])
     return train, val, test
 
 
 def prepare_images(images, config: RunConfig) -> list[LabeledImage]:
     """Render the four-shapes refs among a split's items, in one
-    gen_four_shapes call, then resize every image to the configured size
-    (channels are handled by the model's feature extraction)."""
+    gen_four_shapes call, then resize each image not already at the
+    configured size (channels are handled by the model's feature
+    extraction).  Images at size are returned as they are."""
     if config.dataset["kind"] == "four_shapes":
         images = gen_four_shapes(**_shape_params(config), samples=[r.key for r in images])
-    h, w = config.image_size
-    out = []
-    for im in images:
-        px = im.pixels
-        if px.shape[0] != h or px.shape[1] != w:
-            px = resize(px, h, w)
-        out.append(LabeledImage(px, im.label, im.source_id))
-    return out
+    h, w = config.model.image_size
+    return [
+        im if im.pixels.shape[:2] == (h, w)
+        else LabeledImage(resize(im.pixels, h, w), im.label, im.source_id)
+        for im in images
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +283,7 @@ def cmd_gen_shapes(args) -> int:
         ds = config.dataset
         per_class = args.per_class or ds.get("per_class", 10)
         size = args.size or ds.get("size", 16)
-        jitter = _jitter_from_dict(ds.get("jitter"))
+        jitter = _jitter(ds.get("jitter"))
         seed = config.seed
         out_dir = config.out_dir
     else:
@@ -375,36 +330,14 @@ def cmd_fit(args) -> int:
     train = prepare_images(train, config)
     val = prepare_images(val, config)
 
-    method = config.calibration["method"]
-    if method not in ("none", "closed_form", "optimize"):
-        raise ValueError(f"unknown calibration method {method!r}")
+    solver = dict(config.calibration)
+    method = solver.pop("method")
     if method != "none" and not val:
         raise ValueError(
             f"calibration method {method!r} requires a nonzero validation budget"
         )
-
-    model = fit(train, config.model_config())
-    if method == "closed_form":
-        model = calibrate(
-            model,
-            val,
-            method="closed_form",
-            epsilon=config.calibration.get("epsilon", 1e-8),
-            transposed=config.calibration.get("transposed", False),
-        )
-    elif method == "optimize":
-        model = calibrate(
-            model,
-            val,
-            method="optimize",
-            gamma=config.calibration.get("gamma", 0.0),
-            box=config.calibration.get("box", 1.0),
-            iters=config.calibration.get("iters", 500),
-            step0=config.calibration.get("step0", 0.1),
-            epsilon=config.calibration.get("epsilon", 1e-8),
-            batch_size=config.calibration.get("batch_size"),
-            seed=substream_seed(config.seed, "optimizer"),
-        )
+    seed = {"seed": substream_seed(config.seed, "optimizer")} if method == "optimize" else {}
+    model = calibrate(fit(train, config.model), val, method, **solver, **seed)
 
     os.makedirs(config.out_dir, exist_ok=True)
     model_path = os.path.join(config.out_dir, "model.json")
@@ -476,14 +409,11 @@ def cmd_embed(args) -> int:
     pool, test_pool = load_pools(config)
     images = list(pool) + list(test_pool or [])
     if len(images) > samples:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, STREAM_TAGS["split"], 2000])
-        )
-        idx = rng.permutation(len(images))[:samples]
+        idx = _permutation(config, 2000, len(images))[:samples]
         images = [images[i] for i in sorted(idx)]
     images = prepare_images(images, config)
 
-    feats = features_for_images(images, config.model_config())
+    feats = features_for_images(images, config.model)
     k = min(50, feats.shape[0] - 1, feats.shape[1])
     reduced = pca_reduce(feats, k)
     result = tsne_exact(

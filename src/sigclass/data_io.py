@@ -436,10 +436,8 @@ def gen_four_shapes(
 # ---------------------------------------------------------------------------
 
 
-def resize(pixels: np.ndarray, height: int, width: int, method: str = "bilinear") -> np.ndarray:
+def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     """Bilinear resize with half-pixel-center alignment, channels independent."""
-    if method != "bilinear":
-        raise ValueError(f"unsupported resize method {method!r}")
     src = np.asarray(pixels, dtype=np.float64)
     if src.ndim == 2:
         src = src[:, :, None]

@@ -60,10 +60,8 @@ def _mirror_indices(n: int, pad: int) -> np.ndarray:
     return np.where(idx >= n, period - idx, idx)
 
 
-def savgol_filter(series, window: int, polyorder: int, edge: str = "mirror") -> np.ndarray:
+def savgol_filter(series, window: int, polyorder: int) -> np.ndarray:
     """Length-preserving Savitzky-Golay smoothing under mirror padding."""
-    if edge != "mirror":
-        raise ValueError(f"unsupported edge mode {edge!r}")
     values = np.asarray(series, dtype=np.float64).reshape(-1)
     if values.size < 1:
         raise ValueError("series must have length >= 1")

@@ -1,11 +1,17 @@
 import json
+import pathlib
+import re
 
 import numpy as np
+import pytest
 
 import sigclass.cli as cli
 from sigclass.cli import main
-from sigclass.classifier import load_model
-from sigclass.data_io import gen_four_shapes
+from sigclass.classifier import ModelConfig, load_model
+from sigclass.data_io import AugmentSpec, LabeledImage, ShapeJitter, gen_four_shapes, resize
+from sigclass.path_signature import StreamConvention
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def write_config(tmp_path, **overrides):
@@ -37,6 +43,74 @@ def write_config(tmp_path, **overrides):
 def read_stderr_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     return json.loads(err)
+
+
+# ---------------------------------------------------------------------------
+# config: each section goes to the library object that owns its keys
+# ---------------------------------------------------------------------------
+
+
+def test_readme_config_builds_model_config():
+    text = README.read_text()
+    block = re.search(r"A complete config:\s*```json\n(.*?)```", text, re.S).group(1)
+    config = cli.config_from_dict(json.loads(block))
+    assert config.model == ModelConfig(
+        kind="signature",
+        order=2,
+        metric="rmse",
+        convention=StreamConvention("rows", True),
+        image_size=(16, 16),
+        channels=None,
+        augment=None,
+    )
+    assert config.calibration == {"method": "closed_form", "epsilon": 1e-3}
+
+
+def test_missing_section_keys_take_library_defaults():
+    config = cli.config_from_dict({"augment": {"noise": "speckle", "noise_level": 0.1}})
+    assert config.model == ModelConfig(augment=AugmentSpec(noise="speckle", noise_level=0.1))
+    assert cli._jitter({"rotation_deg": [7, 13]}) == ShapeJitter(
+        rotation=(np.deg2rad(7), np.deg2rad(13))
+    )
+    assert cli._jitter({"rotation_deg": None}) == ShapeJitter(rotation=None)
+    assert cli._jitter(None) == ShapeJitter()
+
+
+@pytest.mark.parametrize(
+    "section, value, key",
+    [
+        ("calibration", {"method": "optimize", "iter": 3}, "iter"),
+        ("calibration", {"method": "optimize", "seed": 3}, "seed"),
+        ("augment", {"copy": 2}, "copy"),
+        ("dataset", {"kind": "four_shapes", "size": 16,
+                     "jitter": {"rotaton_deg": [7, 13]}}, "rotaton_deg"),
+        ("dataset", {"kind": "four_shapes", "size": 16,
+                     "jitter": {"rotation": [0.1, 0.2]}}, "rotation"),
+        ("feature", {"kind": "signature", "order": 2, "metric": "mae"}, "metric"),
+        ("stream", {"mode": "rows", "base_point": True}, "base_point"),
+    ],
+)
+def test_unknown_config_key_fails_naming_it(tmp_path, capsys, section, value, key):
+    config = write_config(tmp_path, **{section: value})
+    assert main(["fit", "--config", str(config)]) == 1
+    assert f"'{key}'" in read_stderr_error(capsys)["error"]
+
+
+def test_unknown_calibration_method_fails_at_load(tmp_path):
+    config = write_config(tmp_path, calibration={"method": "bogus"})
+    with pytest.raises(ValueError, match="unknown calibration method 'bogus'"):
+        cli.load_config(config)
+
+
+def test_prepare_images_shares_images_at_size():
+    config = cli.config_from_dict({"dataset": {"kind": "image_dir"}, "image_size": [8, 8]})
+    rng = np.random.default_rng(0)
+    at_size = LabeledImage(rng.random((8, 8, 1)), "a", "x")
+    larger = LabeledImage(rng.random((12, 10, 3)), "b", "y")
+    same, resized = cli.prepare_images([at_size, larger], config)
+    assert same is at_size
+    assert (resized.label, resized.source_id) == ("b", "y")
+    assert np.array_equal(resized.pixels, resize(larger.pixels, 8, 8))
 
 
 # ---------------------------------------------------------------------------

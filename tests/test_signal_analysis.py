@@ -82,11 +82,6 @@ def test_filter_matches_scipy_mirror_mode():
     assert np.abs(ours - reference).max() < 1e-10
 
 
-def test_filter_edge_mode_validated():
-    with pytest.raises(ValueError, match="edge"):
-        savgol_filter(np.ones(5), 3, 1, edge="wrap")
-
-
 def shapes_model(per_class=4):
     images = gen_four_shapes(per_class, size=16, seed=0)
     config = ModelConfig(
