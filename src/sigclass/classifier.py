@@ -206,6 +206,8 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
     tables.  method "none" resets the factors to the identity.
     """
     if method == "none":
+        if kwargs:
+            raise ValueError(f"calibration method 'none' takes no key {sorted(kwargs)[0]!r}")
         identity = {z: ScaleFactors.identity(z) for z in model.classes}
         return replace(model, lambda_rmse=dict(identity), lambda_mae=dict(identity))
     cal = calibration_set(model, val_images)

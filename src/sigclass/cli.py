@@ -67,6 +67,17 @@ def substream_seed(master: int, name: str) -> int:
 
 _DEFAULT_SIZES = {"mnist": (28, 28), "cifar10": (32, 32)}
 
+# Every top-level key a config may carry.  "spectra" holds the window and
+# polyorder of the spectra command, for drivers that keep them in the same
+# file; the CLI takes those from flags.
+CONFIG_KEYS = frozenset({
+    "seed", "out_dir", "dataset", "stream", "feature", "metric", "channels",
+    "image_size", "augment", "budgets", "calibration", "protocol", "ova_slack",
+    "embed", "spectra",
+})
+BUDGET_DEFAULTS = {"train": 10, "val": 100, "test": 200}
+EMBED_DEFAULTS = {"samples": 300, "perplexity": 30.0, "iterations": 500}
+
 
 @dataclass
 class RunConfig:
@@ -86,18 +97,23 @@ def _tuples(section: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
 
 
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}")
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     """Sections are passed to the library objects that own their keys, so
     a key left out takes that object's default and an unknown key raises."""
+    _check_keys(doc, CONFIG_KEYS, "config")
     dataset = dict(doc.get("dataset") or {"kind": "four_shapes"})
     kind = dataset.get("kind")
     if kind not in ("four_shapes", "mnist", "cifar10", "image_dir"):
         raise ValueError(f"unknown dataset kind {kind!r}")
 
     feature = doc.get("feature") or {}
-    unknown = sorted(set(feature) - {"kind", "order"})
-    if unknown:
-        raise ValueError(f"unknown feature key {unknown[0]!r}")
+    _check_keys(feature, ("kind", "order"), "feature")
     model = dict(feature, **{k: doc[k] for k in ("metric", "channels") if k in doc})
     if doc.get("image_size") is not None:
         model["image_size"] = tuple(doc["image_size"])
@@ -110,10 +126,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     if doc.get("augment") is not None:
         model["augment"] = AugmentSpec(**_tuples(doc["augment"]))
 
-    budgets = dict(doc.get("budgets") or {})
-    budgets.setdefault("train", 10)
-    budgets.setdefault("val", 100)
-    budgets.setdefault("test", 200)
+    budgets = dict(BUDGET_DEFAULTS, **(doc.get("budgets") or {}))
+    _check_keys(budgets, BUDGET_DEFAULTS, "budgets")
     for name, value in budgets.items():
         if value < 0:
             raise ValueError(f"budget {name!r} must be >= 0, got {value}")
@@ -127,10 +141,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    embed = dict(doc.get("embed") or {})
-    embed.setdefault("samples", 300)
-    embed.setdefault("perplexity", 30.0)
-    embed.setdefault("iterations", 500)
+    embed = dict(EMBED_DEFAULTS, **(doc.get("embed") or {}))
+    _check_keys(embed, EMBED_DEFAULTS, "embed")
 
     return RunConfig(
         seed=int(doc.get("seed", 0)),
@@ -402,9 +414,10 @@ def cmd_spectra(args) -> int:
 
 def cmd_embed(args) -> int:
     config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    samples = args.samples or config.embed["samples"]
-    perplexity = args.perplexity or config.embed["perplexity"]
-    iterations = args.iterations or config.embed["iterations"]
+    samples, perplexity, iterations = (
+        config.embed[key] if getattr(args, key) is None else getattr(args, key)
+        for key in ("samples", "perplexity", "iterations")
+    )
 
     pool, test_pool = load_pools(config)
     images = list(pool) + list(test_pool or [])

@@ -56,35 +56,79 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
 
 def _conditional_probs(d2: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50):
     """Per-point Gaussian affinities with bandwidths bisected to the target
-    perplexity (entropy tolerance tol, at most max_iter bisections)."""
+    perplexity (entropy tolerance tol, at most max_iter bisections).
+
+    All rows are bisected at once.  A row freezes at the first bandwidth
+    whose entropy is within tol of the target, so each row takes exactly
+    the steps of a bisection of that row alone.
+    """
     n = d2.shape[0]
     target = np.log(perplexity)
-    p = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(d2[i], i)
-        beta, beta_min, beta_max = 1.0, -np.inf, np.inf
-        for _ in range(max_iter):
-            w = np.exp(-row * beta)
-            s = max(w.sum(), 1e-300)
-            entropy = np.log(s) + beta * float((row * w).sum()) / s
-            diff = entropy - target
-            if abs(diff) <= tol:
+    off = ~np.eye(n, dtype=bool)
+    rows = d2[off].reshape(n, n - 1)
+    beta = np.ones(n)
+    beta_min = np.full(n, -np.inf)
+    beta_max = np.full(n, np.inf)
+    live, r = np.arange(n), rows  # the rows still bisecting
+    for _ in range(max_iter):
+        b = beta[live]
+        w = np.exp(-r * b[:, None])
+        s = np.maximum(w.sum(axis=1), 1e-300)
+        diff = np.log(s) + b * (r * w).sum(axis=1) / s - target
+        going = ~(np.abs(diff) <= tol)
+        if not going.all():
+            live, r, b, diff = live[going], r[going], b[going], diff[going]
+            if live.size == 0:
                 break
-            if diff > 0:
-                beta_min = beta
-                beta = beta * 2.0 if beta_max == np.inf else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == -np.inf else (beta + beta_min) / 2.0
-        w = np.exp(-row * beta)
-        w /= max(w.sum(), 1e-300)
-        p[i, np.arange(n) != i] = w
+        up = diff > 0
+        lo, hi = beta_min[live], beta_max[live]
+        beta_min[live] = np.where(up, b, lo)
+        beta_max[live] = np.where(up, hi, b)
+        beta[live] = np.where(
+            up,
+            np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0),
+            np.where(lo == -np.inf, b / 2.0, (b + lo) / 2.0),
+        )
+    w = np.exp(-rows * beta[:, None])
+    w /= np.maximum(w.sum(axis=1), 1e-300)[:, None]
+    p = np.zeros((n, n))
+    p[off] = w.ravel()
     return p
 
 
-def _kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def _outer_difference(v: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = v[i] - v[j], bit for bit what np.subtract.outer gives.
+
+    It is one matmul of [v, 1] by [1, -v]: both products are exact, so each
+    entry is the single rounding of v[i] - v[j].  The broadcast subtraction
+    costs about four times as much at n = 300.
+    """
+    ones = np.ones_like(v)
+    np.matmul(np.stack([v, ones], axis=1), np.stack([ones, -v]), out=out)
+
+
+def _student_affinities(y: np.ndarray, num: np.ndarray, q: np.ndarray) -> None:
+    """Fill num with the Student-t kernel 1 / (1 + |y_i - y_j|^2) of 2-D
+    points y (zero diagonal) and q with its normalised affinities, floored
+    at 1e-12."""
+    _outer_difference(y[:, 0], num)
+    num *= num
+    _outer_difference(y[:, 1], q)
+    q *= q
+    num += q
+    num += 1.0
+    np.divide(1.0, num, out=num)
+    np.fill_diagonal(num, 0.0)
+    np.divide(num, num.sum(), out=q)
+    np.maximum(q, 1e-12, out=q)
+
+
+def _kl_divergence(p: np.ndarray, q: np.ndarray, scratch: np.ndarray) -> float:
+    """KL(p || q) for strictly positive p and q; scratch is overwritten."""
+    np.divide(p, q, out=scratch)
+    np.log(scratch, out=scratch)
+    scratch *= p
+    return float(scratch.sum())
 
 
 def tsne_exact(
@@ -101,16 +145,24 @@ def tsne_exact(
     Standard schedule: early exaggeration x12 for the first 250 iterations,
     momentum 0.5 switching to 0.8 at iteration 250, adaptive per-component
     gains, seeded Gaussian initialization (sigma 1e-4).  kl_trace records
-    the KL divergence against the un-exaggerated affinities; runs need
+    the KL divergence against the un-exaggerated affinities every
+    record_every iterations and once after the last; runs need
     iterations > 250 for the trace to settle (shorter runs never leave the
     exploration phase and the final KL may exceed the initial one).
+    The loop reuses three n x n buffers and allocates no others.
     """
     x = _as_matrix(points)
     n = x.shape[0]
     if n < 5:
         raise ValueError(f"need at least 5 samples, got {n}")
+    if not perplexity > 0:
+        raise ValueError(f"perplexity must be > 0, got {perplexity}")
     if not perplexity < n / 3:
         raise ValueError(f"perplexity must be < n/3 = {n / 3:.2f}, got {perplexity}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     if labels is not None and len(labels) != n:
         raise ValueError("labels length does not match sample count")
 
@@ -123,24 +175,27 @@ def tsne_exact(
     p_cond = _conditional_probs(d2, perplexity)
     p = (p_cond + p_cond.T) / (2.0 * n)
     p = np.maximum(p, 1e-12)
+    del d2, p_cond
 
     rng = np.random.default_rng(seed)
     y = rng.normal(0.0, 1e-4, size=(n, 2))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
 
+    num, q, pq = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     kl_trace = []
     for t in range(iterations):
-        num = 1.0 / (1.0 + _pairwise_sq_dists(y))
-        np.fill_diagonal(num, 0.0)
-        q = np.maximum(num / num.sum(), 1e-12)
-
+        _student_affinities(y, num, q)
         if t % record_every == 0:
-            kl_trace.append(_kl_divergence(p, q))
+            kl_trace.append(_kl_divergence(p, q, pq))
 
-        p_eff = p * 12.0 if t < 250 else p
-        pq_num = (p_eff - q) * num
-        grad = 4.0 * (np.diag(pq_num.sum(axis=1)) - pq_num) @ y
+        if t < 250:
+            np.multiply(p, 12.0, out=pq)
+            pq -= q
+        else:
+            np.subtract(p, q, out=pq)
+        pq *= num
+        grad = 4.0 * (pq.sum(axis=1)[:, None] * y - pq @ y)
 
         momentum = 0.5 if t < 250 else 0.8
         same_sign = np.sign(grad) == np.sign(velocity)
@@ -150,10 +205,8 @@ def tsne_exact(
         y = y + velocity
         y = y - y.mean(axis=0)
 
-    num = 1.0 / (1.0 + _pairwise_sq_dists(y))
-    np.fill_diagonal(num, 0.0)
-    q = np.maximum(num / num.sum(), 1e-12)
-    kl_trace.append(_kl_divergence(p, q))
+    _student_affinities(y, num, q)
+    kl_trace.append(_kl_divergence(p, q, pq))
 
     return EmbeddingResult(
         coords=y,

@@ -88,12 +88,34 @@ def test_missing_section_keys_take_library_defaults():
                      "jitter": {"rotation": [0.1, 0.2]}}, "rotation"),
         ("feature", {"kind": "signature", "order": 2, "metric": "mae"}, "metric"),
         ("stream", {"mode": "rows", "base_point": True}, "base_point"),
+        ("calibration", {"method": "none", "epsilon": 1e-3}, "epsilon"),
     ],
 )
 def test_unknown_config_key_fails_naming_it(tmp_path, capsys, section, value, key):
     config = write_config(tmp_path, **{section: value})
     assert main(["fit", "--config", str(config)]) == 1
     assert f"'{key}'" in read_stderr_error(capsys)["error"]
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"protocl": "fixed"}, "protocl"),
+        ({"ova_slak": 1.2}, "ova_slak"),
+        ({"budgets": {"train": 4, "val": 6, "test": 6, "tset": 6}}, "tset"),
+        ({"embed": {"samples": 40, "iteration": 20}}, "iteration"),
+    ],
+)
+def test_unknown_top_level_budget_and_embed_keys_fail_naming_them(tmp_path, capsys, overrides, key):
+    config = write_config(tmp_path, **overrides)
+    assert main(["fit", "--config", str(config)]) == 1
+    assert f"'{key}'" in read_stderr_error(capsys)["error"]
+
+
+def test_spectra_section_is_an_accepted_top_level_key():
+    config = cli.config_from_dict({"spectra": {"window": 21, "polyorder": 3}})
+    assert config.embed == cli.EMBED_DEFAULTS
+    assert config.budgets == cli.BUDGET_DEFAULTS
 
 
 def test_unknown_calibration_method_fails_at_load(tmp_path):
@@ -258,6 +280,15 @@ def test_embed_command_rows_and_determinism(tmp_path):
     assert len(lines) == 41
     assert main(args) == 0
     assert (out / "embedding.csv").read_bytes() == csv1
+
+
+def test_embed_flags_override_config_even_when_zero(tmp_path, capsys):
+    config = write_config(tmp_path, embed={"samples": 20, "perplexity": 5, "iterations": 500})
+    assert main(["embed", "--config", str(config), "--iterations", "0"]) == 0
+    first, final = re.search(r"KL (\S+) -> (\S+);", capsys.readouterr().out).groups()
+    assert first == final  # no iteration ran: the trace holds one KL
+    assert main(["embed", "--config", str(config), "--perplexity", "0"]) == 1
+    assert "perplexity must be > 0" in read_stderr_error(capsys)["error"]
 
 
 def test_embed_perplexity_validation(tmp_path, capsys):
