@@ -79,7 +79,7 @@ def closed_form_lambda(
             ratios = xs / _guarded(rep, epsilon)[None, :]
         else:
             ratios = rep[None, :] / _guarded(xs, epsilon)
-        out[label] = ScaleFactors(values=ratios.mean(axis=0), label=label)
+        out[label] = ScaleFactors(values=ratios.mean(axis=0))
     return out
 
 
@@ -104,10 +104,8 @@ def optimize_lambda(
     gamma: float = 0.0,
     box: float = 1.0,
     iters: int = 500,
-    seed: int = 0,
     step0: float = 0.1,
     epsilon: float = 1e-8,
-    batch_size: int | None = None,
 ) -> dict[str, ScaleFactors]:
     """Per-class scale factors by deterministic projected subgradient descent.
 
@@ -117,8 +115,7 @@ def optimize_lambda(
     step0 / sqrt(t); every iterate is clipped component-wise into
     [-box, +box]; the start point is the closed-form ratio average clipped
     to the box.  The best iterate seen is returned, so the result is never
-    worse than the start.  batch_size selects a seeded random subset of
-    validation instances per iteration (default: full batch).
+    worse than the start.
     """
     if not np.isfinite(gamma) or gamma < 0:
         raise ValueError("gamma must be finite and >= 0")
@@ -130,35 +127,27 @@ def optimize_lambda(
     start = closed_form_lambda(cal, epsilon=epsilon)
     reps = {label: cal.representatives[label].values for label in cal.classes}
     out = {}
-    for class_index, label in enumerate(cal.classes):
-        xs_full = cal.validation[label]
+    for label in cal.classes:
+        xs = cal.validation[label]
         own = reps[label]
         others = [reps[l] for l in cal.classes if l != label]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, class_index]))
 
         lam = np.clip(np.asarray(start[label].values, dtype=np.float64), -box, box)
         best_lam = lam.copy()
         best_val = np.inf
-        minibatch = batch_size is not None and batch_size < xs_full.shape[0]
         for t in range(1, iters + 1):
-            if minibatch:
-                idx = rng.choice(xs_full.shape[0], size=batch_size, replace=False)
-                value, grad = _objective_and_subgrad(lam, xs_full[idx], own, others, gamma)
-                track, _ = _objective_and_subgrad(lam, xs_full, own, others, gamma)
-            else:
-                value, grad = _objective_and_subgrad(lam, xs_full, own, others, gamma)
-                track = value
+            value, grad = _objective_and_subgrad(lam, xs, own, others, gamma)
             if not np.isfinite(value):
                 raise ArithmeticError(
                     f"optimize_lambda: non-finite objective for class {label!r} "
                     f"at iteration {t}"
                 )
-            if track < best_val:
-                best_val = track
+            if value < best_val:
+                best_val = value
                 best_lam = lam.copy()
             lam = np.clip(lam - (step0 / np.sqrt(t)) * grad, -box, box)
-        final_val, _ = _objective_and_subgrad(lam, xs_full, own, others, gamma)
+        final_val, _ = _objective_and_subgrad(lam, xs, own, others, gamma)
         if np.isfinite(final_val) and final_val < best_val:
             best_lam = lam.copy()
-        out[label] = ScaleFactors(values=best_lam, label=label)
+        out[label] = ScaleFactors(values=best_lam)
     return out

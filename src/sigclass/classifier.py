@@ -84,27 +84,21 @@ class ClassModel:
     classes: tuple[str, ...]
     representatives: dict[str, SigFeatures]
     train_counts: dict[str, int]
-    lambda_rmse: dict[str, ScaleFactors] = field(default_factory=dict)
-    lambda_mae: dict[str, ScaleFactors] = field(default_factory=dict)
+    factors: dict[str, ScaleFactors] = field(default_factory=dict)
 
     def __post_init__(self):
         ref = self.representatives[self.classes[0]]
         for z in self.classes:
             if not ref.same_space(self.representatives[z]):
                 raise ValueError(f"representative of class {z!r} has mismatched metadata")
-        for name in ("lambda_rmse", "lambda_mae"):
-            table = {z: ScaleFactors.identity(z) for z in self.classes} | getattr(self, name)
-            for z in self.classes:
-                table[z].resolve(len(ref))
-            object.__setattr__(self, name, table)
+        table = {z: ScaleFactors.identity() for z in self.classes} | self.factors
+        for z in self.classes:
+            table[z].resolve(len(ref))
+        object.__setattr__(self, "factors", table)
 
     @property
     def feature_length(self) -> int:
         return len(self.representatives[self.classes[0]])
-
-    def scale_factors(self, label: str) -> ScaleFactors:
-        table = self.lambda_rmse if self.config.metric == "rmse" else self.lambda_mae
-        return table[label]
 
 
 @dataclass(frozen=True)
@@ -202,22 +196,21 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
 
     method "closed_form" averages element-wise ratios (metric-independent);
     method "optimize" runs the projected subgradient solver on the MAE
-    separation objective.  Either result fills both the RMSE and MAE factor
-    tables.  method "none" resets the factors to the identity.
+    separation objective.  Either result is the factor table used under
+    both metrics.  method "none" resets the factors to the identity.
     """
     if method == "none":
         if kwargs:
             raise ValueError(f"calibration method 'none' takes no key {sorted(kwargs)[0]!r}")
-        identity = {z: ScaleFactors.identity(z) for z in model.classes}
-        return replace(model, lambda_rmse=dict(identity), lambda_mae=dict(identity))
+        return replace(model, factors={})
     cal = calibration_set(model, val_images)
     if method == "closed_form":
-        lambdas = closed_form_lambda(cal, **kwargs)
+        factors = closed_form_lambda(cal, **kwargs)
     elif method == "optimize":
-        lambdas = optimize_lambda(cal, **kwargs)
+        factors = optimize_lambda(cal, **kwargs)
     else:
         raise ValueError(f"unknown calibration method {method!r}")
-    return replace(model, lambda_rmse=dict(lambdas), lambda_mae=dict(lambdas))
+    return replace(model, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +224,7 @@ def _rep_matrix(model: ClassModel) -> np.ndarray:
 
 def _lambda_matrix(model: ClassModel) -> np.ndarray:
     n = model.feature_length
-    return np.stack([np.broadcast_to(model.scale_factors(z).resolve(n), n) for z in model.classes])
+    return np.stack([np.broadcast_to(model.factors[z].resolve(n), n) for z in model.classes])
 
 
 def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, thresholds=None):
@@ -293,7 +286,7 @@ def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[st
     thresholds = {}
     for zi, label in enumerate(model.classes):
         feats = features_for_images(groups[label], model.config)
-        lam = model.scale_factors(label).resolve(feats.shape[1])
+        lam = model.factors[label].resolve(feats.shape[1])
         scores = score_rows(feats * lam, reps[zi], model.config.metric)
         thresholds[label] = float(slack * scores.max())
     return thresholds
@@ -380,10 +373,10 @@ def _lambda_to_json(lam: ScaleFactors):
     return lam.values if np.isscalar(lam.values) else [float(v) for v in lam.values]
 
 
-def _lambda_from_json(values, label: str) -> ScaleFactors:
+def _lambda_from_json(values) -> ScaleFactors:
     if isinstance(values, (int, float)):
-        return ScaleFactors(values=float(values), label=label)
-    return ScaleFactors(values=np.asarray(values, dtype=np.float64), label=label)
+        return ScaleFactors(values=float(values))
+    return ScaleFactors(values=np.asarray(values, dtype=np.float64))
 
 
 def model_to_dict(model: ClassModel) -> dict:
@@ -397,8 +390,8 @@ def model_to_dict(model: ClassModel) -> dict:
             z: {
                 "representative": [float(v) for v in model.representatives[z].values],
                 "train_count": model.train_counts[z],
-                "lambda_rmse": _lambda_to_json(model.lambda_rmse[z]),
-                "lambda_mae": _lambda_to_json(model.lambda_mae[z]),
+                "lambda_rmse": _lambda_to_json(model.factors[z]),
+                "lambda_mae": _lambda_to_json(model.factors[z]),
             }
             for z in model.classes
         },
@@ -438,7 +431,7 @@ def model_from_dict(doc: dict) -> ClassModel:
     if missing:
         raise ValueError(f"model file 'per_class' lacks classes: {missing}")
     stream_dim = int(doc["stream_dim"])
-    reps, counts, lam_r, lam_m = {}, {}, {}, {}
+    reps, counts, factors = {}, {}, {}
     for z in classes:
         entry = doc["per_class"][z]
         try:
@@ -449,8 +442,9 @@ def model_from_dict(doc: dict) -> ClassModel:
                 kind=config.kind,
             )
             counts[z] = int(entry["train_count"])
-            lam_r[z] = _lambda_from_json(entry["lambda_rmse"], z)
-            lam_m[z] = _lambda_from_json(entry["lambda_mae"], z)
+            factors[z] = _lambda_from_json(entry["lambda_rmse"])
+            if entry["lambda_mae"] != entry["lambda_rmse"]:
+                raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
         except KeyError as exc:
             raise ValueError(f"model file class {z!r} lacks field {exc.args[0]!r}") from None
     return ClassModel(
@@ -458,8 +452,7 @@ def model_from_dict(doc: dict) -> ClassModel:
         classes=classes,
         representatives=reps,
         train_counts=counts,
-        lambda_rmse=lam_r,
-        lambda_mae=lam_m,
+        factors=factors,
     )
 
 

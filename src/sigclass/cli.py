@@ -53,7 +53,7 @@ SCHEMA_VERSION = 1
 
 # Named sub-streams of the master seed; every consumer of randomness gets
 # its own tag so no two stages share a stream.
-STREAM_TAGS = {"split": 1, "shapes": 2, "augment": 3, "tsne": 4, "optimizer": 5}
+STREAM_TAGS = {"split": 1, "shapes": 2, "augment": 3, "tsne": 4}
 
 
 def substream_seed(master: int, name: str) -> int:
@@ -293,14 +293,14 @@ def cmd_gen_shapes(args) -> int:
     if args.config:
         config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
         ds = config.dataset
-        per_class = args.per_class or ds.get("per_class", 10)
-        size = args.size or ds.get("size", 16)
+        per_class = ds.get("per_class", 10) if args.per_class is None else args.per_class
+        size = ds.get("size", 16) if args.size is None else args.size
         jitter = _jitter(ds.get("jitter"))
         seed = config.seed
         out_dir = config.out_dir
     else:
-        per_class = args.per_class or 10
-        size = args.size or 16
+        per_class = 10 if args.per_class is None else args.per_class
+        size = 16 if args.size is None else args.size
         jitter = ShapeJitter()
         seed = args.seed if args.seed is not None else 0
         out_dir = args.out or "out"
@@ -348,8 +348,7 @@ def cmd_fit(args) -> int:
         raise ValueError(
             f"calibration method {method!r} requires a nonzero validation budget"
         )
-    seed = {"seed": substream_seed(config.seed, "optimizer")} if method == "optimize" else {}
-    model = calibrate(fit(train, config.model), val, method, **solver, **seed)
+    model = calibrate(fit(train, config.model), val, method, **solver)
 
     os.makedirs(config.out_dir, exist_ok=True)
     model_path = os.path.join(config.out_dir, "model.json")
@@ -357,7 +356,7 @@ def cmd_fit(args) -> int:
 
     print(f"feature length: {model.feature_length}")
     for z in model.classes:
-        lam = model.scale_factors(z).resolve(model.feature_length)
+        lam = model.factors[z].resolve(model.feature_length)
         lam = np.full(model.feature_length, lam) if np.isscalar(lam) else lam
         print(
             f"class {z}: train={model.train_counts[z]}"

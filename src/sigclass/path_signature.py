@@ -184,13 +184,13 @@ def signature_tensor(s: Stream, order: int) -> TruncatedTensor:
 
 def signature(s: Stream, order: int) -> SigFeatures:
     """Truncated signature of a stream, flattened to levels 1..order."""
-    values = _features_batch(s.points[None, :, :], order, SIGNATURE, 1)[0]
+    values = _features_batch(s.points[None, :, :], order, SIGNATURE)[0]
     return SigFeatures(dim=s.dim, order=order, values=values, kind=SIGNATURE)
 
 
 def log_signature(s: Stream, order: int) -> SigFeatures:
     """Truncated log-signature: tensor logarithm of the signature, flattened."""
-    values = _features_batch(s.points[None, :, :], order, LOG_SIGNATURE, 1)[0]
+    values = _features_batch(s.points[None, :, :], order, LOG_SIGNATURE)[0]
     return SigFeatures(dim=s.dim, order=order, values=values, kind=LOG_SIGNATURE)
 
 
@@ -200,14 +200,13 @@ def log_signature(s: Stream, order: int) -> SigFeatures:
 FOLD_BYTES = 384 * 1024
 
 
-def _features_batch(points: np.ndarray, order: int, kind: str, chunk: int | None) -> np.ndarray:
+def _features_batch(points: np.ndarray, order: int, kind: str) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 3:
         raise ValueError(f"expected (batch, n, d) points, got shape {points.shape}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if chunk is None:
-        chunk = max(1, FOLD_BYTES // (8 * points.shape[2] ** order))
+    chunk = max(1, FOLD_BYTES // (8 * points.shape[2] ** order))
     rows = []
     for start in range(0, points.shape[0], chunk):
         levels = _signature_levels(points[start : start + chunk], order)
@@ -217,20 +216,21 @@ def _features_batch(points: np.ndarray, order: int, kind: str, chunk: int | None
     return np.concatenate(rows, axis=0)
 
 
-def signature_many(points: np.ndarray, order: int, chunk: int | None = None) -> np.ndarray:
+def signature_many(points: np.ndarray, order: int) -> np.ndarray:
     """Signatures of a batch of equal-length streams, shape (batch, n, d).
 
     Returns the stacked flat feature matrix (batch, feature_length).  Each
     row is computed by exactly the same arithmetic as signature(), so batch
     results are bit-identical to one-at-a-time results.  Streams are folded
-    `chunk` at a time; by default the chunk follows from FOLD_BYTES.
+    a chunk at a time, the chunk being the number of streams whose top
+    signature level fits in FOLD_BYTES (at least one).
     """
-    return _features_batch(points, order, SIGNATURE, chunk)
+    return _features_batch(points, order, SIGNATURE)
 
 
-def log_signature_many(points: np.ndarray, order: int, chunk: int | None = None) -> np.ndarray:
+def log_signature_many(points: np.ndarray, order: int) -> np.ndarray:
     """Log-signature analogue of signature_many()."""
-    return _features_batch(points, order, LOG_SIGNATURE, chunk)
+    return _features_batch(points, order, LOG_SIGNATURE)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ class ScaleFactors:
     """
 
     values: np.ndarray | float = 1.0
-    label: str | None = None
 
     def __post_init__(self):
         vals = self.values
@@ -38,8 +37,8 @@ class ScaleFactors:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def identity(cls, label: str | None = None) -> "ScaleFactors":
-        return cls(values=1.0, label=label)
+    def identity(cls) -> "ScaleFactors":
+        return cls(values=1.0)
 
     def resolve(self, n: int):
         """Scalar or length-n vector, validated against the target length."""

@@ -155,7 +155,7 @@ def test_argmin_invariant_under_joint_positive_scaling():
             classes=model.classes,
             representatives=scaled_reps,
             train_counts=dict(model.train_counts),
-            lambda_rmse={z: sc.ScaleFactors(c, z) for z in model.classes},
+            factors={z: sc.ScaleFactors(c) for z in model.classes},
         )
         scaled_label, _ = predict(scaled_model, probe, "fixed")
         assert scaled_label == base_label
@@ -340,8 +340,8 @@ def test_predict_scores_match_reference_kernel(metric):
     _, _, oracle = predict_oracle(model, im, im.label, augment_seed=[3, 1])
     for z in model.classes:
         assert plain[z] == reference(x, reps[z])
-        assert fixed[z] == reference(x, reps[z], scale_x=model.scale_factors(z))
-        assert oracle[z] == reference(x, reps[z], scale_x=model.scale_factors(im.label))
+        assert fixed[z] == reference(x, reps[z], scale_x=model.factors[z])
+        assert oracle[z] == reference(x, reps[z], scale_x=model.factors[im.label])
 
 
 def test_evaluate_error_paths():
@@ -372,17 +372,17 @@ def test_evaluate_error_paths():
 def test_class_model_leaves_caller_factor_dicts_alone():
     rng = np.random.default_rng(18)
     model = fit(tiny_images(rng, ["a", "b"]), cfg())
-    given = {"a": sc.ScaleFactors(2.0, "a")}
+    given = {"a": sc.ScaleFactors(2.0)}
     built = ClassModel(
         config=model.config,
         classes=model.classes,
         representatives=model.representatives,
         train_counts=model.train_counts,
-        lambda_rmse=given,
+        factors=given,
     )
     assert list(given) == ["a"]
-    assert built.lambda_rmse["a"].values == 2.0
-    assert built.lambda_rmse["b"].values == 1.0
+    assert built.factors["a"].values == 2.0
+    assert built.factors["b"].values == 1.0
 
 
 def test_model_json_roundtrip_exact(tmp_path):
@@ -397,7 +397,7 @@ def test_model_json_roundtrip_exact(tmp_path):
         assert np.array_equal(
             back.representatives[z].values, model.representatives[z].values
         )
-        assert np.array_equal(back.lambda_mae[z].values, model.lambda_mae[z].values)
+        assert np.array_equal(back.factors[z].values, model.factors[z].values)
     # byte-identical re-serialization
     second = tmp_path / "model2.json"
     save_model(back, second)
@@ -419,6 +419,7 @@ def test_model_schema_version_checked():
         (("per_class", "a", "representative"), None, "class 'a' lacks field 'representative'"),
         (("per_class", "a", "lambda_rmse"), None, "class 'a' lacks field 'lambda_rmse'"),
         (("per_class", "a", "lambda_mae"), None, "class 'a' lacks field 'lambda_mae'"),
+        (("per_class", "a", "lambda_mae"), 2.0, "class 'a' has lambda_rmse != lambda_mae"),
     ):
         doc = copy.deepcopy(good)
         parent = doc
@@ -438,7 +439,7 @@ def test_scalar_lambda_serialization():
     doc = model_to_dict(model)
     assert doc["per_class"]["a"]["lambda_rmse"] == 1.0
     back = model_from_dict(doc)
-    assert back.lambda_rmse["a"].values == 1.0
+    assert back.factors["a"].values == 1.0
 
 
 def test_confusion_csv_format():
@@ -456,10 +457,10 @@ def test_confusion_csv_format():
 def test_calibrate_none_resets_identity():
     tr, va, _ = shapes_split(per_class=6, train=3, val=3)
     model = calibrate(fit(tr, cfg(size=16)), va, method="closed_form")
-    assert not np.isscalar(model.lambda_rmse[model.classes[0]].values)
+    assert not np.isscalar(model.factors[model.classes[0]].values)
     reset = calibrate(model, va, method="none")
     for z in reset.classes:
-        assert reset.lambda_rmse[z].values == 1.0
+        assert reset.factors[z].values == 1.0
 
 
 def test_calibrate_unknown_method():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import pathlib
 import re
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import sigclass.cli as cli
+from sigclass.calibration import closed_form_lambda, optimize_lambda
 from sigclass.cli import main
 from sigclass.classifier import ModelConfig, load_model
 from sigclass.data_io import AugmentSpec, LabeledImage, ShapeJitter, gen_four_shapes, resize
@@ -64,6 +66,21 @@ def test_readme_config_builds_model_config():
         augment=None,
     )
     assert config.calibration == {"method": "closed_form", "epsilon": 1e-3}
+
+
+def test_readme_calibration_keys_match_solver_parameters():
+    text = " ".join(README.read_text().split())
+    bullet = re.search(r"- `calibration` is [^:]*: ([^.]*)\.", text).group(1)
+    named = {}
+    for clause in bullet.split(";"):
+        keys, _, solver = clause.partition(" for ")
+        if solver:
+            named[re.match(r"`(\w+)`", solver).group(1)] = set(re.findall(r"`(\w+)`", keys))
+    solvers = {f.__name__: f for f in (closed_form_lambda, optimize_lambda)}
+    assert set(named) == set(solvers)
+    for name, solver in solvers.items():
+        params = inspect.signature(solver).parameters.values()
+        assert named[name] == {p.name for p in params if p.default is not p.empty}, name
 
 
 def test_missing_section_keys_take_library_defaults():
@@ -169,6 +186,20 @@ def test_gen_shapes_minimum_size(tmp_path, capsys):
     assert err["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("with_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--per-class", "per_class must be >= 1"), ("--size", "image size must be >= 8, got 0")],
+    ids=["per-class", "size"],
+)
+def test_gen_shapes_zero_flag_is_not_a_default(tmp_path, capsys, with_config, flag, message):
+    args = ["gen-shapes", flag, "0", "--out", str(tmp_path / "x")]
+    if with_config:
+        args += ["--config", str(write_config(tmp_path))]
+    assert main(args) == 1
+    assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -182,7 +213,7 @@ def test_fit_writes_calibrated_model(tmp_path, capsys):
     model = load_model(tmp_path / "out" / "model.json")
     assert len(model.classes) == 4
     for z in model.classes:
-        assert model.lambda_rmse[z].values.shape == (272,)
+        assert model.factors[z].values.shape == (272,)
 
 
 def test_fit_zero_validation_with_closed_form_fails(tmp_path, capsys):
@@ -197,7 +228,7 @@ def test_fit_calibration_none_gives_identity(tmp_path):
     assert main(["fit", "--config", str(config)]) == 0
     model = load_model(tmp_path / "out" / "model.json")
     for z in model.classes:
-        assert model.lambda_rmse[z].values == 1.0
+        assert model.factors[z].values == 1.0
 
 
 def test_fit_requires_config(capsys):

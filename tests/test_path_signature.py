@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sigclass.path_signature as path_signature
 from sigclass.path_signature import (
     FOLD_BYTES,
     SigFeatures,
@@ -218,15 +219,24 @@ def test_batch_matches_single_bitwise():
         assert np.array_equal(lbatch[i], single)
 
 
-def test_fold_chunk_does_not_change_bits():
+def test_fold_chunk_does_not_change_bits(monkeypatch):
     # MNIST-row width at order 3: the byte-budget chunk is smaller than the batch
     rng = np.random.default_rng(18)
     pts = rng.random((5, 4, 28))
-    assert FOLD_BYTES // (8 * 28**3) < pts.shape[0]
+    top_level_bytes = 8 * 28**3
+    assert FOLD_BYTES // top_level_bytes < pts.shape[0]
+    fold, chunks = path_signature._signature_levels, []
+    monkeypatch.setattr(path_signature, "_signature_levels",
+                        lambda p, order: chunks.append(p.shape[0]) or fold(p, order))
     for many in (signature_many, log_signature_many):
         derived = many(pts, 3)
-        assert np.array_equal(many(pts, 3, chunk=1), derived)
-        assert np.array_equal(many(pts, 3, chunk=pts.shape[0]), derived)
+        # a budget below one stream's top level still folds one stream at a time
+        for budget, sizes in ((1, [1] * 5), (top_level_bytes * 5, [5])):
+            monkeypatch.setattr(path_signature, "FOLD_BYTES", budget)
+            chunks.clear()
+            assert np.array_equal(many(pts, 3), derived)
+            assert chunks == sizes
+        monkeypatch.setattr(path_signature, "FOLD_BYTES", FOLD_BYTES)
 
 
 def test_increment_exp_matches_tensor_exp_bitwise():
