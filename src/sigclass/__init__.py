@@ -51,7 +51,6 @@ from .path_signature import (
     signature_many,
     signature_oracle,
 )
-from .scoring import ScaleFactors, elementwise_mean, mae, rmse
 from .signal_analysis import (
     SpectrumSeries,
     export_spectrum,

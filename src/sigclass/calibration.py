@@ -7,36 +7,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .path_signature import SigFeatures
-from .scoring import ScaleFactors
-
 __all__ = ["CalibrationSet", "closed_form_lambda", "optimize_lambda"]
 
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Per class: a representative feature vector and an (n_z, F) matrix of
-    validation feature rows, stored as a read-only float64 copy (the
-    caller's dict and arrays are left untouched)."""
+    """A (Z, F) representative matrix and, per class, an (n_z, F) matrix of
+    validation feature rows; row z of representatives belongs to the z-th
+    class of validation.  Representatives are kept as a read-only view,
+    validation rows as read-only float64 copies (the caller's dict and
+    arrays are left untouched)."""
 
-    representatives: dict[str, SigFeatures]
+    representatives: np.ndarray
     validation: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if not self.representatives:
+        if not self.validation:
             raise ValueError("calibration set has no classes")
-        if set(self.representatives) != set(self.validation):
-            raise ValueError("representative and validation class sets differ")
-        ref = next(iter(self.representatives.values()))
+        reps = np.asarray(self.representatives, dtype=np.float64).view()
+        if reps.ndim != 2 or reps.shape[0] != len(self.validation):
+            raise ValueError(
+                f"representatives must be a ({len(self.validation)}, F) matrix, one row per"
+                f" validation class, got shape {reps.shape}"
+            )
+        if not np.all(np.isfinite(reps)):
+            raise ValueError("representatives contain non-finite entries")
+        reps.setflags(write=False)
         matrices = {}
-        for label, rep in self.representatives.items():
-            if not ref.same_space(rep):
-                raise ValueError(f"representative of class {label!r} has mismatched metadata")
-            rows = np.array(self.validation[label], dtype=np.float64)
-            if rows.ndim != 2 or rows.shape[1] != len(rep):
+        for label, rows in self.validation.items():
+            rows = np.array(rows, dtype=np.float64)
+            if rows.ndim != 2 or rows.shape[1] != reps.shape[1]:
                 raise ValueError(
-                    f"validation of class {label!r} must be an (n, {len(rep)}) matrix"
-                    f" to match its representative, got shape {rows.shape}"
+                    f"validation of class {label!r} must be an (n, {reps.shape[1]}) matrix"
+                    f" to match the representatives, got shape {rows.shape}"
                 )
             if rows.shape[0] == 0:
                 raise ValueError(f"class {label!r} has no validation instances")
@@ -44,11 +47,12 @@ class CalibrationSet:
                 raise ValueError(f"validation of class {label!r} contains non-finite entries")
             rows.setflags(write=False)
             matrices[label] = rows
+        object.__setattr__(self, "representatives", reps)
         object.__setattr__(self, "validation", matrices)
 
     @property
     def classes(self) -> list[str]:
-        return list(self.representatives)
+        return list(self.validation)
 
 
 def _guarded(divisor: np.ndarray, epsilon: float) -> np.ndarray:
@@ -60,8 +64,8 @@ def closed_form_lambda(
     cal: CalibrationSet,
     epsilon: float = 1e-8,
     transposed: bool = False,
-) -> dict[str, ScaleFactors]:
-    """Per-class scale factors as averaged element-wise ratios.
+) -> np.ndarray:
+    """(Z, F) scale factors, row z for class z, as averaged element-wise ratios.
 
     For each class the factor solves scale * validation = representative in
     the element-wise sense, averaged over validation instances:
@@ -71,15 +75,13 @@ def closed_form_lambda(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    out = {}
-    for label in cal.classes:
-        rep = cal.representatives[label].values
-        xs = cal.validation[label]
+    out = np.empty(cal.representatives.shape)
+    for zi, (rep, xs) in enumerate(zip(cal.representatives, cal.validation.values())):
         if transposed:
             ratios = xs / _guarded(rep, epsilon)[None, :]
         else:
             ratios = rep[None, :] / _guarded(xs, epsilon)
-        out[label] = ScaleFactors(values=ratios.mean(axis=0))
+        out[zi] = ratios.mean(axis=0)
     return out
 
 
@@ -106,8 +108,9 @@ def optimize_lambda(
     iters: int = 500,
     step0: float = 0.1,
     epsilon: float = 1e-8,
-) -> dict[str, ScaleFactors]:
-    """Per-class scale factors by deterministic projected subgradient descent.
+) -> np.ndarray:
+    """(Z, F) scale factors, row z for class z, by deterministic projected
+    subgradient descent.
 
     Minimizes, independently per class z, the scalarized objective
     (own-class scaled MAE) - gamma * (sum of scaled MAE against the other
@@ -125,15 +128,13 @@ def optimize_lambda(
         raise ValueError("step0 must be positive")
 
     start = closed_form_lambda(cal, epsilon=epsilon)
-    reps = {label: cal.representatives[label].values for label in cal.classes}
-    out = {}
-    for label in cal.classes:
-        xs = cal.validation[label]
-        own = reps[label]
-        others = [reps[l] for l in cal.classes if l != label]
+    reps = cal.representatives
+    out = np.empty(reps.shape)
+    for zi, (label, xs) in enumerate(cal.validation.items()):
+        own = reps[zi]
+        others = [rep for oi, rep in enumerate(reps) if oi != zi]
 
-        lam = np.clip(np.asarray(start[label].values, dtype=np.float64), -box, box)
-        best_lam = lam.copy()
+        lam = np.clip(start[zi], -box, box)
         best_val = np.inf
         for t in range(1, iters + 1):
             value, grad = _objective_and_subgrad(lam, xs, own, others, gamma)
@@ -143,11 +144,9 @@ def optimize_lambda(
                     f"at iteration {t}"
                 )
             if value < best_val:
-                best_val = value
-                best_lam = lam.copy()
+                best_val, out[zi] = value, lam
             lam = np.clip(lam - (step0 / np.sqrt(t)) * grad, -box, box)
         final_val, _ = _objective_and_subgrad(lam, xs, own, others, gamma)
         if np.isfinite(final_val) and final_val < best_val:
-            best_lam = lam.copy()
-        out[label] = ScaleFactors(values=best_lam)
+            out[zi] = lam
     return out

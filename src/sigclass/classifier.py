@@ -1,7 +1,8 @@
 """Nearest-representative classification of images by signature features.
 
-A fitted model holds one element-wise mean feature vector per class plus
-per-class scale factors.  Four evaluation protocols are provided:
+A fitted model holds two (Z, F) matrices, row z for class z: the
+element-wise mean feature vectors (representatives) and the scale
+factors.  Four evaluation protocols are provided:
 
   plain   argmin over classes of score(x, rep_z), no scale factors.
   fixed   argmin of score(lambda_z * x, rep_z): each class applies its own
@@ -15,7 +16,7 @@ per-class scale factors.  Four evaluation protocols are provided:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,12 +25,11 @@ from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels, group_
 from .path_signature import (
     LOG_SIGNATURE,
     SIGNATURE,
-    SigFeatures,
     StreamConvention,
     log_signature_many,
     signature_many,
 )
-from .scoring import ScaleFactors, score_rows
+from .scoring import score_rows
 from .tensor_algebra import feature_length
 
 __all__ = [
@@ -80,25 +80,37 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ClassModel:
+    """Row z of representatives and of factors belongs to classes[z].  Both
+    are held as read-only float64 views of the given arrays, which callers
+    should not change afterwards; factors default to all ones."""
+
     config: ModelConfig
     classes: tuple[str, ...]
-    representatives: dict[str, SigFeatures]
+    stream_dim: int
+    representatives: np.ndarray  # (Z, F)
     train_counts: dict[str, int]
-    factors: dict[str, ScaleFactors] = field(default_factory=dict)
+    factors: np.ndarray | None = None  # (Z, F)
 
     def __post_init__(self):
-        ref = self.representatives[self.classes[0]]
-        for z in self.classes:
-            if not ref.same_space(self.representatives[z]):
-                raise ValueError(f"representative of class {z!r} has mismatched metadata")
-        table = {z: ScaleFactors.identity() for z in self.classes} | self.factors
-        for z in self.classes:
-            table[z].resolve(len(ref))
-        object.__setattr__(self, "factors", table)
+        if not self.classes:
+            raise ValueError("model has no classes")
+        shape = (len(self.classes), feature_length(self.stream_dim, self.config.order))
+        factors = np.ones(shape) if self.factors is None else self.factors
+        for name, table in (("representatives", self.representatives), ("factors", factors)):
+            table = np.asarray(table, dtype=np.float64).view()
+            if table.shape != shape:
+                raise ValueError(
+                    f"{name} must have shape {shape} for {len(self.classes)} classes,"
+                    f" stream_dim={self.stream_dim}, order={self.config.order}; got {table.shape}"
+                )
+            if not np.all(np.isfinite(table)):
+                raise ValueError(f"{name} contain non-finite entries")
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def feature_length(self) -> int:
-        return len(self.representatives[self.classes[0]])
+        return self.representatives.shape[1]
 
 
 @dataclass(frozen=True)
@@ -168,15 +180,15 @@ def fit(train, config: ModelConfig) -> ClassModel:
     groups = group_by_label(train)
     if not groups:
         raise ValueError("training set is empty")
-    classes = tuple(groups)
-    reps, counts = {}, {}
-    for label in classes:
-        feats, dim = _features_and_dim(groups[label], config)
-        reps[label] = SigFeatures(
-            dim=dim, order=config.order, values=feats.mean(axis=0), kind=config.kind
-        )
+    reps, counts = [], {}
+    for label, images in groups.items():
+        feats, dim = _features_and_dim(images, config)
+        reps.append(feats.mean(axis=0))
         counts[label] = feats.shape[0]
-    return ClassModel(config=config, classes=classes, representatives=reps, train_counts=counts)
+    return ClassModel(
+        config=config, classes=tuple(groups), stream_dim=dim,
+        representatives=np.stack(reps), train_counts=counts,
+    )
 
 
 def calibration_set(model: ClassModel, val_images) -> CalibrationSet:
@@ -186,7 +198,7 @@ def calibration_set(model: ClassModel, val_images) -> CalibrationSet:
     if missing:
         raise ValueError(f"validation set lacks classes: {missing}")
     return CalibrationSet(
-        representatives={z: model.representatives[z] for z in model.classes},
+        representatives=model.representatives,
         validation={z: features_for_images(groups[z], model.config) for z in model.classes},
     )
 
@@ -202,7 +214,7 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
     if method == "none":
         if kwargs:
             raise ValueError(f"calibration method 'none' takes no key {sorted(kwargs)[0]!r}")
-        return replace(model, factors={})
+        return replace(model, factors=None)
     cal = calibration_set(model, val_images)
     if method == "closed_form":
         factors = closed_form_lambda(cal, **kwargs)
@@ -218,18 +230,9 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
 # ---------------------------------------------------------------------------
 
 
-def _rep_matrix(model: ClassModel) -> np.ndarray:
-    return np.stack([model.representatives[z].values for z in model.classes])
-
-
-def _lambda_matrix(model: ClassModel) -> np.ndarray:
-    n = model.feature_length
-    return np.stack([np.broadcast_to(model.factors[z].resolve(n), n) for z in model.classes])
-
-
 def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, thresholds=None):
     """(predicted class indices (n,), score matrix (n, Z)) of feature rows x."""
-    reps, lams = _rep_matrix(model), _lambda_matrix(model)
+    reps, lams = model.representatives, model.factors
     if protocol == "oracle":
         x = lams[true_idx] * x
     per_class = protocol in ("fixed", "ova")
@@ -282,12 +285,12 @@ def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[st
     missing = [z for z in model.classes if z not in groups]
     if missing:
         raise ValueError(f"validation set lacks classes: {missing}")
-    reps = _rep_matrix(model)
     thresholds = {}
     for zi, label in enumerate(model.classes):
         feats = features_for_images(groups[label], model.config)
-        lam = model.factors[label].resolve(feats.shape[1])
-        scores = score_rows(feats * lam, reps[zi], model.config.metric)
+        scores = score_rows(
+            feats * model.factors[zi], model.representatives[zi], model.config.metric
+        )
         thresholds[label] = float(slack * scores.max())
     return thresholds
 
@@ -328,8 +331,8 @@ def evaluate(
     cfg = model.config
     copies = cfg.augment.copies if cfg.augment is not None else 1
     n_points = cfg.convention.stream_shape(*cfg.image_size, 1)[0]
-    dim = model.representatives[model.classes[0]].dim
-    block = max(1, BLOCK_BYTES // (8 * copies * (model.feature_length + n_points * dim)))
+    row_bytes = 8 * copies * (model.feature_length + n_points * model.stream_dim)
+    block = max(1, BLOCK_BYTES // row_bytes)
     parts = {name: [] for name in protocols}
     for start in range(0, len(test), block):
         stop = min(start + block, len(test))
@@ -369,14 +372,9 @@ def _report(protocol: str, classes, true_idx, parts) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_to_json(lam: ScaleFactors):
-    return lam.values if np.isscalar(lam.values) else [float(v) for v in lam.values]
-
-
-def _lambda_from_json(values) -> ScaleFactors:
-    if isinstance(values, (int, float)):
-        return ScaleFactors(values=float(values))
-    return ScaleFactors(values=np.asarray(values, dtype=np.float64))
+def _factor_to_json(row: np.ndarray):
+    """A row of exact ones is written as the number 1.0, any other as a list."""
+    return 1.0 if np.all(row == 1.0) else row.tolist()
 
 
 def model_to_dict(model: ClassModel) -> dict:
@@ -384,16 +382,16 @@ def model_to_dict(model: ClassModel) -> dict:
         "schema_version": SCHEMA_VERSION,
         "config": asdict(model.config),
         "classes": list(model.classes),
-        "stream_dim": model.representatives[model.classes[0]].dim,
+        "stream_dim": model.stream_dim,
         "feature_length": model.feature_length,
         "per_class": {
             z: {
-                "representative": [float(v) for v in model.representatives[z].values],
+                "representative": rep.tolist(),
                 "train_count": model.train_counts[z],
-                "lambda_rmse": _lambda_to_json(model.factors[z]),
-                "lambda_mae": _lambda_to_json(model.factors[z]),
+                "lambda_rmse": _factor_to_json(lam),
+                "lambda_mae": _factor_to_json(lam),
             }
-            for z in model.classes
+            for z, rep, lam in zip(model.classes, model.representatives, model.factors)
         },
     }
 
@@ -431,18 +429,14 @@ def model_from_dict(doc: dict) -> ClassModel:
     if missing:
         raise ValueError(f"model file 'per_class' lacks classes: {missing}")
     stream_dim = int(doc["stream_dim"])
-    reps, counts, factors = {}, {}, {}
-    for z in classes:
+    shape = (len(classes), feature_length(stream_dim, config.order))
+    reps, factors, counts = np.empty(shape), np.empty(shape), {}
+    for zi, z in enumerate(classes):
         entry = doc["per_class"][z]
         try:
-            reps[z] = SigFeatures(
-                dim=stream_dim,
-                order=config.order,
-                values=np.asarray(entry["representative"], dtype=np.float64),
-                kind=config.kind,
-            )
+            _fill_row(reps, zi, z, "representative", entry["representative"])
+            _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
             counts[z] = int(entry["train_count"])
-            factors[z] = _lambda_from_json(entry["lambda_rmse"])
             if entry["lambda_mae"] != entry["lambda_rmse"]:
                 raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
         except KeyError as exc:
@@ -450,10 +444,25 @@ def model_from_dict(doc: dict) -> ClassModel:
     return ClassModel(
         config=config,
         classes=classes,
+        stream_dim=stream_dim,
         representatives=reps,
         train_counts=counts,
         factors=factors,
     )
+
+
+def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value) -> None:
+    """table[zi] = a model file's list of numbers; a factor row may also be
+    one number, which fills the row."""
+    row = np.asarray(value)
+    if row.dtype.kind not in "iuf":
+        raise ValueError(f"model file class {label!r} field {key!r} holds non-numbers")
+    if row.shape != table.shape[1:] and (key == "representative" or row.ndim != 0):
+        raise ValueError(
+            f"model file class {label!r} field {key!r} has shape {row.shape},"
+            f" expected ({table.shape[1]},)"
+        )
+    table[zi] = row
 
 
 def save_model(model: ClassModel, path):

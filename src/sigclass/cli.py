@@ -248,7 +248,8 @@ def split_dataset(config: RunConfig, pool, test_pool=None):
     """Seeded per-class split into (train, val, test) lists.
 
     train and val come from `pool`; test comes from `test_pool` when given,
-    otherwise from the unused remainder of `pool`.
+    otherwise from the unused remainder of `pool`.  Every budget counts
+    samples per class, so a test budget of 0 takes no test samples.
     """
     b = config.budgets
     need = b["train"] + b["val"]
@@ -262,10 +263,9 @@ def split_dataset(config: RunConfig, pool, test_pool=None):
         val.extend(items[i] for i in perm[b["train"] : need])
         test.extend(items[i] for i in perm[need:pool_need])
     for ci, (label, items) in enumerate(group_by_label(test_pool or []).items()):
-        take = b["test"] or len(items)
-        if len(items) < take:
-            raise ValueError(f"test class {label!r} has {len(items)} samples, needs {take}")
-        test.extend(items[i] for i in _permutation(config, 1000 + ci, len(items))[:take])
+        if len(items) < b["test"]:
+            raise ValueError(f"test class {label!r} has {len(items)} samples, needs {b['test']}")
+        test.extend(items[i] for i in _permutation(config, 1000 + ci, len(items))[: b["test"]])
     return train, val, test
 
 
@@ -355,9 +355,7 @@ def cmd_fit(args) -> int:
     save_model(model, model_path)
 
     print(f"feature length: {model.feature_length}")
-    for z in model.classes:
-        lam = model.factors[z].resolve(model.feature_length)
-        lam = np.full(model.feature_length, lam) if np.isscalar(lam) else lam
+    for z, lam in zip(model.classes, model.factors):
         print(
             f"class {z}: train={model.train_counts[z]}"
             f" lambda min={lam.min():.6g} mean={lam.mean():.6g} max={lam.max():.6g}"

@@ -131,9 +131,6 @@ class SigFeatures:
     def __len__(self) -> int:
         return self.values.size
 
-    def same_space(self, other: "SigFeatures") -> bool:
-        return (self.dim, self.order, self.kind) == (other.dim, other.order, other.kind)
-
 
 def image_to_stream(image, conv: StreamConvention = StreamConvention()) -> Stream:
     """Unroll an H x W x C image (values in [0, 1]) into a stream of points."""

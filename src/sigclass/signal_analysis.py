@@ -95,8 +95,8 @@ def export_spectrum(model, window: int, polyorder: int, out_dir=None) -> list[Sp
     fits) with a warning.
     """
     out = []
-    for label in model.classes:
-        raw = np.abs(model.representatives[label].values)
+    for label, rep in zip(model.classes, model.representatives):
+        raw = np.abs(rep)
         win = _clamped_window(window, raw.size)
         smoothed = savgol_filter(raw, win, polyorder)
         series = SpectrumSeries(

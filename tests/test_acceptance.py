@@ -25,7 +25,7 @@ from sigclass.path_signature import (
     signature_oracle,
     signature_tensor,
 )
-from sigclass.scoring import rmse
+from sigclass.scoring import score_rows
 from sigclass.signal_analysis import savgol_coefficients, savgol_filter
 from sigclass.tensor_algebra import tensor_exp, tensor_log, tensor_product
 
@@ -291,15 +291,17 @@ def test_criterion_5_closed_form_identity():
     assert np.abs(feats.values).min() > 1e-8
 
     cal = sc.CalibrationSet(
-        representatives={"a": feats}, validation={"a": np.stack([feats.values] * 3)}
+        representatives=feats.values[None, :], validation={"a": np.stack([feats.values] * 3)}
     )
-    lam = closed_form_lambda(cal)["a"]
-    ones_exact = np.array_equal(lam.values, np.ones(len(feats)))
+    lam = closed_form_lambda(cal)[0]
+    ones_exact = np.array_equal(lam, np.ones(len(feats)))
 
     x = signature(Stream(rng.normal(size=(5, 2)) + 2.0), 2)
-    cal1 = sc.CalibrationSet(representatives={"a": feats}, validation={"a": x.values[None, :]})
-    lam1 = closed_form_lambda(cal1)["a"]
-    residual = rmse(x, feats, scale_x=lam1)
+    cal1 = sc.CalibrationSet(
+        representatives=feats.values[None, :], validation={"a": x.values[None, :]}
+    )
+    lam1 = closed_form_lambda(cal1)[0]
+    residual = float(score_rows(feats.values, lam1 * x.values, "rmse"))
     _report(
         "criterion 5: closed-form identity and single-instance inversion",
         ones_exact and residual <= 1e-12,
@@ -316,12 +318,9 @@ def test_criterion_6_optimizer_sanity():
     rng = np.random.default_rng(6)
     rep = rng.uniform(0.5, 3.0, size=10)
     x = rng.uniform(0.5, 3.0, size=10)
-    cal = sc.CalibrationSet(
-        representatives={"a": sc.SigFeatures(dim=10, order=1, values=rep)},
-        validation={"a": x[None, :]},
-    )
-    lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=2000)["a"]
-    ratio_err = np.abs(lam.values - rep / x).max()
+    cal = sc.CalibrationSet(representatives=rep[None, :], validation={"a": x[None, :]})
+    lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=2000)[0]
+    ratio_err = np.abs(lam - rep / x).max()
 
     never_worse = True
     worst_gap = -np.inf
@@ -329,13 +328,10 @@ def test_criterion_6_optimizer_sanity():
         n = int(rng.integers(4, 16))
         rep_t = rng.uniform(0.5, 3.0, size=n)
         xs_t = rep_t[None, :] * rng.uniform(0.7, 1.3, size=(5, n))
-        cal_t = sc.CalibrationSet(
-            representatives={"a": sc.SigFeatures(dim=n, order=1, values=rep_t)},
-            validation={"a": xs_t},
-        )
-        out = optimize_lambda(cal_t, gamma=0.0, box=5.0, iters=300)["a"]
+        cal_t = sc.CalibrationSet(representatives=rep_t[None, :], validation={"a": xs_t})
+        out = optimize_lambda(cal_t, gamma=0.0, box=5.0, iters=300)[0]
         v_ones, _ = _objective_and_subgrad(np.ones(n), xs_t, rep_t, [], 0.0)
-        v_out, _ = _objective_and_subgrad(out.values, xs_t, rep_t, [], 0.0)
+        v_out, _ = _objective_and_subgrad(out, xs_t, rep_t, [], 0.0)
         worst_gap = max(worst_gap, v_out - v_ones)
         never_worse = never_worse and v_out <= v_ones + 1e-12
 

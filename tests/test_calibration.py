@@ -7,17 +7,11 @@ from sigclass.calibration import (
     closed_form_lambda,
     optimize_lambda,
 )
-from sigclass.path_signature import SigFeatures
-
-
-def feats(values):
-    values = np.asarray(values, dtype=float)
-    return SigFeatures(dim=values.size, order=1, values=values)
 
 
 def one_class_set(rep, val_list, label="a"):
     return CalibrationSet(
-        representatives={label: feats(rep)},
+        representatives=np.array([rep], dtype=float),
         validation={label: np.array(val_list, dtype=float)},
     )
 
@@ -29,7 +23,7 @@ def synthetic_two_class(rng, n=12, per_class=6, spread=0.05):
     val_a = [base_a * (1 + rng.uniform(-spread, spread, n)) for _ in range(per_class)]
     val_b = [base_b * (1 + rng.uniform(-spread, spread, n)) for _ in range(per_class)]
     return CalibrationSet(
-        representatives={"a": feats(base_a), "b": feats(base_b)},
+        representatives=np.stack([base_a, base_b]),
         validation={"a": np.stack(val_a), "b": np.stack(val_b)},
     )
 
@@ -41,41 +35,53 @@ def synthetic_two_class(rng, n=12, per_class=6, spread=0.05):
 
 def test_identity_when_validation_equals_representative():
     rep = [1.3, -0.7, 2.2]
-    lam = closed_form_lambda(one_class_set(rep, [rep, rep, rep]))["a"]
-    assert np.array_equal(lam.values, np.ones(3))
+    lam = closed_form_lambda(one_class_set(rep, [rep, rep, rep]))
+    assert np.array_equal(lam, np.ones((1, 3)))
 
 
 def test_single_instance_elementwise_ratio():
-    lam = closed_form_lambda(one_class_set([1.0, 2.0], [[2.0, 4.0]]))["a"]
-    assert np.allclose(lam.values, [0.5, 0.5])
+    lam = closed_form_lambda(one_class_set([1.0, 2.0], [[2.0, 4.0]]))[0]
+    assert np.allclose(lam, [0.5, 0.5])
 
 
 def test_two_instance_average_of_ratios():
-    lam = closed_form_lambda(one_class_set([3.0, 2.0], [[1.0, 1.0], [3.0, 1.0]]))["a"]
-    assert np.allclose(lam.values, [2.0, 2.0])
+    lam = closed_form_lambda(one_class_set([3.0, 2.0], [[1.0, 1.0], [3.0, 1.0]]))[0]
+    assert np.allclose(lam, [2.0, 2.0])
 
 
 def test_guarded_division():
-    lam = closed_form_lambda(one_class_set([1.0, 1.0], [[0.0, -1e-12]]), epsilon=1e-8)["a"]
-    assert np.allclose(lam.values, [1e8, -1e8])
+    lam = closed_form_lambda(one_class_set([1.0, 1.0], [[0.0, -1e-12]]), epsilon=1e-8)[0]
+    assert np.allclose(lam, [1e8, -1e8])
 
 
 def test_transposed_reading():
-    lam = closed_form_lambda(one_class_set([2.0, 4.0], [[1.0, 2.0]]), transposed=True)["a"]
-    assert np.allclose(lam.values, [0.5, 0.5])
+    lam = closed_form_lambda(one_class_set([2.0, 4.0], [[1.0, 2.0]]), transposed=True)[0]
+    assert np.allclose(lam, [0.5, 0.5])
 
 
 def test_empty_validation_rejected():
     with pytest.raises(ValueError, match="no validation"):
-        CalibrationSet(representatives={"a": feats([1.0])}, validation={"a": np.empty((0, 1))})
+        CalibrationSet(representatives=np.ones((1, 1)), validation={"a": np.empty((0, 1))})
 
 
 def test_mismatched_class_sets_rejected():
-    with pytest.raises(ValueError, match="class sets differ"):
+    # one representative row per validation class
+    with pytest.raises(ValueError, match=r"\(2, F\) matrix, one row per validation class"):
         CalibrationSet(
-            representatives={"a": feats([1.0])},
-            validation={"b": np.ones((1, 1))},
+            representatives=np.ones((1, 1)),
+            validation={"a": np.ones((1, 1)), "b": np.ones((1, 1))},
         )
+    with pytest.raises(ValueError, match="no classes"):
+        CalibrationSet(representatives=np.ones((1, 1)), validation={})
+
+
+def test_malformed_representatives_rejected():
+    for reps, match in (
+        (np.ones(2), r"\(1, F\) matrix.* got shape \(2,\)"),
+        (np.array([[1.0, np.nan]]), "representatives contain non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            CalibrationSet(representatives=reps, validation={"a": np.ones((1, 2))})
 
 
 def test_malformed_validation_matrix_rejected():
@@ -86,19 +92,21 @@ def test_malformed_validation_matrix_rejected():
         (np.array([[1.0, np.inf]]), "class 'a' contains non-finite"),
     ):
         with pytest.raises(ValueError, match=match):
-            CalibrationSet(representatives={"a": feats([1.0, 2.0])}, validation={"a": rows})
+            CalibrationSet(representatives=np.array([[1.0, 2.0]]), validation={"a": rows})
 
 
 def test_validation_stored_read_only_without_touching_caller():
     rows = np.array([[2.0, 4.0], [1.0, 1.0]])
     validation = {"a": rows}
-    cal = CalibrationSet(representatives={"a": feats([1.0, 2.0])}, validation=validation)
+    reps = np.array([[1.0, 2.0]])
+    cal = CalibrationSet(representatives=reps, validation=validation)
     assert cal.validation is not validation
     assert list(validation) == ["a"] and validation["a"] is rows
-    assert rows.flags.writeable
+    assert rows.flags.writeable and reps.flags.writeable
     rows[0, 0] = 8.0
     assert np.array_equal(cal.validation["a"], [[2.0, 4.0], [1.0, 1.0]])
     assert not cal.validation["a"].flags.writeable
+    assert not cal.representatives.flags.writeable
 
 
 def test_bad_epsilon_rejected():
@@ -116,17 +124,17 @@ def test_gamma_zero_single_instance_converges_to_ratio():
     rep = rng.uniform(0.5, 2.0, size=6)
     x = rng.uniform(0.5, 2.0, size=6)
     cal = one_class_set(rep, [x])
-    lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=2000)["a"]
-    assert np.abs(lam.values - rep / x).max() < 1e-3
+    lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=2000)[0]
+    assert np.abs(lam - rep / x).max() < 1e-3
 
 
 def test_exact_minimizer_is_fixed_point():
     rep = np.array([1.0, 2.0, 3.0])
     x = np.array([2.0, 1.0, 6.0])
     cal = one_class_set(rep, [x])
-    lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=50)["a"]
-    assert np.allclose(lam.values, rep / x, atol=0)
-    value, _ = _objective_and_subgrad(lam.values, x[None, :], rep, [], 0.0)
+    lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=50)[0]
+    assert np.allclose(lam, rep / x, atol=0)
+    value, _ = _objective_and_subgrad(lam, x[None, :], rep, [], 0.0)
     assert value == 0.0
 
 
@@ -135,13 +143,14 @@ def test_descent_on_two_class_problem():
     cal = synthetic_two_class(rng)
     gamma = 0.1
     out = optimize_lambda(cal, gamma=gamma, box=10.0, iters=300)
-    for label in cal.classes:
+    assert out.shape == cal.representatives.shape
+    for zi, label in enumerate(cal.classes):
         xs = cal.validation[label]
-        own = cal.representatives[label].values
-        others = [cal.representatives[l].values for l in cal.classes if l != label]
-        start = np.clip(closed_form_lambda(cal)[label].values, -10.0, 10.0)
+        own = cal.representatives[zi]
+        others = [cal.representatives[oi] for oi in range(len(cal.classes)) if oi != zi]
+        start = np.clip(closed_form_lambda(cal)[zi], -10.0, 10.0)
         v_start, _ = _objective_and_subgrad(start, xs, own, others, gamma)
-        v_final, _ = _objective_and_subgrad(out[label].values, xs, own, others, gamma)
+        v_final, _ = _objective_and_subgrad(out[zi], xs, own, others, gamma)
         assert v_final <= v_start + 1e-12
 
 
@@ -150,11 +159,11 @@ def test_never_worse_than_all_ones_at_gamma_zero():
     for trial in range(10):
         cal = synthetic_two_class(rng, spread=0.2)
         out = optimize_lambda(cal, gamma=0.0, box=5.0, iters=200)
-        for label in cal.classes:
+        for zi, label in enumerate(cal.classes):
             xs = cal.validation[label]
-            own = cal.representatives[label].values
+            own = cal.representatives[zi]
             v_ones, _ = _objective_and_subgrad(np.ones(xs.shape[1]), xs, own, [], 0.0)
-            v_out, _ = _objective_and_subgrad(out[label].values, xs, own, [], 0.0)
+            v_out, _ = _objective_and_subgrad(out[zi], xs, own, [], 0.0)
             assert v_out <= v_ones + 1e-12
 
 
@@ -163,8 +172,7 @@ def test_projection_respects_box():
     cal = synthetic_two_class(rng)
     box = 0.5
     out = optimize_lambda(cal, gamma=0.3, box=box, iters=100)
-    for label in cal.classes:
-        assert np.abs(out[label].values).max() <= box + 1e-15
+    assert np.abs(out).max() <= box + 1e-15
 
 
 def test_deterministic_on_rerun():
@@ -172,8 +180,7 @@ def test_deterministic_on_rerun():
     cal = synthetic_two_class(rng)
     a = optimize_lambda(cal, gamma=0.2, box=2.0, iters=150)
     b = optimize_lambda(cal, gamma=0.2, box=2.0, iters=150)
-    for label in cal.classes:
-        assert np.array_equal(a[label].values, b[label].values)
+    assert np.array_equal(a, b)
 
 
 def test_invalid_arguments_rejected():

@@ -1,9 +1,9 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import sigclass as sc
 from sigclass import classifier
 from sigclass.classifier import (
     PROTOCOLS,
@@ -66,9 +66,9 @@ def test_single_image_representative_equals_its_features():
     images = tiny_images(rng, ["a", "b"])
     config = cfg()
     model = fit(images, config)
-    for im in images:
-        rep = model.representatives[im.label].values
-        assert np.array_equal(rep, features_for_images([im], config)[0])
+    for zi, im in enumerate(images):
+        assert model.classes[zi] == im.label
+        assert np.array_equal(model.representatives[zi], features_for_images([im], config)[0])
 
 
 def test_identical_images_mean_is_single_feature():
@@ -76,7 +76,7 @@ def test_identical_images_mean_is_single_feature():
     im = tiny_images(rng, ["a"])[0]
     model = fit([im, im, im], cfg())
     assert np.allclose(
-        model.representatives["a"].values, features_for_images([im], cfg())[0]
+        model.representatives[0], features_for_images([im], cfg())[0]
     )
     assert model.train_counts["a"] == 3
 
@@ -141,21 +141,13 @@ def test_argmin_invariant_under_joint_positive_scaling():
     probe = tiny_images(rng, ["q"])[0]
     base_label, _ = predict(model, probe, "plain")
     for c in (0.25, 7.0):
-        scaled_reps = {
-            z: sc.SigFeatures(
-                dim=model.representatives[z].dim,
-                order=model.representatives[z].order,
-                values=c * model.representatives[z].values,
-                kind=model.representatives[z].kind,
-            )
-            for z in model.classes
-        }
         scaled_model = ClassModel(
             config=model.config,
             classes=model.classes,
-            representatives=scaled_reps,
+            stream_dim=model.stream_dim,
+            representatives=c * model.representatives,
             train_counts=dict(model.train_counts),
-            factors={z: sc.ScaleFactors(c) for z in model.classes},
+            factors=np.full(model.representatives.shape, c),
         )
         scaled_label, _ = predict(scaled_model, probe, "fixed")
         assert scaled_label == base_label
@@ -327,21 +319,24 @@ def test_evaluate_matches_per_image_predictions(monkeypatch, metric):
 @pytest.mark.parametrize("metric", ["rmse", "mae"])
 def test_predict_scores_match_reference_kernel(metric):
     # reference: mean of the augmented copies' features, scored one class at
-    # a time by sigclass.scoring
+    # a time by RMSE/MAE written out here rather than by sigclass.scoring
+    def reference(u, v):
+        d = u - v
+        return np.sqrt(np.mean(d * d)) if metric == "rmse" else np.mean(np.abs(d))
+
     model, _, te = calibrated_aug_model(metric)
-    reference = sc.rmse if metric == "rmse" else sc.mae
     im = te[0]
     copies = augment(im.pixels, AUG, seed=[3, 1])
     x = features_for_images(copies, model.config).mean(axis=0)
-    x = sc.SigFeatures(dim=16, order=2, values=x)
-    reps = model.representatives
+    reps, lams = model.representatives, model.factors
+    true = model.classes.index(im.label)
     _, plain = predict(model, im, "plain", augment_seed=[3, 1])
     _, fixed = predict(model, im, "fixed", augment_seed=[3, 1])
     _, _, oracle = predict_oracle(model, im, im.label, augment_seed=[3, 1])
-    for z in model.classes:
-        assert plain[z] == reference(x, reps[z])
-        assert fixed[z] == reference(x, reps[z], scale_x=model.factors[z])
-        assert oracle[z] == reference(x, reps[z], scale_x=model.factors[im.label])
+    for zi, z in enumerate(model.classes):
+        assert plain[z] == reference(x, reps[zi])
+        assert fixed[z] == reference(lams[zi] * x, reps[zi])
+        assert oracle[z] == reference(lams[true] * x, reps[zi])
 
 
 def test_evaluate_error_paths():
@@ -369,20 +364,46 @@ def test_evaluate_error_paths():
 # ---------------------------------------------------------------------------
 
 
-def test_class_model_leaves_caller_factor_dicts_alone():
+def _rebuilt(model, **changes):
+    fields = dict(config=model.config, classes=model.classes, stream_dim=model.stream_dim,
+                  representatives=model.representatives, train_counts=model.train_counts)
+    return ClassModel(**(fields | changes))
+
+
+def test_class_model_leaves_caller_factor_arrays_alone():
     rng = np.random.default_rng(18)
     model = fit(tiny_images(rng, ["a", "b"]), cfg())
-    given = {"a": sc.ScaleFactors(2.0)}
-    built = ClassModel(
-        config=model.config,
-        classes=model.classes,
-        representatives=model.representatives,
-        train_counts=model.train_counts,
-        factors=given,
-    )
-    assert list(given) == ["a"]
-    assert built.factors["a"].values == 2.0
-    assert built.factors["b"].values == 1.0
+    assert model.stream_dim == 6 and model.representatives.shape == (2, 6 + 36)
+    assert np.array_equal(model.factors, np.ones((2, 42)))
+    given = np.full((2, 42), 2.0)
+    built = _rebuilt(model, factors=given)
+    assert np.array_equal(built.factors, given)
+    assert given.flags.writeable and not built.factors.flags.writeable
+    assert not built.representatives.flags.writeable
+    for changes, match in (
+        # order-2 representatives under an order-3 config
+        ({"config": cfg(order=3)}, r"representatives must have shape \(2, 258\)"),
+        ({"stream_dim": 5}, r"representatives must have shape \(2, 30\) .* got \(2, 42\)"),
+        ({"classes": ("a",)}, r"representatives must have shape \(1, 42\)"),
+        ({"classes": ()}, "no classes"),
+        ({"representatives": np.full((2, 42), np.nan)}, "representatives contain non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            _rebuilt(model, **changes)
+
+
+def test_scale_factor_validation():
+    model = fit(tiny_images(np.random.default_rng(19), ["a", "b"]), cfg())
+    for factors, match in (
+        (np.ones((2, 41)), r"factors must have shape \(2, 42\) .* got \(2, 41\)"),
+        (np.ones(42), r"factors must have shape \(2, 42\) .* got \(42,\)"),
+        (np.ones((3, 42)), r"factors must have shape \(2, 42\) .* got \(3, 42\)"),
+        (np.array([[1.0] * 41 + [np.inf]] * 2), "factors contain non-finite"),
+        (np.full((2, 42), np.nan), "factors contain non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            _rebuilt(model, factors=factors)
+    assert np.array_equal(_rebuilt(model).factors, np.ones((2, 42)))
 
 
 def test_model_json_roundtrip_exact(tmp_path):
@@ -393,11 +414,9 @@ def test_model_json_roundtrip_exact(tmp_path):
     back = load_model(path)
     assert back.classes == model.classes
     assert back.config == model.config
-    for z in model.classes:
-        assert np.array_equal(
-            back.representatives[z].values, model.representatives[z].values
-        )
-        assert np.array_equal(back.factors[z].values, model.factors[z].values)
+    assert back.stream_dim == model.stream_dim
+    assert np.array_equal(back.representatives, model.representatives)
+    assert np.array_equal(back.factors, model.factors)
     # byte-identical re-serialization
     second = tmp_path / "model2.json"
     save_model(back, second)
@@ -420,6 +439,19 @@ def test_model_schema_version_checked():
         (("per_class", "a", "lambda_rmse"), None, "class 'a' lacks field 'lambda_rmse'"),
         (("per_class", "a", "lambda_mae"), None, "class 'a' lacks field 'lambda_mae'"),
         (("per_class", "a", "lambda_mae"), 2.0, "class 'a' has lambda_rmse != lambda_mae"),
+        (("per_class", "a", "representative"), [0.5] * 5,
+         r"class 'a' field 'representative' has shape \(5,\), expected \(42,\)"),
+        (("per_class", "a", "representative"), 0.5,
+         r"class 'a' field 'representative' has shape \(\), expected \(42,\)"),
+        (("per_class", "a", "representative"), ["x"] * 42,
+         "class 'a' field 'representative' holds non-numbers"),
+        (("per_class", "a", "lambda_rmse"), [1.5] * 5,
+         r"class 'a' field 'lambda_rmse' has shape \(5,\), expected \(42,\)"),
+        (("per_class", "a", "lambda_rmse"), [1.5] + ["x"] * 41,
+         "class 'a' field 'lambda_rmse' holds non-numbers"),
+        (("per_class", "a", "lambda_rmse"), "x", "class 'a' field 'lambda_rmse' holds non-numbers"),
+        (("per_class", "a", "lambda_rmse"), [[1.0] * 42],
+         r"class 'a' field 'lambda_rmse' has shape \(1, 42\)"),
     ):
         doc = copy.deepcopy(good)
         parent = doc
@@ -429,17 +461,28 @@ def test_model_schema_version_checked():
             del parent[path[-1]]
         else:
             parent[path[-1]] = value
+            if path[-1] == "lambda_rmse":
+                parent["lambda_mae"] = value
         with pytest.raises(ValueError, match=match):
             model_from_dict(doc)
 
 
 def test_scalar_lambda_serialization():
     rng = np.random.default_rng(14)
-    model = fit(tiny_images(rng, ["a"]), cfg())
+    model = fit(tiny_images(rng, ["a", "b"]), cfg())
     doc = model_to_dict(model)
     assert doc["per_class"]["a"]["lambda_rmse"] == 1.0
-    back = model_from_dict(doc)
-    assert back.factors["a"].values == 1.0
+    assert np.array_equal(model_from_dict(doc).factors, np.ones((2, 42)))
+    # a row of exact ones is written as 1.0, any other row as a list
+    factors = np.ones((2, 42))
+    factors[1, 3] = 0.5
+    doc = model_to_dict(replace(model, factors=factors))
+    assert doc["per_class"]["a"]["lambda_mae"] == 1.0
+    assert doc["per_class"]["b"]["lambda_mae"] == factors[1].tolist()
+    assert np.array_equal(model_from_dict(doc).factors, factors)
+    # a number read from a file fills its class's row
+    doc["per_class"]["b"]["lambda_rmse"] = doc["per_class"]["b"]["lambda_mae"] = 2
+    assert np.array_equal(model_from_dict(doc).factors[1], np.full(42, 2.0))
 
 
 def test_confusion_csv_format():
@@ -457,10 +500,10 @@ def test_confusion_csv_format():
 def test_calibrate_none_resets_identity():
     tr, va, _ = shapes_split(per_class=6, train=3, val=3)
     model = calibrate(fit(tr, cfg(size=16)), va, method="closed_form")
-    assert not np.isscalar(model.factors[model.classes[0]].values)
+    assert not np.all(model.factors == 1.0)
     reset = calibrate(model, va, method="none")
-    for z in reset.classes:
-        assert reset.factors[z].values == 1.0
+    assert np.array_equal(reset.factors, np.ones(model.factors.shape))
+    assert np.array_equal(reset.representatives, model.representatives)
 
 
 def test_calibrate_unknown_method():

@@ -212,8 +212,8 @@ def test_fit_writes_calibrated_model(tmp_path, capsys):
     assert "feature length: 272" in out
     model = load_model(tmp_path / "out" / "model.json")
     assert len(model.classes) == 4
-    for z in model.classes:
-        assert model.factors[z].values.shape == (272,)
+    assert model.factors.shape == (4, 272)
+    assert not np.all(model.factors == 1.0, axis=1).any()
 
 
 def test_fit_zero_validation_with_closed_form_fails(tmp_path, capsys):
@@ -227,8 +227,9 @@ def test_fit_calibration_none_gives_identity(tmp_path):
                           budgets={"train": 4, "val": 0, "test": 6})
     assert main(["fit", "--config", str(config)]) == 0
     model = load_model(tmp_path / "out" / "model.json")
-    for z in model.classes:
-        assert model.factors[z].values == 1.0
+    assert np.array_equal(model.factors, np.ones((4, 272)))
+    doc = json.loads((tmp_path / "out" / "model.json").read_text())
+    assert all(entry["lambda_rmse"] == 1.0 for entry in doc["per_class"].values())
 
 
 def test_fit_requires_config(capsys):
@@ -370,6 +371,27 @@ def test_label_only_split_matches_rendered_pool(tmp_path):
             assert a.label == b.label and a.pixels.tobytes() == b.pixels.tobytes()
 
 
+def test_zero_test_budget_takes_no_test_samples_from_either_pool(tmp_path):
+    rng = np.random.default_rng(0)
+
+    def images(prefix, per_class):
+        return [LabeledImage(rng.random((4, 4, 1)), z, f"{prefix}{z}:{i}")
+                for z in "ab" for i in range(per_class)]
+
+    pool, test_pool = images("", 5), images("t", 3)
+    for test, expected in ((0, 0), (2, 4)):
+        budgets = {"train": 2, "val": 1, "test": test}
+        config = cli.load_config(write_config(tmp_path, budgets=budgets))
+        train, val, chosen = cli.split_dataset(config, pool, test_pool)
+        assert (len(train), len(val), len(chosen)) == (4, 2, expected)
+        assert all(im.source_id.startswith("t") for im in chosen)
+        # a four-shapes pool reads the budget the same way
+        assert len(cli.split_dataset(config, cli.load_pools(config)[0])[2]) == 4 * test
+    config = cli.load_config(write_config(tmp_path, budgets={"train": 2, "val": 1, "test": 4}))
+    with pytest.raises(ValueError, match="test class 'a' has 3 samples, needs 4"):
+        cli.split_dataset(config, pool, test_pool)
+
+
 # ---------------------------------------------------------------------------
 # file-route pipeline: gen-shapes PPMs reloaded via image_dir
 # ---------------------------------------------------------------------------
@@ -388,7 +410,7 @@ def test_image_dir_pipeline_with_rgb_ppms(tmp_path):
     assert main(["fit", "--config", str(config)]) == 0
     model = load_model(tmp_path / "out" / "model.json")
     # P6 PPMs load as C=3, so rows streams have dim 48
-    assert model.representatives[model.classes[0]].dim == 48
+    assert model.stream_dim == 48
     assert model.feature_length == 48 + 48 * 48
     assert main(["eval", "--config", str(config), "--protocol", "plain"]) == 0
     report = json.loads((tmp_path / "out" / "report_plain.json").read_text())

@@ -1,75 +1,49 @@
 import numpy as np
 import pytest
 
-from sigclass.path_signature import SigFeatures
-from sigclass.scoring import ScaleFactors, elementwise_mean, mae, rmse
+from sigclass.scoring import score_rows
 
 
-def feats(values, dim=None, order=1, kind="signature"):
-    values = np.asarray(values, dtype=float)
-    return SigFeatures(dim=dim or values.size, order=order, values=values, kind=kind)
+def rmse(a, b):
+    return float(score_rows(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "rmse"))
 
 
-def test_mean_of_single_element_is_itself():
-    f = feats([1.0, 2.0, 3.0])
-    assert np.array_equal(elementwise_mean([f]).values, f.values)
-
-
-def test_mean_of_two_vectors():
-    out = elementwise_mean([feats([1.0, 2.0]), feats([3.0, 4.0])])
-    assert np.allclose(out.values, [2.0, 3.0])
-
-
-def test_mean_idempotent_on_copies():
-    f = feats([0.5, -1.5, 2.0])
-    out = elementwise_mean([f] * 7)
-    assert np.allclose(out.values, f.values)
-
-
-def test_mean_rejects_empty_and_heterogeneous():
-    with pytest.raises(ValueError, match="at least one"):
-        elementwise_mean([])
-    with pytest.raises(ValueError, match="heterogeneous"):
-        elementwise_mean([feats([1.0, 2.0]), feats([1, 2, 3, 4, 5, 6], dim=2, order=2)])
-    with pytest.raises(ValueError, match="heterogeneous"):
-        elementwise_mean([feats([1.0, 2.0]), feats([1.0, 2.0], kind="log-signature")])
+def mae(a, b):
+    return float(score_rows(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "mae"))
 
 
 def test_rmse_examples():
-    assert rmse(feats([1.0, 2.0]), feats([1.0, 2.0])) == 0.0
-    assert np.isclose(rmse(feats([0.0, 0.0]), feats([3.0, 4.0])), np.sqrt(12.5))
+    assert rmse([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert np.isclose(rmse([0.0, 0.0], [3.0, 4.0]), np.sqrt(12.5))
 
 
 def test_exact_inverse_scale_zeroes_rmse():
-    x = feats([2.0, 4.0])
-    y = feats([1.0, 2.0])
-    lam = ScaleFactors(values=y.values / x.values)
-    assert rmse(x, y, scale_x=lam) < 1e-15
+    x, y = np.array([2.0, 4.0]), np.array([1.0, 2.0])
+    lam = y / x
+    assert rmse(lam * x, y) < 1e-15
 
 
 def test_mae_examples():
-    assert mae(feats([1.0, -1.0]), feats([1.0, -1.0])) == 0.0
-    assert np.isclose(mae(feats([0.0, 0.0]), feats([3.0, 4.0])), 3.5)
+    assert mae([1.0, -1.0], [1.0, -1.0]) == 0.0
+    assert np.isclose(mae([0.0, 0.0], [3.0, 4.0]), 3.5)
 
 
 def test_mae_absolute_homogeneity_under_joint_scalar():
-    x, y = feats([1.0, -2.0, 0.5]), feats([0.3, 1.0, -0.7])
-    base = mae(x, y)
+    x, y = np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.0, -0.7])
     c = -2.5
-    scaled = mae(x, y, scale_x=ScaleFactors(values=c), scale_y=ScaleFactors(values=c))
-    assert np.isclose(scaled, abs(c) * base)
+    assert np.isclose(mae(c * x, c * y), abs(c) * mae(x, y))
 
 
 def test_scores_symmetric_nonnegative_zero_iff_equal():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(1, 20))
-        x, y = feats(rng.normal(size=n)), feats(rng.normal(size=n))
+        x, y = rng.normal(size=n), rng.normal(size=n)
         assert rmse(x, y) >= 0.0
         assert np.isclose(rmse(x, y), rmse(y, x))
         assert np.isclose(mae(x, y), mae(y, x))
         assert rmse(x, x) == 0.0 and mae(x, x) == 0.0
-        if not np.array_equal(x.values, y.values):
+        if not np.array_equal(x, y):
             assert rmse(x, y) > 0.0 and mae(x, y) > 0.0
 
 
@@ -77,31 +51,39 @@ def test_mae_never_exceeds_rmse():
     rng = np.random.default_rng(1)
     for _ in range(100):
         n = int(rng.integers(1, 30))
-        x, y = feats(rng.normal(size=n)), feats(rng.normal(size=n))
+        x, y = rng.normal(size=n), rng.normal(size=n)
         assert mae(x, y) <= rmse(x, y) + 1e-15
 
 
 def test_positive_homogeneity_degree_one():
     rng = np.random.default_rng(2)
-    x, y = feats(rng.normal(size=8)), feats(rng.normal(size=8))
-    lam_x = ScaleFactors(values=rng.normal(size=8))
-    lam_y = ScaleFactors(values=rng.normal(size=8))
+    x, y = rng.normal(size=8), rng.normal(size=8)
+    lam_x, lam_y = rng.normal(size=8), rng.normal(size=8)
     for c in (0.5, 3.0):
-        jx = ScaleFactors(values=c * lam_x.values)
-        jy = ScaleFactors(values=c * lam_y.values)
-        assert np.isclose(rmse(x, y, jx, jy), c * rmse(x, y, lam_x, lam_y))
-        assert np.isclose(mae(x, y, jx, jy), c * mae(x, y, lam_x, lam_y))
+        for score in (rmse, mae):
+            assert np.isclose(
+                score(c * lam_x * x, c * lam_y * y), c * score(lam_x * x, lam_y * y)
+            )
+
+
+def test_rows_scored_one_at_a_time():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(5, 7)), rng.normal(size=7)
+    for metric in ("rmse", "mae"):
+        scores = score_rows(a, b, metric)
+        assert scores.shape == (5,)
+        for row, value in zip(a, scores):
+            assert value == score_rows(row, b, metric)
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="length mismatch"):
-        rmse(feats([1.0, 2.0]), feats([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        rmse([1.0, 2.0], [1.0, 2.0, 3.0])
+    # a length-1 row would otherwise broadcast silently
+    with pytest.raises(ValueError, match="length mismatch: 1 vs 3"):
+        mae([1.0], [1.0, 2.0, 3.0])
 
 
-def test_scale_factor_validation():
-    with pytest.raises(ValueError, match="finite"):
-        ScaleFactors(values=np.array([1.0, np.inf]))
-    lam = ScaleFactors(values=np.ones(3))
-    with pytest.raises(ValueError, match="length"):
-        lam.resolve(4)
-    assert ScaleFactors.identity().resolve(10) == 1.0
+def test_unknown_metric_rejected():
+    with pytest.raises(ValueError, match="unknown metric 'l2'"):
+        score_rows(np.ones(2), np.ones(2), "l2")

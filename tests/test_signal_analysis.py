@@ -95,7 +95,8 @@ def test_export_single_class(tmp_path):
     single = type(model)(
         config=model.config,
         classes=model.classes[:1],
-        representatives={model.classes[0]: model.representatives[model.classes[0]]},
+        stream_dim=model.stream_dim,
+        representatives=model.representatives[:1],
         train_counts={model.classes[0]: model.train_counts[model.classes[0]]},
     )
     series = export_spectrum(single, 3, 1, out_dir=tmp_path)
