@@ -60,29 +60,23 @@ def _guarded(divisor: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(np.abs(divisor) < epsilon, np.copysign(epsilon, divisor), divisor)
 
 
-def closed_form_lambda(
-    cal: CalibrationSet,
-    epsilon: float = 1e-8,
-    transposed: bool = False,
-) -> np.ndarray:
+def closed_form_lambda(cal: CalibrationSet, epsilon: float = 1e-8) -> np.ndarray:
     """(Z, F) scale factors, row z for class z, as averaged element-wise ratios.
 
     For each class the factor solves scale * validation = representative in
     the element-wise sense, averaged over validation instances:
     mean_v(representative / x_v).  Divisors smaller than epsilon in
-    magnitude are replaced by sign-preserving epsilon.  transposed=True
-    computes the reversed reading mean_v(x_v / representative) instead.
+    magnitude are replaced by sign-preserving epsilon.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     out = np.empty(cal.representatives.shape)
     for zi, (rep, xs) in enumerate(zip(cal.representatives, cal.validation.values())):
-        if transposed:
-            ratios = xs / _guarded(rep, epsilon)[None, :]
-        else:
-            ratios = rep[None, :] / _guarded(xs, epsilon)
-        out[zi] = ratios.mean(axis=0)
+        out[zi] = (rep[None, :] / _guarded(xs, epsilon)).mean(axis=0)
     return out
+
+
+STEP0 = 0.1  # optimize_lambda's first step length
 
 
 def _objective_and_subgrad(lam, xs, own_rep, other_reps, gamma):
@@ -106,7 +100,6 @@ def optimize_lambda(
     gamma: float = 0.0,
     box: float = 1.0,
     iters: int = 500,
-    step0: float = 0.1,
     epsilon: float = 1e-8,
 ) -> np.ndarray:
     """(Z, F) scale factors, row z for class z, by deterministic projected
@@ -115,7 +108,7 @@ def optimize_lambda(
     Minimizes, independently per class z, the scalarized objective
     (own-class scaled MAE) - gamma * (sum of scaled MAE against the other
     representatives) over all validation instances of z.  Steps shrink as
-    step0 / sqrt(t); every iterate is clipped component-wise into
+    STEP0 / sqrt(t); every iterate is clipped component-wise into
     [-box, +box]; the start point is the closed-form ratio average clipped
     to the box.  The best iterate seen is returned, so the result is never
     worse than the start.
@@ -124,8 +117,6 @@ def optimize_lambda(
         raise ValueError("gamma must be finite and >= 0")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if step0 <= 0:
-        raise ValueError("step0 must be positive")
 
     start = closed_form_lambda(cal, epsilon=epsilon)
     reps = cal.representatives
@@ -145,7 +136,7 @@ def optimize_lambda(
                 )
             if value < best_val:
                 best_val, out[zi] = value, lam
-            lam = np.clip(lam - (step0 / np.sqrt(t)) * grad, -box, box)
+            lam = np.clip(lam - (STEP0 / np.sqrt(t)) * grad, -box, box)
         final_val, _ = _objective_and_subgrad(lam, xs, own, others, gamma)
         if np.isfinite(final_val) and final_val < best_val:
             out[zi] = lam

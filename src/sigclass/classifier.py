@@ -107,6 +107,8 @@ class ClassModel:
                 raise ValueError(f"{name} contain non-finite entries")
             table.setflags(write=False)
             object.__setattr__(self, name, table)
+        if sorted(self.train_counts) != sorted(self.classes):
+            raise ValueError(f"train_counts {sorted(self.train_counts)} must name each class once")
 
     @property
     def feature_length(self) -> int:
@@ -171,36 +173,41 @@ def _test_features(model: ClassModel, pixel_list, seeds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _class_features(images, config: ModelConfig, classes=None):
+    """(classes, one (n_z, F) feature block per class, stream dim) from one fold
+    over the images ordered class by class.  classes defaults to the labels
+    present, in sorted order; a requested class with no image is an error."""
+    groups = group_by_label(images)
+    if classes is None:
+        if not groups:
+            raise ValueError("training set is empty")
+        classes = tuple(groups)
+    missing = [z for z in classes if z not in groups]
+    if missing:
+        raise ValueError(f"validation set lacks classes: {missing}")
+    feats, dim = _features_and_dim([im for z in classes for im in groups[z]], config)
+    blocks = np.split(feats, np.cumsum([len(groups[z]) for z in classes])[:-1])
+    return classes, blocks, dim
+
+
 def fit(train, config: ModelConfig) -> ClassModel:
     """Fit per-class element-wise mean representatives from labeled images.
 
     Scale factors start at the identity; apply calibrate() afterwards.
     Classes are ordered lexicographically.
     """
-    groups = group_by_label(train)
-    if not groups:
-        raise ValueError("training set is empty")
-    reps, counts = [], {}
-    for label, images in groups.items():
-        feats, dim = _features_and_dim(images, config)
-        reps.append(feats.mean(axis=0))
-        counts[label] = feats.shape[0]
+    classes, blocks, dim = _class_features(train, config)
     return ClassModel(
-        config=config, classes=tuple(groups), stream_dim=dim,
-        representatives=np.stack(reps), train_counts=counts,
+        config=config, classes=classes, stream_dim=dim,
+        representatives=np.stack([x.mean(axis=0) for x in blocks]),
+        train_counts={z: len(x) for z, x in zip(classes, blocks)},
     )
 
 
 def calibration_set(model: ClassModel, val_images) -> CalibrationSet:
     """Bundle the model's representatives with validation features."""
-    groups = group_by_label(val_images)
-    missing = [z for z in model.classes if z not in groups]
-    if missing:
-        raise ValueError(f"validation set lacks classes: {missing}")
-    return CalibrationSet(
-        representatives=model.representatives,
-        validation={z: features_for_images(groups[z], model.config) for z in model.classes},
-    )
+    _, blocks, _ = _class_features(val_images, model.config, model.classes)
+    return CalibrationSet(model.representatives, dict(zip(model.classes, blocks)))
 
 
 def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwargs) -> ClassModel:
@@ -281,18 +288,11 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
 
 def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[str, float]:
     """Per-class accept threshold: slack times the worst own-class validation score."""
-    groups = group_by_label(val_images)
-    missing = [z for z in model.classes if z not in groups]
-    if missing:
-        raise ValueError(f"validation set lacks classes: {missing}")
-    thresholds = {}
-    for zi, label in enumerate(model.classes):
-        feats = features_for_images(groups[label], model.config)
-        scores = score_rows(
-            feats * model.factors[zi], model.representatives[zi], model.config.metric
-        )
-        thresholds[label] = float(slack * scores.max())
-    return thresholds
+    _, blocks, _ = _class_features(val_images, model.config, model.classes)
+    return {
+        z: float(slack * score_rows(x * lam, rep, model.config.metric).max())
+        for z, x, lam, rep in zip(model.classes, blocks, model.factors, model.representatives)
+    }
 
 
 def predict_ova(model: ClassModel, image, thresholds: dict[str, float], augment_seed=None):
@@ -418,7 +418,7 @@ def _config_from_dict(doc: dict, cls):
 def model_from_dict(doc: dict) -> ClassModel:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    for key in ("config", "stream_dim"):
+    for key in ("config", "stream_dim", "feature_length"):
         if key not in doc:
             raise ValueError(f"model file lacks field {key!r}")
     config = _config_from_dict(doc["config"], ModelConfig)
@@ -430,6 +430,11 @@ def model_from_dict(doc: dict) -> ClassModel:
         raise ValueError(f"model file 'per_class' lacks classes: {missing}")
     stream_dim = int(doc["stream_dim"])
     shape = (len(classes), feature_length(stream_dim, config.order))
+    if doc["feature_length"] != shape[1]:
+        raise ValueError(
+            f"model file feature_length {doc['feature_length']!r} does not match"
+            f" {shape[1]} for stream_dim={stream_dim}, order={config.order}"
+        )
     reps, factors, counts = np.empty(shape), np.empty(shape), {}
     for zi, z in enumerate(classes):
         entry = doc["per_class"][z]

@@ -290,33 +290,26 @@ def prepare_images(images, config: RunConfig) -> list[LabeledImage]:
 
 
 def cmd_gen_shapes(args) -> int:
+    """Write four-shapes PPMs: with a config, the pool that fit, eval and embed render."""
     if args.config:
         config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-        ds = config.dataset
-        per_class = ds.get("per_class", 10) if args.per_class is None else args.per_class
-        size = ds.get("size", 16) if args.size is None else args.size
-        jitter = _jitter(ds.get("jitter"))
-        seed = config.seed
-        out_dir = config.out_dir
+        params, seed, out_dir = _shape_params(config), config.seed, config.out_dir
     else:
-        per_class = 10 if args.per_class is None else args.per_class
-        size = 16 if args.size is None else args.size
-        jitter = ShapeJitter()
         seed = args.seed if args.seed is not None else 0
+        params = {"per_class": 10, "size": 16, "jitter": ShapeJitter(),
+                  "seed": substream_seed(seed, "shapes")}
         out_dir = args.out or "out"
+    for key in ("per_class", "size"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
 
-    images = gen_four_shapes(
-        per_class=per_class,
-        size=size,
-        jitter=jitter,
-        seed=substream_seed(seed, "shapes"),
-    )
+    images = gen_four_shapes(**params)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "size": size,
-        "per_class": per_class,
+        "size": params["size"],
+        "per_class": params["per_class"],
         "files": [],
     }
     counters: dict[str, int] = {}

@@ -140,6 +140,8 @@ def load_mnist_idx(images_path, labels_path) -> list[LabeledImage]:
         if rows < 1 or cols < 1:
             raise ParseError(f"{images_path}: bad image size {rows} x {cols}, need >= 1 x 1")
         raw = _read_exact(fh, count * rows * cols, "pixel payload", str(images_path))
+        if rows * cols > np.iinfo(np.intp).max:  # reachable with count 0: no payload to miss
+            raise ParseError(f"{images_path}: bad image size {rows} x {cols}, too large")
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
 
     with open(labels_path, "rb") as fh:

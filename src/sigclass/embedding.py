@@ -17,10 +17,7 @@ class EmbeddingResult:
 
 
 def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray):
-        mat = np.asarray(features, dtype=np.float64)
-    else:
-        mat = np.stack([np.asarray(f.values, dtype=np.float64) for f in features])
+    mat = np.asarray(features, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D sample matrix, got shape {mat.shape}")
     return mat
@@ -29,8 +26,8 @@ def _as_matrix(features) -> np.ndarray:
 def pca_reduce(features, k: int) -> np.ndarray:
     """Project samples onto the top-k principal directions.
 
-    Accepts a list of SigFeatures or an (n, length) array.  Directions are
-    sign-fixed (largest-magnitude loading made positive) so the output is
+    features is an (n, length) array.  Directions are sign-fixed
+    (largest-magnitude loading made positive) so the output is
     deterministic.
     """
     mat = _as_matrix(features)

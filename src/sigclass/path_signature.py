@@ -204,13 +204,13 @@ def _features_batch(points: np.ndarray, order: int, kind: str) -> np.ndarray:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     chunk = max(1, FOLD_BYTES // (8 * points.shape[2] ** order))
-    rows = []
+    out = np.empty((points.shape[0], feature_length(points.shape[2], order)))
     for start in range(0, points.shape[0], chunk):
         levels = _signature_levels(points[start : start + chunk], order)
         if kind == LOG_SIGNATURE:
             levels = ta.log_levels(levels)
-        rows.append(np.concatenate(levels[1:], axis=-1))
-    return np.concatenate(rows, axis=0)
+        np.concatenate(levels[1:], axis=-1, out=out[start : start + chunk])
+    return out
 
 
 def signature_many(points: np.ndarray, order: int) -> np.ndarray:

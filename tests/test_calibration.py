@@ -54,11 +54,6 @@ def test_guarded_division():
     assert np.allclose(lam, [1e8, -1e8])
 
 
-def test_transposed_reading():
-    lam = closed_form_lambda(one_class_set([2.0, 4.0], [[1.0, 2.0]]), transposed=True)[0]
-    assert np.allclose(lam, [0.5, 0.5])
-
-
 def test_empty_validation_rejected():
     with pytest.raises(ValueError, match="no validation"):
         CalibrationSet(representatives=np.ones((1, 1)), validation={"a": np.empty((0, 1))})
@@ -189,5 +184,3 @@ def test_invalid_arguments_rejected():
         optimize_lambda(cal, gamma=-1.0)
     with pytest.raises(ValueError, match="iters"):
         optimize_lambda(cal, iters=0)
-    with pytest.raises(ValueError, match="step0"):
-        optimize_lambda(cal, step0=0.0)

@@ -231,6 +231,57 @@ def test_ova_vs_fixed_accuracy_recorded():
     print(f"fixed={fixed:.4f} ova={ova:.4f} gap={abs(ova - fixed):.4f}")
 
 
+def test_labelled_sets_fold_once_and_match_per_class_features(monkeypatch):
+    # fit, calibration and ova thresholds each fold a whole split in one
+    # call; every class's rows equal that class folded on its own
+    rng = np.random.default_rng(20)
+    config = cfg(metric="mae")
+    train = tiny_images(rng, list("bacabccab"))
+    val = tiny_images(rng, list("cabbcaab"))
+    own = {
+        name: {z: features_for_images([im for im in images if im.label == z], config)
+               for z in "abc"}
+        for name, images in (("train", train), ("val", val))
+    }
+    calls = []
+    fold = classifier.signature_many
+
+    def counted(points, order):
+        calls.append(len(points))
+        return fold(points, order)
+
+    monkeypatch.setattr(classifier, "signature_many", counted)
+    model = fit(train, config)
+    assert calls == [len(train)]
+    assert model.classes == ("a", "b", "c")
+    assert model.train_counts == {"a": 3, "b": 3, "c": 3}
+    for zi, z in enumerate(model.classes):
+        assert np.array_equal(model.representatives[zi], own["train"][z].mean(axis=0))
+
+    calls.clear()
+    cal = classifier.calibration_set(model, val)
+    assert calls == [len(val)]
+    assert list(cal.validation) == list(model.classes)
+    for z in model.classes:
+        assert np.array_equal(cal.validation[z], own["val"][z])
+
+    model = replace(model, factors=rng.uniform(0.5, 1.5, size=model.factors.shape))
+    calls.clear()
+    thresholds = ova_thresholds(model, val, slack=1.3)
+    assert calls == [len(val)]
+    for zi, z in enumerate(model.classes):
+        x = own["val"][z] * model.factors[zi]
+        expected = 1.3 * classifier.score_rows(x, model.representatives[zi], "mae").max()
+        assert thresholds[z] == float(expected)
+
+    calls.clear()
+    partial = [im for im in val if im.label != "b"]
+    for solver in (classifier.calibration_set, ova_thresholds):
+        with pytest.raises(ValueError, match=r"validation set lacks classes: \['b'\]"):
+            solver(model, partial)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -387,6 +438,7 @@ def test_class_model_leaves_caller_factor_arrays_alone():
         ({"classes": ("a",)}, r"representatives must have shape \(1, 42\)"),
         ({"classes": ()}, "no classes"),
         ({"representatives": np.full((2, 42), np.nan)}, "representatives contain non-finite"),
+        ({"train_counts": {"a": 1}}, r"train_counts \['a'\] must name each class once"),
     ):
         with pytest.raises(ValueError, match=match):
             _rebuilt(model, **changes)
@@ -432,6 +484,8 @@ def test_model_schema_version_checked():
         (("classes",), ["a", "c"], r"'per_class' lacks classes: \['c'\]"),
         (("config",), None, "lacks field 'config'"),
         (("stream_dim",), None, "lacks field 'stream_dim'"),
+        (("feature_length",), None, "lacks field 'feature_length'"),
+        (("feature_length",), 5, "feature_length 5 does not match 42 for stream_dim=6, order=2"),
         (("config", "kind"), None, "'config' lacks field 'kind'"),
         (("config", "convention", "mode"), None, "'config' lacks field 'mode'"),
         (("per_class", "a", "train_count"), None, "class 'a' lacks field 'train_count'"),

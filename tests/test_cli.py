@@ -10,7 +10,9 @@ import sigclass.cli as cli
 from sigclass.calibration import closed_form_lambda, optimize_lambda
 from sigclass.cli import main
 from sigclass.classifier import ModelConfig, load_model
-from sigclass.data_io import AugmentSpec, LabeledImage, ShapeJitter, gen_four_shapes, resize
+from sigclass.data_io import (
+    AugmentSpec, LabeledImage, ShapeJitter, ensure_channels, gen_four_shapes, resize,
+)
 from sigclass.path_signature import StreamConvention
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -198,6 +200,24 @@ def test_gen_shapes_zero_flag_is_not_a_default(tmp_path, capsys, with_config, fl
         args += ["--config", str(write_config(tmp_path))]
     assert main(args) == 1
     assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+
+
+def test_gen_shapes_config_renders_the_fit_pool(tmp_path):
+    # image_size without dataset.size: the PPMs are the 24 x 24 images fit renders
+    dataset = {"kind": "four_shapes", "per_class": 2, "jitter": {"rotation_deg": [7, 13]}}
+    config_path = write_config(tmp_path, dataset=dataset, image_size=[24, 24])
+    out = tmp_path / "shapes"
+    assert main(["gen-shapes", "--config", str(config_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["size"], manifest["per_class"], len(manifest["files"])) == (24, 2, 8)
+    config = cli.load_config(config_path)
+    rendered = cli.prepare_images(cli.load_pools(config)[0], config)
+    for entry, im in zip(manifest["files"], rendered):
+        assert entry["label"] == im.label
+        expected = np.clip(np.rint(ensure_channels(im.pixels, 3) * 255.0), 0, 255)
+        data = (out / entry["path"]).read_bytes()
+        assert data.startswith(b"P6\n24 24\n255\n")
+        assert np.array_equal(np.frombuffer(data[-24 * 24 * 3:], np.uint8), expected.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ def test_mnist_count_mismatch(tmp_path):
         ((0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), "truncated pixel payload"),
         ((1, 0, 28), "bad image size 0 x 28"),
         ((1, 28, 0), "bad image size 28 x 0"),
+        ((0, 0xFFFFFFFF, 0xFFFFFFFF), "bad image size 4294967295 x 4294967295, too large"),
     ],
 )
 def test_mnist_lying_header_rejected(tmp_path, dims, match):

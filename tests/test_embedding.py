@@ -10,7 +10,6 @@ from sigclass.embedding import (
     pca_reduce,
     tsne_exact,
 )
-from sigclass.path_signature import SigFeatures
 
 
 def three_clusters(rng, per_cluster=20, dim=10, separation=12.0):
@@ -49,13 +48,6 @@ def test_pca_deterministic_on_duplicate_input():
     rng = np.random.default_rng(2)
     points = rng.normal(size=(15, 6))
     assert np.array_equal(pca_reduce(points, 2), pca_reduce(points.copy(), 2))
-
-
-def test_pca_accepts_feature_lists():
-    rng = np.random.default_rng(3)
-    feats = [SigFeatures(dim=6, order=1, values=rng.normal(size=6)) for _ in range(8)]
-    out = pca_reduce(feats, 2)
-    assert out.shape == (8, 2)
 
 
 def test_pca_k_validation():
