@@ -1,17 +1,17 @@
 """Streams, truncated signatures, and the identities that make them useful.
 
-Walks through: building a stream, computing its signature two independent
-ways (Chen product vs direct quadrature of the iterated integrals), and the
-invariances that justify using signatures as image features.
+Walks through: a stream as an (n, d) array of points, its signature computed
+two independent ways (Chen product vs direct quadrature of the iterated
+integrals), and the invariances that justify using signatures as image
+features.
 """
 
 import numpy as np
 
 from sigclass import (
-    Stream,
-    signature,
+    log_signature_many,
+    signature_many,
     signature_oracle,
-    log_signature,
     tensor_exp,
     tensor_from_level1,
     tensor_log,
@@ -22,34 +22,33 @@ rng = np.random.default_rng(0)
 
 print("== an L-shaped stream in the plane ==")
 pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-s = Stream(pts)
-sig = signature(s, order=2)
+sig = signature_many(pts[None], order=2)[0]  # a batch of one stream
 print("points:\n", pts)
-print("signature levels 1..2:", np.round(sig.values, 6))
+print("signature levels 1..2:", np.round(sig, 6))
 print("  level 1 is the total displacement (1, 1)")
 print("  level 2 holds the iterated integrals; the (1,2)/(2,1) asymmetry")
 print("  encodes that the path went right BEFORE it went up\n")
 
 print("== the same numbers by brute-force quadrature ==")
-quad = signature_oracle(s, order=2)
-print("quadrature oracle:", np.round(quad.values, 6))
-print("max |difference| :", np.abs(sig.values - quad.values).max(), "\n")
+quad = signature_oracle(pts, order=2)
+print("quadrature oracle:", np.round(quad, 6))
+print("max |difference| :", np.abs(sig - quad).max(), "\n")
 
 print("== log-signature: the compressed encoding ==")
-lsig = log_signature(s, order=2)
-print("log-signature:", np.round(lsig.values, 6))
+lsig = log_signature_many(pts[None], order=2)[0]
+print("log-signature:", np.round(lsig, 6))
 print("  level 2 reduces to the antisymmetric (signed-area) part\n")
 
 print("== invariances ==")
-stream = Stream(rng.normal(size=(6, 3)))
-base = signature(stream, 3).values
+stream = rng.normal(size=(6, 3))
+base = signature_many(stream[None], 3)[0]
 
-shifted = signature(Stream(stream.points + 5.0), 3).values
+shifted = signature_many(stream[None] + 5.0, 3)[0]
 print("translation:       max diff", np.abs(base - shifted).max())
 
-mid = 0.5 * (stream.points[2] + stream.points[3])
-split = np.insert(stream.points, 3, mid, axis=0)
-print("collinear insert:  max diff", np.abs(base - signature(Stream(split), 3).values).max())
+mid = 0.5 * (stream[2] + stream[3])
+split = np.insert(stream, 3, mid, axis=0)
+print("collinear insert:  max diff", np.abs(base - signature_many(split[None], 3)[0]).max())
 
 print("\n== Chen's identity: concatenation = tensor product ==")
 a = tensor_exp(tensor_from_level1([1.0, 0.0], 2))

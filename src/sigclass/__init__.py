@@ -42,14 +42,11 @@ from .embedding import EmbeddingResult, pca_reduce, tsne_exact
 from .path_signature import (
     PIXELS_AS_STEPS,
     ROWS_AS_STEPS,
-    SigFeatures,
-    Stream,
     StreamConvention,
-    image_to_stream,
-    log_signature,
-    signature,
+    log_signature_many,
     signature_many,
     signature_oracle,
+    signature_tensor,
 )
 from .signal_analysis import (
     SpectrumSeries,

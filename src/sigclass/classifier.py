@@ -76,6 +76,9 @@ class ModelConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if not (isinstance(self.image_size, tuple) and len(self.image_size) == 2
+                and all(isinstance(v, int) and v >= 1 for v in self.image_size)):
+            raise ValueError(f"image_size must be two integers >= 1, got {self.image_size!r}")
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     _check_keys(feature, ("kind", "order"), "feature")
     model = dict(feature, **{k: doc[k] for k in ("metric", "channels") if k in doc})
     if doc.get("image_size") is not None:
-        model["image_size"] = tuple(doc["image_size"])
+        model.update(_tuples({"image_size": doc["image_size"]}))
     elif kind == "four_shapes" and "size" in dataset:
         model["image_size"] = (int(dataset["size"]),) * 2
     elif kind in _DEFAULT_SIZES:

@@ -59,8 +59,8 @@ class LabeledImage:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim == 2:
             px = px[:, :, None]
-        if px.ndim != 3 or px.shape[2] not in (1, 3):
-            raise ValueError(f"pixels must be H x W x C with C in {{1, 3}}, got {px.shape}")
+        if px.ndim != 3 or px.shape[2] not in (1, 3) or px.size == 0:
+            raise ValueError(f"pixels must be nonempty H x W x C, C in {{1, 3}}; got {px.shape}")
         if not np.all(np.isfinite(px)) or px.min() < 0.0 or px.max() > 1.0:
             raise ValueError("pixel values must be finite and within [0, 1]")
         px = px.copy()
@@ -140,7 +140,7 @@ def load_mnist_idx(images_path, labels_path) -> list[LabeledImage]:
         if rows < 1 or cols < 1:
             raise ParseError(f"{images_path}: bad image size {rows} x {cols}, need >= 1 x 1")
         raw = _read_exact(fh, count * rows * cols, "pixel payload", str(images_path))
-        if rows * cols > np.iinfo(np.intp).max:  # reachable with count 0: no payload to miss
+        if rows * cols * 8 > np.iinfo(np.intp).max:  # as float64; reachable with count 0
             raise ParseError(f"{images_path}: bad image size {rows} x {cols}, too large")
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
 

@@ -1,4 +1,8 @@
-"""Streams from images and their truncated signatures / log-signatures.
+"""Stream points from images, and their truncated signatures / log-signatures.
+
+Arrays in, arrays out: a stream is an (n, d) float array of n >= 2 finite
+points in R^d (d >= 1), a batch of equal-length streams is (batch, n, d),
+and features are the flat levels 1..order, one (batch, F) row per stream.
 
 The fast path multiplies per-increment exponentials left to right in the
 truncated tensor algebra (one exponential per stream segment).  A slow
@@ -19,11 +23,6 @@ __all__ = [
     "PIXELS_AS_STEPS",
     "ROWS_AS_STEPS",
     "StreamConvention",
-    "Stream",
-    "SigFeatures",
-    "image_to_stream",
-    "signature",
-    "log_signature",
     "signature_many",
     "log_signature_many",
     "signature_oracle",
@@ -74,74 +73,23 @@ class StreamConvention:
         return pts
 
 
-@dataclass(frozen=True)
-class Stream:
-    """Ordered sequence of n >= 2 points in R^d."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError(f"stream points must be 2-D (n, d), got shape {pts.shape}")
-        if pts.shape[0] < 2:
-            raise ValueError(f"stream needs at least 2 points, got {pts.shape[0]}")
-        if pts.shape[1] < 1:
-            raise ValueError("stream dimension must be >= 1")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("stream contains non-finite coordinates")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def length(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class SigFeatures:
-    """Flattened signature or log-signature coefficients, levels 1..order."""
-
-    dim: int
-    order: int
-    values: np.ndarray
-    kind: str = SIGNATURE
-
-    def __post_init__(self):
-        if self.kind not in (SIGNATURE, LOG_SIGNATURE):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        expected = feature_length(self.dim, self.order)
-        if vals.size != expected:
-            raise ValueError(
-                f"feature vector must have length {expected} for dim={self.dim},"
-                f" order={self.order}; got {vals.size}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("feature vector contains non-finite entries")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def image_to_stream(image, conv: StreamConvention = StreamConvention()) -> Stream:
-    """Unroll an H x W x C image (values in [0, 1]) into a stream of points."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    if img.ndim != 3 or img.size == 0:
-        raise ValueError(f"expected a nonempty H x W x C image, got shape {img.shape}")
-    if img.shape[2] not in (1, 3):
-        raise ValueError(f"channel count must be 1 or 3, got {img.shape[2]}")
-    return Stream(conv.points(img[None])[0])
+def _checked_points(points, order: int, ndim: int) -> np.ndarray:
+    """points as float64, ndim 2 for one (n, d) stream or 3 for a (batch, n, d)
+    batch; a ValueError unless every stream holds n >= 2 finite points in R^d,
+    d >= 1, and order >= 1."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != ndim:
+        layout = "(batch, n, d)" if ndim == 3 else "(n, d)"
+        raise ValueError(f"expected {layout} stream points, got shape {pts.shape}")
+    if pts.shape[-2] < 2:
+        raise ValueError(f"a stream needs at least 2 points, got {pts.shape[-2]}")
+    if pts.shape[-1] < 1:
+        raise ValueError("stream dimension d must be >= 1")
+    if not np.isfinite(pts).all():
+        raise ValueError("stream points contain non-finite coordinates")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +117,13 @@ def _signature_levels(points: np.ndarray, order: int) -> list[np.ndarray]:
     return run
 
 
-def signature_tensor(s: Stream, order: int) -> TruncatedTensor:
-    """Full truncated signature tensor of a stream (levels 0..order)."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    levels = _signature_levels(s.points[None, :, :], order)
+def signature_tensor(points, order: int) -> TruncatedTensor:
+    """Full truncated signature tensor (levels 0..order) of one (n, d) stream."""
+    pts = _checked_points(points, order, 2)
+    levels = _signature_levels(pts[None], order)
     return TruncatedTensor(
-        dim=s.dim, order=order, levels=tuple(lv[0].reshape(-1) for lv in levels)
+        dim=pts.shape[1], order=order, levels=tuple(lv[0].reshape(-1) for lv in levels)
     )
-
-
-def signature(s: Stream, order: int) -> SigFeatures:
-    """Truncated signature of a stream, flattened to levels 1..order."""
-    values = _features_batch(s.points[None, :, :], order, SIGNATURE)[0]
-    return SigFeatures(dim=s.dim, order=order, values=values, kind=SIGNATURE)
-
-
-def log_signature(s: Stream, order: int) -> SigFeatures:
-    """Truncated log-signature: tensor logarithm of the signature, flattened."""
-    values = _features_batch(s.points[None, :, :], order, LOG_SIGNATURE)[0]
-    return SigFeatures(dim=s.dim, order=order, values=values, kind=LOG_SIGNATURE)
 
 
 # Byte budget for one fold chunk's top level (8 * d**order bytes a stream):
@@ -198,11 +133,7 @@ FOLD_BYTES = 384 * 1024
 
 
 def _features_batch(points: np.ndarray, order: int, kind: str) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3:
-        raise ValueError(f"expected (batch, n, d) points, got shape {points.shape}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    points = _checked_points(points, order, 3)
     chunk = max(1, FOLD_BYTES // (8 * points.shape[2] ** order))
     out = np.empty((points.shape[0], feature_length(points.shape[2], order)))
     for start in range(0, points.shape[0], chunk):
@@ -217,7 +148,7 @@ def signature_many(points: np.ndarray, order: int) -> np.ndarray:
     """Signatures of a batch of equal-length streams, shape (batch, n, d).
 
     Returns the stacked flat feature matrix (batch, feature_length).  Each
-    row is computed by exactly the same arithmetic as signature(), so batch
+    row is computed by the same arithmetic whatever the batch holds, so batch
     results are bit-identical to one-at-a-time results.  Streams are folded
     a chunk at a time, the chunk being the number of streams whose top
     signature level fits in FOLD_BYTES (at least one).
@@ -251,7 +182,7 @@ def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def signature_oracle(s: Stream, order: int, min_panels: int = 1024) -> SigFeatures:
+def signature_oracle(points, order: int, min_panels: int = 1024) -> np.ndarray:
     """Signature via direct numerical quadrature of the iterated integrals.
 
     The stream is interpreted as a piecewise-linear path.  Each coordinate
@@ -259,10 +190,9 @@ def signature_oracle(s: Stream, order: int, min_panels: int = 1024) -> SigFeatur
     integrated segment by segment with composite Simpson (at least
     min_panels panels in total, an even number per segment).  O(d**order)
     integrals; slow, but independent of the Chen-product implementation.
+    Takes one (n, d) stream and returns its flat (feature_length,) signature.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    pts = s.points
+    pts = _checked_points(points, order, 2)
     nseg = pts.shape[0] - 1
     d = pts.shape[1]
     # per-segment derivative w.r.t. a unit-length local parameter
@@ -287,6 +217,4 @@ def signature_oracle(s: Stream, order: int, min_panels: int = 1024) -> SigFeatur
         running = (scaled + offsets[..., None]).reshape(-1, nseg, nodes)
         flat_levels.append(running[:, -1, -1].copy())
 
-    return SigFeatures(
-        dim=d, order=order, values=np.concatenate(flat_levels), kind=SIGNATURE
-    )
+    return np.concatenate(flat_levels)

@@ -19,9 +19,8 @@ from sigclass.cli import main
 from sigclass.data_io import ShapeJitter, gen_four_shapes, load_cifar10, load_mnist_idx
 from sigclass.embedding import tsne_exact
 from sigclass.path_signature import (
-    Stream,
     StreamConvention,
-    signature,
+    signature_many,
     signature_oracle,
     signature_tensor,
 )
@@ -61,9 +60,9 @@ def test_criterion_1_signature_matches_quadrature_oracle():
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, 4))
         order = int(rng.integers(1, 5))
-        s = Stream(rng.normal(size=(n, d)))
-        worst = max(worst, _relerr(signature(s, order).values,
-                                   signature_oracle(s, order).values))
+        p = rng.normal(size=(n, d))
+        worst = max(worst, _relerr(signature_many(p[None], order)[0],
+                                   signature_oracle(p, order)))
     elapsed = time.time() - start
     _report(
         "criterion 1: Chen signature vs iterated-integral oracle",
@@ -85,24 +84,22 @@ def test_criterion_2_algebraic_invariants():
         d = int(rng.integers(1, 4))
         order = int(rng.integers(1, 5))
         pts = rng.normal(size=(n, d))
-        base = signature(Stream(pts), order).values
+        base = signature_many(pts[None], order)[0]
         scale = max(np.abs(base).max(), 1.0)
 
-        shifted = signature(Stream(pts + rng.normal(size=d)), order).values
+        shifted = signature_many((pts + rng.normal(size=d))[None], order)[0]
         worst["translation"] = max(worst["translation"],
                                    np.abs(base - shifted).max() / scale)
 
         seg = int(rng.integers(0, n - 1))
         ratio = rng.uniform(0.05, 0.95)
         mid = pts[seg] + ratio * (pts[seg + 1] - pts[seg])
-        split = signature(Stream(np.insert(pts, seg + 1, mid, axis=0)), order).values
+        split = signature_many(np.insert(pts, seg + 1, mid, axis=0)[None], order)[0]
         worst["collinear"] = max(worst["collinear"], np.abs(base - split).max() / scale)
 
         tail = np.vstack([pts[-1], rng.normal(size=(int(rng.integers(1, 4)), d))])
-        joined = signature(Stream(np.vstack([pts, tail[1:]])), order).values
-        prod = tensor_product(
-            signature_tensor(Stream(pts), order), signature_tensor(Stream(tail), order)
-        ).flatten()
+        joined = signature_many(np.vstack([pts, tail[1:]])[None], order)[0]
+        prod = tensor_product(signature_tensor(pts, order), signature_tensor(tail, order)).flatten()
         worst["concatenation"] = max(
             worst["concatenation"],
             np.abs(joined - prod).max() / max(np.abs(prod).max(), 1.0),
@@ -287,21 +284,17 @@ def test_cifar10_reported_floor():
 def test_criterion_5_closed_form_identity():
     rng = np.random.default_rng(5)
     # generic features from a random stream: no vanishing components
-    feats = signature(Stream(rng.normal(size=(5, 2)) + 2.0), 2)
-    assert np.abs(feats.values).min() > 1e-8
+    feats = signature_many(rng.normal(size=(1, 5, 2)) + 2.0, 2)
+    assert np.abs(feats).min() > 1e-8
 
-    cal = sc.CalibrationSet(
-        representatives=feats.values[None, :], validation={"a": np.stack([feats.values] * 3)}
-    )
+    cal = sc.CalibrationSet(representatives=feats, validation={"a": np.repeat(feats, 3, axis=0)})
     lam = closed_form_lambda(cal)[0]
-    ones_exact = np.array_equal(lam, np.ones(len(feats)))
+    ones_exact = np.array_equal(lam, np.ones(feats.shape[1]))
 
-    x = signature(Stream(rng.normal(size=(5, 2)) + 2.0), 2)
-    cal1 = sc.CalibrationSet(
-        representatives=feats.values[None, :], validation={"a": x.values[None, :]}
-    )
+    x = signature_many(rng.normal(size=(1, 5, 2)) + 2.0, 2)
+    cal1 = sc.CalibrationSet(representatives=feats, validation={"a": x})
     lam1 = closed_form_lambda(cal1)[0]
-    residual = float(score_rows(feats.values, lam1 * x.values, "rmse"))
+    residual = float(score_rows(feats[0], lam1 * x[0], "rmse"))
     _report(
         "criterion 5: closed-form identity and single-instance inversion",
         ones_exact and residual <= 1e-12,

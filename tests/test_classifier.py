@@ -488,6 +488,7 @@ def test_model_schema_version_checked():
         (("feature_length",), 5, "feature_length 5 does not match 42 for stream_dim=6, order=2"),
         (("config", "kind"), None, "'config' lacks field 'kind'"),
         (("config", "convention", "mode"), None, "'config' lacks field 'mode'"),
+        (("config", "image_size"), [0, 8], r"image_size must be two integers >= 1, got \(0, 8\)"),
         (("per_class", "a", "train_count"), None, "class 'a' lacks field 'train_count'"),
         (("per_class", "a", "representative"), None, "class 'a' lacks field 'representative'"),
         (("per_class", "a", "lambda_rmse"), None, "class 'a' lacks field 'lambda_rmse'"),

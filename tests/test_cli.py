@@ -131,6 +131,20 @@ def test_unknown_top_level_budget_and_embed_keys_fail_naming_them(tmp_path, caps
     assert f"'{key}'" in read_stderr_error(capsys)["error"]
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [([1, 16], "a stream needs at least 2 points, got 1"),
+     ([0, 16], "image_size must be two integers >= 1, got (0, 16)"),
+     (16, "image_size must be two integers >= 1, got 16")],
+    ids=["one-row", "zero-rows", "scalar"],
+)
+def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, message):
+    config = write_config(tmp_path, image_size=size,
+                          stream={"mode": "rows", "basepoint": False})
+    assert main(["fit", "--config", str(config)]) == 1
+    assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+
+
 def test_spectra_section_is_an_accepted_top_level_key():
     config = cli.config_from_dict({"spectra": {"window": 21, "polyorder": 3}})
     assert config.embed == cli.EMBED_DEFAULTS

@@ -85,6 +85,8 @@ def test_mnist_count_mismatch(tmp_path):
         ((1, 0, 28), "bad image size 0 x 28"),
         ((1, 28, 0), "bad image size 28 x 0"),
         ((0, 0xFFFFFFFF, 0xFFFFFFFF), "bad image size 4294967295 x 4294967295, too large"),
+        # addressable as uint8 but not once scaled to float64
+        ((0, 0x7FFFFFFF, 0x7FFFFFFF), "bad image size 2147483647 x 2147483647, too large"),
     ],
 )
 def test_mnist_lying_header_rejected(tmp_path, dims, match):
@@ -227,6 +229,11 @@ def test_centered_circle_rotational_symmetry():
 def test_minimum_size_enforced():
     with pytest.raises(ValueError, match="size"):
         gen_four_shapes(1, size=4)
+
+
+def test_empty_image_rejected():
+    with pytest.raises(ValueError, match="nonempty"):
+        LabeledImage(np.zeros((0, 4)), "a")
 
 
 def test_shape_pixels_in_unit_range():

@@ -4,14 +4,9 @@ import pytest
 import sigclass.path_signature as path_signature
 from sigclass.path_signature import (
     FOLD_BYTES,
-    SigFeatures,
-    Stream,
     StreamConvention,
     _exp_increment_levels,
-    image_to_stream,
-    log_signature,
     log_signature_many,
-    signature,
     signature_many,
     signature_oracle,
     signature_tensor,
@@ -22,7 +17,16 @@ from sigclass.tensor_algebra import tensor_exp, tensor_from_level1, tensor_produ
 def random_stream(rng, n=None, d=None):
     n = n or int(rng.integers(2, 7))
     d = d or int(rng.integers(1, 4))
-    return Stream(rng.normal(size=(n, d)))
+    return rng.normal(size=(n, d))
+
+
+def signature(points, order):
+    """Flat signature of one (n, d) stream, through the batch fold."""
+    return signature_many(points[None], order)[0]
+
+
+def log_signature(points, order):
+    return log_signature_many(points[None], order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -33,21 +37,21 @@ IMG = np.array([[0.1, 0.2], [0.3, 0.4]])[:, :, None]
 
 
 def test_pixels_as_steps():
-    s = image_to_stream(IMG, StreamConvention("pixels", basepoint=False))
-    assert s.dim == 1
-    assert np.allclose(s.points.ravel(), [0.1, 0.2, 0.3, 0.4])
+    pts = StreamConvention("pixels", basepoint=False).points(IMG[None])[0]
+    assert pts.shape[1] == 1
+    assert np.allclose(pts.ravel(), [0.1, 0.2, 0.3, 0.4])
 
 
 def test_rows_as_steps():
-    s = image_to_stream(IMG, StreamConvention("rows", basepoint=False))
-    assert s.dim == 2
-    assert np.allclose(s.points, [[0.1, 0.2], [0.3, 0.4]])
+    pts = StreamConvention("rows", basepoint=False).points(IMG[None])[0]
+    assert pts.shape[1] == 2
+    assert np.allclose(pts, [[0.1, 0.2], [0.3, 0.4]])
 
 
 def test_basepoint_prepends_zero():
-    s = image_to_stream(IMG, StreamConvention("pixels", basepoint=True))
-    assert s.length == 5
-    assert np.allclose(s.points[0], 0.0)
+    pts = StreamConvention("pixels", basepoint=True).points(IMG[None])[0]
+    assert pts.shape[0] == 5
+    assert np.allclose(pts[0], 0.0)
 
 
 def test_stream_shape_matches_builder():
@@ -60,14 +64,13 @@ def test_stream_shape_matches_builder():
                 points = conv.points(batch)
                 # evaluate() sizes its blocks from stream_shape
                 assert points.shape == (3, *conv.stream_shape(4, 5, channels))
-                single = np.stack([image_to_stream(img, conv).points for img in batch])
+                # reference: scan each image row-major, then prepend the basepoint
+                n, d = (4 * 5, channels) if mode == "pixels" else (4, 5 * channels)
+                single = np.stack([img.reshape(n, d) for img in batch])
+                if basepoint:
+                    single = np.concatenate([np.zeros((3, 1, d)), single], axis=1)
                 assert points.dtype == single.dtype
                 assert points.tobytes() == single.tobytes()
-
-
-def test_empty_image_rejected():
-    with pytest.raises(ValueError):
-        image_to_stream(np.zeros((0, 2, 1)), StreamConvention())
 
 
 def test_unknown_mode_rejected():
@@ -82,16 +85,16 @@ def test_unknown_mode_rejected():
 
 def test_two_point_closed_form():
     a, b = np.array([0.2, -0.1]), np.array([1.0, 0.5])
-    sig = signature(Stream(np.stack([a, b])), 2)
+    sig = signature(np.stack([a, b]), 2)
     inc = b - a
-    assert np.allclose(sig.values[:2], inc)
-    assert np.allclose(sig.values[2:], np.outer(inc, inc).ravel() / 2.0)
+    assert np.allclose(sig[:2], inc)
+    assert np.allclose(sig[2:], np.outer(inc, inc).ravel() / 2.0)
 
 
 def test_l_shaped_stream_example():
-    s = Stream(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
-    assert np.allclose(signature(s, 2).values, [1, 1, 0.5, 1, 0, 0.5])
-    assert np.allclose(log_signature(s, 2).values, [1, 1, 0, 0.5, -0.5, 0])
+    s = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(signature(s, 2), [1, 1, 0.5, 1, 0, 0.5])
+    assert np.allclose(log_signature(s, 2), [1, 1, 0, 0.5, -0.5, 0])
 
 
 def test_collinear_midpoint_insertion_is_noop():
@@ -99,21 +102,21 @@ def test_collinear_midpoint_insertion_is_noop():
     pts = rng.normal(size=(4, 3))
     mid = 0.5 * (pts[1] + pts[2])
     with_mid = np.insert(pts, 2, mid, axis=0)
-    a = signature(Stream(pts), 3).values
-    b = signature(Stream(with_mid), 3).values
+    a = signature(pts, 3)
+    b = signature(with_mid, 3)
     assert np.abs(a - b).max() < 1e-12 * max(np.abs(a).max(), 1.0)
 
 
 def test_two_point_log_signature_level2_zero():
-    sig = log_signature(Stream(np.array([[0.0, 1.0], [2.0, 2.0]])), 2)
-    assert np.allclose(sig.values[:2], [2.0, 1.0])
-    assert np.allclose(sig.values[2:], 0.0, atol=1e-15)
+    sig = log_signature(np.array([[0.0, 1.0], [2.0, 2.0]]), 2)
+    assert np.allclose(sig[:2], [2.0, 1.0])
+    assert np.allclose(sig[2:], 0.0, atol=1e-15)
 
 
 def test_order_one_log_equals_signature():
     rng = np.random.default_rng(5)
     s = random_stream(rng, n=5, d=3)
-    assert np.allclose(log_signature(s, 1).values, signature(s, 1).values, atol=0)
+    assert np.allclose(log_signature(s, 1), signature(s, 1), atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +126,24 @@ def test_order_one_log_equals_signature():
 
 def test_oracle_two_point_matches_closed_form():
     a, b = np.array([0.0, 0.0]), np.array([0.7, -0.4])
-    vals = signature_oracle(Stream(np.stack([a, b])), 3).values
-    expected = signature(Stream(np.stack([a, b])), 3).values
+    vals = signature_oracle(np.stack([a, b]), 3)
+    expected = signature(np.stack([a, b]), 3)
     assert np.abs(vals - expected).max() < 1e-10
 
 
 def test_oracle_matches_chen_on_random_stream():
     rng = np.random.default_rng(8)
     s = random_stream(rng, n=5, d=2)
-    chen = signature(s, 3).values
-    quad = signature_oracle(s, 3).values
+    chen = signature(s, 3)
+    quad = signature_oracle(s, 3)
     assert np.abs(chen - quad).max() / max(np.abs(quad).max(), 1e-30) < 1e-8
 
 
 def test_oracle_reversed_stream_negates_level1():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(4, 2))
-    fwd = signature_oracle(Stream(pts), 1).values
-    bwd = signature_oracle(Stream(pts[::-1]), 1).values
+    fwd = signature_oracle(pts, 1)
+    bwd = signature_oracle(pts[::-1], 1)
     assert np.allclose(fwd, -bwd, atol=1e-10)
 
 
@@ -151,8 +154,8 @@ def test_chen_consistency_random_suite():
         d = int(rng.integers(1, 4))
         order = int(rng.integers(1, 5))
         s = random_stream(rng, n=n, d=d)
-        chen = signature(s, order).values
-        quad = signature_oracle(s, order).values
+        chen = signature(s, order)
+        quad = signature_oracle(s, order)
         assert np.abs(chen - quad).max() / max(np.abs(quad).max(), 1e-30) < 1e-8
 
 
@@ -165,9 +168,9 @@ def test_translation_invariance():
     rng = np.random.default_rng(12)
     for _ in range(25):
         s = random_stream(rng)
-        shift = rng.normal(size=s.dim)
-        a = signature(s, 3).values
-        b = signature(Stream(s.points + shift), 3).values
+        shift = rng.normal(size=s.shape[1])
+        a = signature(s, 3)
+        b = signature(s + shift, 3)
         assert np.abs(a - b).max() < 1e-12 * max(np.abs(a).max(), 1.0)
 
 
@@ -179,8 +182,8 @@ def test_segment_split_invariance():
         ratio = rng.uniform(0.1, 0.9)
         split = pts[seg] + ratio * (pts[seg + 1] - pts[seg])
         with_split = np.insert(pts, seg + 1, split, axis=0)
-        a = signature(Stream(pts), 3).values
-        b = signature(Stream(with_split), 3).values
+        a = signature(pts, 3)
+        b = signature(with_split, 3)
         assert np.abs(a - b).max() < 1e-12 * max(np.abs(a).max(), 1.0)
 
 
@@ -188,8 +191,8 @@ def test_duplicate_point_invariance():
     rng = np.random.default_rng(14)
     pts = rng.normal(size=(4, 2))
     dup = np.insert(pts, 2, pts[2], axis=0)
-    a = signature(Stream(pts), 4).values
-    b = signature(Stream(dup), 4).values
+    a = signature(pts, 4)
+    b = signature(dup, 4)
     assert np.abs(a - b).max() < 1e-12 * max(np.abs(a).max(), 1.0)
 
 
@@ -199,11 +202,11 @@ def test_concatenation_identity():
         d = int(rng.integers(1, 4))
         p1 = rng.normal(size=(4, d))
         p2 = np.vstack([p1[-1], rng.normal(size=(3, d))])
-        joined = signature(Stream(np.vstack([p1, p2[1:]])), 3)
-        t1 = signature_tensor(Stream(p1), 3)
-        t2 = signature_tensor(Stream(p2), 3)
+        joined = signature(np.vstack([p1, p2[1:]]), 3)
+        t1 = signature_tensor(p1, 3)
+        t2 = signature_tensor(p2, 3)
         prod = tensor_product(t1, t2).flatten()
-        assert np.abs(joined.values - prod).max() < 1e-12 * max(np.abs(prod).max(), 1.0)
+        assert np.abs(joined - prod).max() < 1e-12 * max(np.abs(prod).max(), 1.0)
 
 
 def test_batch_matches_single_bitwise():
@@ -211,11 +214,11 @@ def test_batch_matches_single_bitwise():
     pts = rng.normal(size=(6, 5, 3))
     batch = signature_many(pts, 3)
     for i in range(6):
-        single = signature(Stream(pts[i]), 3).values
+        single = signature_many(pts[i : i + 1], 3)[0]
         assert np.array_equal(batch[i], single)
     lbatch = log_signature_many(pts, 3)
     for i in range(6):
-        single = log_signature(Stream(pts[i]), 3).values
+        single = log_signature_many(pts[i : i + 1], 3)[0]
         assert np.array_equal(lbatch[i], single)
 
 
@@ -254,16 +257,36 @@ def test_increment_exp_matches_tensor_exp_bitwise():
 
 
 def test_short_stream_rejected():
+    # one-point streams, as rows of a 1-row image without a basepoint
     with pytest.raises(ValueError, match="at least 2"):
-        Stream(np.zeros((1, 2)))
+        signature_many(np.zeros((3, 1, 2)), 2)
 
 
 def test_bad_order_rejected():
-    s = Stream(np.zeros((2, 2)))
+    s = np.zeros((2, 2))
     with pytest.raises(ValueError, match="order"):
         signature(s, 0)
 
 
-def test_sig_features_length_validated():
-    with pytest.raises(ValueError, match="length"):
-        SigFeatures(dim=2, order=2, values=np.zeros(5))
+# each function with the ndim of the stream points it takes
+FOLDS = [(signature_many, 3), (log_signature_many, 3), (signature_oracle, 2),
+         (signature_tensor, 2)]
+# (n, d) points, extra leading axes beyond the function's ndim, error match
+MALFORMED = {
+    "one point": (np.zeros((1, 2)), 0, "at least 2"),
+    "d = 0": (np.zeros((3, 0)), 0, "dimension"),
+    "nan": (np.array([[0.0, 0.0], [np.nan, 1.0]]), 0, "non-finite"),
+    "inf": (np.array([[0.0, 0.0], [1.0, -np.inf]]), 0, "non-finite"),
+    "one axis too many": (np.zeros((3, 2)), 1, "expected"),
+    "one axis too few": (np.zeros((3, 2)), -1, "expected"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("fold, ndim", FOLDS, ids=[f.__name__ for f, _ in FOLDS])
+def test_malformed_stream_rejected(fold, ndim, case):
+    points, extra, match = MALFORMED[case]
+    target = ndim + extra
+    points = points.reshape((1,) * (target - 2) + points.shape) if target >= 2 else points[0]
+    with pytest.raises(ValueError, match=match):
+        fold(points, 2)
