@@ -8,15 +8,8 @@ features.
 
 import numpy as np
 
-from sigclass import (
-    log_signature_many,
-    signature_many,
-    signature_oracle,
-    tensor_exp,
-    tensor_from_level1,
-    tensor_log,
-    tensor_product,
-)
+from sigclass import log_signature_many, signature_many, signature_oracle
+from sigclass.tensor_algebra import exp_levels, log_levels, mul_levels
 
 rng = np.random.default_rng(0)
 
@@ -51,9 +44,10 @@ split = np.insert(stream, 3, mid, axis=0)
 print("collinear insert:  max diff", np.abs(base - signature_many(split[None], 3)[0]).max())
 
 print("\n== Chen's identity: concatenation = tensor product ==")
-a = tensor_exp(tensor_from_level1([1.0, 0.0], 2))
-b = tensor_exp(tensor_from_level1([0.0, 1.0], 2))
-prod = tensor_product(a, b)
-print("exp(e1) (x) exp(e2) levels 1..2:", np.round(prod.flatten(), 6))
+# a tensor is a level list [x_0, x_1, x_2]: level k holds d**k coefficients
+a = exp_levels([np.zeros(()), np.array([1.0, 0.0]), np.zeros(4)])
+b = exp_levels([np.zeros(()), np.array([0.0, 1.0]), np.zeros(4)])
+prod = mul_levels(a, b)
+print("exp(e1) (x) exp(e2) levels 1..2:", np.round(np.concatenate(prod[1:]), 6))
 print("matches the L-shaped stream's signature above")
-print("log of the product:", np.round(tensor_log(prod).flatten(), 6))
+print("log of the product:", np.round(np.concatenate(log_levels(prod)[1:]), 6))

@@ -46,7 +46,6 @@ from .path_signature import (
     log_signature_many,
     signature_many,
     signature_oracle,
-    signature_tensor,
 )
 from .signal_analysis import (
     SpectrumSeries,
@@ -54,14 +53,6 @@ from .signal_analysis import (
     savgol_coefficients,
     savgol_filter,
 )
-from .tensor_algebra import (
-    TruncatedTensor,
-    feature_length,
-    identity_tensor,
-    tensor_exp,
-    tensor_from_level1,
-    tensor_log,
-    tensor_product,
-)
+from .tensor_algebra import feature_length
 
 __version__ = "0.1.0"

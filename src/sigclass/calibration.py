@@ -14,9 +14,9 @@ __all__ = ["CalibrationSet", "closed_form_lambda", "optimize_lambda"]
 class CalibrationSet:
     """A (Z, F) representative matrix and, per class, an (n_z, F) matrix of
     validation feature rows; row z of representatives belongs to the z-th
-    class of validation.  Representatives are kept as a read-only view,
-    validation rows as read-only float64 copies (the caller's dict and
-    arrays are left untouched)."""
+    class of validation.  Both are kept as read-only float64 views of the
+    given arrays, which callers should not change afterwards; the caller's
+    dict is not the one stored."""
 
     representatives: np.ndarray
     validation: dict[str, np.ndarray]
@@ -35,7 +35,7 @@ class CalibrationSet:
         reps.setflags(write=False)
         matrices = {}
         for label, rows in self.validation.items():
-            rows = np.array(rows, dtype=np.float64)
+            rows = np.asarray(rows, dtype=np.float64).view()
             if rows.ndim != 2 or rows.shape[1] != reps.shape[1]:
                 raise ValueError(
                     f"validation of class {label!r} must be an (n, {reps.shape[1]}) matrix"

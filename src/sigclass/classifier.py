@@ -26,6 +26,7 @@ from .path_signature import (
     LOG_SIGNATURE,
     SIGNATURE,
     StreamConvention,
+    _check_order,
     log_signature_many,
     signature_many,
 )
@@ -74,10 +75,10 @@ class ModelConfig:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.metric not in ("rmse", "mae"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        _check_order(self.order)
         if not (isinstance(self.image_size, tuple) and len(self.image_size) == 2
-                and all(isinstance(v, int) and v >= 1 for v in self.image_size)):
+                and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                        for v in self.image_size)):
             raise ValueError(f"image_size must be two integers >= 1, got {self.image_size!r}")
 
 

@@ -97,6 +97,10 @@ def _tuples(section: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
@@ -129,8 +133,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     budgets = dict(BUDGET_DEFAULTS, **(doc.get("budgets") or {}))
     _check_keys(budgets, BUDGET_DEFAULTS, "budgets")
     for name, value in budgets.items():
-        if value < 0:
-            raise ValueError(f"budget {name!r} must be >= 0, got {value}")
+        if not _is_int(value) or value < 0:
+            raise ValueError(f"budget {name!r} must be an integer >= 0, got {value!r}")
 
     calibration = dict(doc.get("calibration") or {})
     calibration.setdefault("method", "closed_form")
@@ -143,6 +147,8 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     embed = dict(EMBED_DEFAULTS, **(doc.get("embed") or {}))
     _check_keys(embed, EMBED_DEFAULTS, "embed")
+    if not _is_int(embed["samples"]):
+        raise ValueError(f"embed 'samples' must be an integer, got {embed['samples']!r}")
 
     return RunConfig(
         seed=int(doc.get("seed", 0)),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_algebra as ta
-from .tensor_algebra import TruncatedTensor, feature_length
+from .tensor_algebra import feature_length
 
 __all__ = [
     "PIXELS_AS_STEPS",
@@ -26,7 +26,6 @@ __all__ = [
     "signature_many",
     "log_signature_many",
     "signature_oracle",
-    "signature_tensor",
 ]
 
 PIXELS_AS_STEPS = "pixels"
@@ -73,10 +72,16 @@ class StreamConvention:
         return pts
 
 
+def _check_order(order) -> None:
+    """A ValueError unless order is an integer >= 1; a bool is not an order."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError(f"order must be an integer >= 1, got {order!r}")
+
+
 def _checked_points(points, order: int, ndim: int) -> np.ndarray:
     """points as float64, ndim 2 for one (n, d) stream or 3 for a (batch, n, d)
     batch; a ValueError unless every stream holds n >= 2 finite points in R^d,
-    d >= 1, and order >= 1."""
+    d >= 1, and order is an integer >= 1."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != ndim:
         layout = "(batch, n, d)" if ndim == 3 else "(n, d)"
@@ -87,8 +92,7 @@ def _checked_points(points, order: int, ndim: int) -> np.ndarray:
         raise ValueError("stream dimension d must be >= 1")
     if not np.isfinite(pts).all():
         raise ValueError("stream points contain non-finite coordinates")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_order(order)
     return pts
 
 
@@ -115,15 +119,6 @@ def _signature_levels(points: np.ndarray, order: int) -> list[np.ndarray]:
     for s in range(1, incs.shape[1]):
         run = ta.mul_levels(run, _exp_increment_levels(incs[:, s, :], order))
     return run
-
-
-def signature_tensor(points, order: int) -> TruncatedTensor:
-    """Full truncated signature tensor (levels 0..order) of one (n, d) stream."""
-    pts = _checked_points(points, order, 2)
-    levels = _signature_levels(pts[None], order)
-    return TruncatedTensor(
-        dim=pts.shape[1], order=order, levels=tuple(lv[0].reshape(-1) for lv in levels)
-    )
 
 
 # Byte budget for one fold chunk's top level (8 * d**order bytes a stream):

@@ -1,48 +1,24 @@
 """Arithmetic in the free tensor algebra over R^d truncated at a fixed level.
 
-Elements are stored densely, one coefficient block per tensor level:
-block k holds the d**k coefficients of level k in row-major multi-index
-order (first index slowest).  All arithmetic is exact up to float64
-rounding; truncation simply drops levels above the cutoff.
+An element is a "level list" [x_0, x_1, ..., x_N] where x_k is an ndarray
+whose last axis holds the d**k coefficients of level k in row-major
+multi-index order (first index slowest); x_0 has no trailing axis.  Any
+leading axes are carried along unchanged, so the same kernels serve single
+tensors (no leading axes) and batches of tensors (leading batch axis).  All
+arithmetic is exact up to float64 rounding; truncation simply drops levels
+above the cutoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "TruncatedTensor",
-    "level_sizes",
-    "feature_length",
-    "identity_tensor",
-    "zero_tensor",
-    "tensor_from_level1",
-    "tensor_product",
-    "tensor_exp",
-    "tensor_log",
-]
-
-
-def level_sizes(dim: int, order: int) -> list[int]:
-    """Block sizes [1, d, d**2, ..., d**order]."""
-    return [dim**k for k in range(order + 1)]
+__all__ = ["feature_length", "mul_levels", "exp_levels", "log_levels"]
 
 
 def feature_length(dim: int, order: int) -> int:
     """Total coefficient count of levels 1..order: d + d**2 + ... + d**order."""
     return sum(dim**k for k in range(1, order + 1))
-
-
-# ---------------------------------------------------------------------------
-# Level-list kernels.
-#
-# A "level list" is [x_0, x_1, ..., x_N] where x_k is an ndarray whose last
-# axis has length d**k (x_0 has no trailing axis).  Any leading axes are
-# carried along unchanged, so the same kernels serve single tensors
-# (no leading axes) and batches of tensors (leading batch axis).
-# ---------------------------------------------------------------------------
 
 
 def mul_levels(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
@@ -55,13 +31,6 @@ def mul_levels(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
             cross = a[i][..., :, None] * b[k - i][..., None, :]
             acc = acc + cross.reshape(a[i].shape[:-1] + (-1,))
         out.append(acc)
-    return out
-
-
-def identity_levels(dim: int, order: int, batch_shape: tuple = ()) -> list[np.ndarray]:
-    out = [np.ones(batch_shape)]
-    for k in range(1, order + 1):
-        out.append(np.zeros(batch_shape + (dim**k,)))
     return out
 
 
@@ -95,114 +64,3 @@ def log_levels(s: list[np.ndarray]) -> list[np.ndarray]:
         for k in range(n, order + 1):
             out[k] = out[k] + coeff * term[k]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Single-tensor container and operations.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncatedTensor:
-    """Graded coefficient container: levels 0..order over R^dim.
-
-    Level k is a flat float64 array of d**k coefficients in row-major
-    multi-index order.  Instances are immutable (the arrays are marked
-    read-only) and safe to share across threads.
-    """
-
-    dim: int
-    order: int
-    levels: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.dim < 1 or self.order < 1:
-            raise ValueError(f"dim and order must be positive, got ({self.dim}, {self.order})")
-        if len(self.levels) != self.order + 1:
-            raise ValueError(
-                f"expected {self.order + 1} level blocks, got {len(self.levels)}"
-            )
-        frozen = []
-        for k, block in enumerate(self.levels):
-            arr = np.asarray(block, dtype=np.float64).reshape(-1)
-            if arr.size != self.dim**k:
-                raise ValueError(
-                    f"level {k} must hold {self.dim ** k} coefficients, got {arr.size}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"level {k} contains non-finite coefficients")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "levels", tuple(frozen))
-
-    @property
-    def scalar(self) -> float:
-        """The level-0 coefficient."""
-        return float(self.levels[0][0])
-
-    def level(self, k: int) -> np.ndarray:
-        return self.levels[k]
-
-    def flatten(self) -> np.ndarray:
-        """Levels 1..order concatenated into one vector (level 0 dropped)."""
-        return np.concatenate(self.levels[1:])
-
-    def _as_level_list(self) -> list[np.ndarray]:
-        return [self.levels[0].reshape(())] + [lv for lv in self.levels[1:]]
-
-
-def _from_level_list(dim: int, order: int, levels: list[np.ndarray]) -> TruncatedTensor:
-    blocks = [np.atleast_1d(levels[0])] + list(levels[1:])
-    return TruncatedTensor(dim=dim, order=order, levels=tuple(blocks))
-
-
-def identity_tensor(dim: int, order: int) -> TruncatedTensor:
-    """The algebra unit: level 0 = 1, all higher levels zero."""
-    return _from_level_list(dim, order, identity_levels(dim, order))
-
-
-def zero_tensor(dim: int, order: int) -> TruncatedTensor:
-    return TruncatedTensor(
-        dim=dim, order=order, levels=tuple(np.zeros(dim**k) for k in range(order + 1))
-    )
-
-
-def tensor_from_level1(vec, order: int) -> TruncatedTensor:
-    """Embed a vector of R^d as a Lie-like tensor: level 1 = vec, rest zero."""
-    v = np.asarray(vec, dtype=np.float64).reshape(-1)
-    dim = v.size
-    blocks = [np.zeros(1), v] + [np.zeros(dim**k) for k in range(2, order + 1)]
-    return TruncatedTensor(dim=dim, order=order, levels=tuple(blocks))
-
-
-def _check_compatible(a: TruncatedTensor, b: TruncatedTensor):
-    if a.dim != b.dim or a.order != b.order:
-        raise ValueError(
-            f"tensor mismatch: (dim={a.dim}, order={a.order}) vs (dim={b.dim}, order={b.order})"
-        )
-
-
-def tensor_product(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
-    """Concatenation product a (x) b, truncated at the common order.
-
-    Level k of the result is sum_{i+j=k} a_i (x) b_j with multi-index
-    concatenation; levels above the truncation order are discarded.
-    """
-    _check_compatible(a, b)
-    out = mul_levels(a._as_level_list(), b._as_level_list())
-    return _from_level_list(a.dim, a.order, out)
-
-
-def tensor_exp(x: TruncatedTensor) -> TruncatedTensor:
-    """Exponential of a tensor with zero level-0; the result is grouplike."""
-    if x.scalar != 0.0:
-        raise ValueError(f"tensor_exp requires level-0 == 0, got {x.scalar}")
-    return _from_level_list(x.dim, x.order, exp_levels(x._as_level_list()))
-
-
-def tensor_log(s: TruncatedTensor) -> TruncatedTensor:
-    """Logarithm of a grouplike tensor (level-0 == 1); the result has level-0 == 0."""
-    if s.scalar != 1.0:
-        raise ValueError(f"tensor_log requires level-0 == 1, got {s.scalar}")
-    return _from_level_list(s.dim, s.order, log_levels(s._as_level_list()))

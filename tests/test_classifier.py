@@ -489,6 +489,11 @@ def test_model_schema_version_checked():
         (("config", "kind"), None, "'config' lacks field 'kind'"),
         (("config", "convention", "mode"), None, "'config' lacks field 'mode'"),
         (("config", "image_size"), [0, 8], r"image_size must be two integers >= 1, got \(0, 8\)"),
+        (("config", "image_size"), [True, 8],
+         r"image_size must be two integers >= 1, got \(True, 8\)"),
+        (("config", "order"), "2", "order must be an integer >= 1, got '2'"),
+        (("config", "order"), 2.5, "order must be an integer >= 1, got 2.5"),
+        (("config", "order"), True, "order must be an integer >= 1, got True"),
         (("per_class", "a", "train_count"), None, "class 'a' lacks field 'train_count'"),
         (("per_class", "a", "representative"), None, "class 'a' lacks field 'representative'"),
         (("per_class", "a", "lambda_rmse"), None, "class 'a' lacks field 'lambda_rmse'"),

@@ -135,12 +135,30 @@ def test_unknown_top_level_budget_and_embed_keys_fail_naming_them(tmp_path, caps
     "size, message",
     [([1, 16], "a stream needs at least 2 points, got 1"),
      ([0, 16], "image_size must be two integers >= 1, got (0, 16)"),
-     (16, "image_size must be two integers >= 1, got 16")],
-    ids=["one-row", "zero-rows", "scalar"],
+     (16, "image_size must be two integers >= 1, got 16"),
+     ([True, 16], "image_size must be two integers >= 1, got (True, 16)")],
+    ids=["one-row", "zero-rows", "scalar", "bool-rows"],
 )
 def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, message):
     config = write_config(tmp_path, image_size=size,
                           stream={"mode": "rows", "basepoint": False})
+    assert main(["fit", "--config", str(config)]) == 1
+    assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"feature": {"order": 2.5}}, "order must be an integer >= 1, got 2.5"),
+     ({"feature": {"order": "2"}}, "order must be an integer >= 1, got '2'"),
+     ({"feature": {"order": True}}, "order must be an integer >= 1, got True"),
+     ({"budgets": {"train": 2.5}}, "budget 'train' must be an integer >= 0, got 2.5"),
+     ({"budgets": {"val": True}}, "budget 'val' must be an integer >= 0, got True"),
+     ({"embed": {"samples": 2.5}}, "embed 'samples' must be an integer, got 2.5")],
+    ids=["float-order", "string-order", "bool-order", "float-budget", "bool-budget",
+         "float-samples"],
+)
+def test_non_integer_count_fails_with_a_named_error(tmp_path, capsys, overrides, message):
+    config = write_config(tmp_path, **overrides)
     assert main(["fit", "--config", str(config)]) == 1
     assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
 

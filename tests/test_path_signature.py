@@ -9,9 +9,8 @@ from sigclass.path_signature import (
     log_signature_many,
     signature_many,
     signature_oracle,
-    signature_tensor,
 )
-from sigclass.tensor_algebra import tensor_exp, tensor_from_level1, tensor_product
+from sigclass.tensor_algebra import exp_levels, mul_levels
 
 
 def random_stream(rng, n=None, d=None):
@@ -196,16 +195,16 @@ def test_duplicate_point_invariance():
     assert np.abs(a - b).max() < 1e-12 * max(np.abs(a).max(), 1.0)
 
 
-def test_concatenation_identity():
+def test_concatenation_identity(split_levels):
     rng = np.random.default_rng(15)
     for _ in range(25):
         d = int(rng.integers(1, 4))
         p1 = rng.normal(size=(4, d))
         p2 = np.vstack([p1[-1], rng.normal(size=(3, d))])
         joined = signature(np.vstack([p1, p2[1:]]), 3)
-        t1 = signature_tensor(p1, 3)
-        t2 = signature_tensor(p2, 3)
-        prod = tensor_product(t1, t2).flatten()
+        t1 = split_levels(signature(p1, 3), d, 3)
+        t2 = split_levels(signature(p2, 3), d, 3)
+        prod = np.concatenate(mul_levels(t1, t2)[1:])
         assert np.abs(joined - prod).max() < 1e-12 * max(np.abs(prod).max(), 1.0)
 
 
@@ -242,13 +241,13 @@ def test_fold_chunk_does_not_change_bits(monkeypatch):
         monkeypatch.setattr(path_signature, "FOLD_BYTES", FOLD_BYTES)
 
 
-def test_increment_exp_matches_tensor_exp_bitwise():
+def test_increment_exp_matches_exp_levels_bitwise():
     rng = np.random.default_rng(17)
     v = rng.normal(size=3)
     batch_levels = _exp_increment_levels(v[None, :], 4)
-    reference = tensor_exp(tensor_from_level1(v, 4))
+    reference = exp_levels([np.zeros(()), v] + [np.zeros(3**k) for k in range(2, 5)])
     for k in range(1, 5):
-        assert np.array_equal(batch_levels[k][0], reference.level(k))
+        assert np.array_equal(batch_levels[k][0], reference[k])
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +265,13 @@ def test_bad_order_rejected():
     s = np.zeros((2, 2))
     with pytest.raises(ValueError, match="order"):
         signature(s, 0)
+    for order in (2.5, "2", True):
+        with pytest.raises(ValueError, match=f"order must be an integer >= 1, got {order!r}"):
+            signature(s, order)
 
 
 # each function with the ndim of the stream points it takes
-FOLDS = [(signature_many, 3), (log_signature_many, 3), (signature_oracle, 2),
-         (signature_tensor, 2)]
+FOLDS = [(signature_many, 3), (log_signature_many, 3), (signature_oracle, 2)]
 # (n, d) points, extra leading axes beyond the function's ndim, error match
 MALFORMED = {
     "one point": (np.zeros((1, 2)), 0, "at least 2"),
