@@ -376,27 +376,30 @@ def _report(protocol: str, classes, true_idx, parts) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _factor_to_json(row: np.ndarray):
+def _factor_to_json(row: np.ndarray, to_json):
     """A row of exact ones is written as the number 1.0, any other as a list."""
-    return 1.0 if np.all(row == 1.0) else row.tolist()
+    return 1.0 if np.all(row == 1.0) else to_json(row)
 
 
-def model_to_dict(model: ClassModel) -> dict:
+def model_to_dict(model: ClassModel, to_json=np.ndarray.tolist) -> dict:
+    """The model file's JSON object; to_json gives the value written for a
+    representative row and for a factor row that is not all ones."""
+    per_class = {}
+    for z, rep, lam in zip(model.classes, model.representatives, model.factors):
+        lam_json = _factor_to_json(lam, to_json)
+        per_class[z] = {
+            "representative": to_json(rep),
+            "train_count": model.train_counts[z],
+            "lambda_rmse": lam_json,
+            "lambda_mae": lam_json,
+        }
     return {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(model.config),
         "classes": list(model.classes),
         "stream_dim": model.stream_dim,
         "feature_length": model.feature_length,
-        "per_class": {
-            z: {
-                "representative": rep.tolist(),
-                "train_count": model.train_counts[z],
-                "lambda_rmse": _factor_to_json(lam),
-                "lambda_mae": _factor_to_json(lam),
-            }
-            for z, rep, lam in zip(model.classes, model.representatives, model.factors)
-        },
+        "per_class": per_class,
     }
 
 
@@ -474,9 +477,39 @@ def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value) -> None:
     table[zi] = row
 
 
+# save_model dumps the model with this value in place of each row list, then
+# writes the rows' text where the dump shows ': "\u0000"'.  Only a per-class
+# row field can be followed by that text: a label is a list item or a key
+# followed by ': {', and no JSON string holds an unescaped quote.
+_ROW_MARK = "\x00"
+_MARKED = ': "\\u0000"'
+
+
+def _row_text(row: np.ndarray) -> str:
+    """json.dump's indent=2 text of a per-class row list (finite floats)."""
+    return "[\n        " + ",\n        ".join(map(repr, row.tolist())) + "\n      ]"
+
+
+def _row_texts(model: ClassModel):
+    """The text of each marked row of the dump, in document order."""
+    for rep, lam in zip(model.representatives, model.factors):
+        yield _row_text(rep)
+        lam_text = _factor_to_json(lam, _row_text)
+        if isinstance(lam_text, str):  # not the number 1.0
+            yield from (lam_text, lam_text)  # lambda_rmse, lambda_mae
+
+
 def save_model(model: ClassModel, path):
+    """The bytes of json.dump(model_to_dict(model), indent=2) and a newline,
+    written one row at a time into the dumped skeleton of the rest."""
+    skeleton = json.dumps(model_to_dict(model, lambda row: _ROW_MARK), indent=2)
+    parts = skeleton.split(_MARKED)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+        fh.write(parts[0])
+        for row, part in zip(_row_texts(model), parts[1:], strict=True):
+            fh.write(": ")
+            fh.write(row)
+            fh.write(part)
         fh.write("\n")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -115,6 +116,11 @@ def config_from_dict(doc: dict) -> RunConfig:
     kind = dataset.get("kind")
     if kind not in ("four_shapes", "mnist", "cifar10", "image_dir"):
         raise ValueError(f"unknown dataset kind {kind!r}")
+    if kind == "four_shapes" and "size" in dataset and not _is_int(dataset["size"]):
+        raise ValueError(f"dataset 'size' must be an integer, got {dataset['size']!r}")
+    seed = doc.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
     feature = doc.get("feature") or {}
     _check_keys(feature, ("kind", "order"), "feature")
@@ -122,7 +128,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     if doc.get("image_size") is not None:
         model.update(_tuples({"image_size": doc["image_size"]}))
     elif kind == "four_shapes" and "size" in dataset:
-        model["image_size"] = (int(dataset["size"]),) * 2
+        model["image_size"] = (dataset["size"],) * 2
     elif kind in _DEFAULT_SIZES:
         model["image_size"] = _DEFAULT_SIZES[kind]
     elif kind == "image_dir":
@@ -149,9 +155,15 @@ def config_from_dict(doc: dict) -> RunConfig:
     _check_keys(embed, EMBED_DEFAULTS, "embed")
     if not _is_int(embed["samples"]):
         raise ValueError(f"embed 'samples' must be an integer, got {embed['samples']!r}")
+    if not _is_int(embed["iterations"]) or embed["iterations"] < 0:
+        raise ValueError(f"embed 'iterations' must be an integer >= 0, got {embed['iterations']!r}")
+    perplexity = embed["perplexity"]
+    if (isinstance(perplexity, bool) or not isinstance(perplexity, (int, float))
+            or not 0 < perplexity < math.inf):
+        raise ValueError(f"embed 'perplexity' must be a real number > 0, got {perplexity!r}")
 
     return RunConfig(
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         out_dir=str(doc.get("out_dir", "out")),
         dataset=dataset,
         model=ModelConfig(convention=StreamConvention(**(doc.get("stream") or {})), **model),

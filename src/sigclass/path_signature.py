@@ -5,7 +5,9 @@ points in R^d (d >= 1), a batch of equal-length streams is (batch, n, d),
 and features are the flat levels 1..order, one (batch, F) row per stream.
 
 The fast path multiplies per-increment exponentials left to right in the
-truncated tensor algebra (one exponential per stream segment).  A slow
+truncated tensor algebra (one exponential per stream segment), in place in
+buffers allocated once per chunk of streams; their memory layout depends
+on the chunk's width but never changes a bit of the result.  A slow
 iterated-integral quadrature oracle over the piecewise-linear path is kept
 alongside for testing; it shares no code with the product route.
 """
@@ -101,23 +103,41 @@ def _checked_points(points, order: int, ndim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _exp_increment_levels(incs: np.ndarray, order: int) -> list[np.ndarray]:
-    """Levels of exp of a batch of level-1 tensors: level k = inc^(x)k / k!."""
-    batch = incs.shape[0]
-    levels = [np.ones(batch), incs]
-    term = incs
-    for k in range(2, order + 1):
-        term = (term[:, :, None] * incs[:, None, :]).reshape(batch, -1) / k
-        levels.append(term)
-    return levels
+def _exp_increment_into(levels: list[np.ndarray], inc: np.ndarray) -> None:
+    """levels[k] = inc^(x)k / k! for k >= 1, for a (batch, d) increment,
+    each level being the one below times inc, divided by k."""
+    levels[1][...] = inc
+    for k in range(2, len(levels)):
+        prev = levels[k - 1]
+        top = levels[k].reshape(prev.shape + (-1,))
+        np.multiply(prev[:, :, None], inc[:, None, :], out=top)
+        np.divide(levels[k], k, out=levels[k])
 
 
 def _signature_levels(points: np.ndarray, order: int) -> list[np.ndarray]:
-    """Batched signature levels for points of shape (batch, n, d)."""
-    incs = np.diff(points, axis=1)
-    run = _exp_increment_levels(incs[:, 0, :], order)
-    for s in range(1, incs.shape[1]):
-        run = ta.mul_levels(run, _exp_increment_levels(incs[:, s, :], order))
+    """Batched signature levels for points of shape (batch, n, d).
+
+    The running product of the increment exponentials is folded left to
+    right in place, one ta.mul_levels(run, exp, out=run) a step, in buffers
+    allocated once.  When the batch is at least d**(order-1), the longest
+    inner loop an outer product would otherwise run, the buffers keep the
+    batch axis innermost, so narrow streams run long loops over the batch.
+    Every step is element-wise, so the layout changes no bit.
+    """
+    batch, n, d = points.shape
+    batch_inner = batch >= d ** (order - 1)
+
+    def empty(*shape):
+        return np.empty(shape[::-1]).T if batch_inner else np.empty(shape)
+
+    incs = empty(batch, n - 1, d)
+    np.subtract(points[:, 1:], points[:, :-1], out=incs)
+    run, exp, scratch = ([np.ones(batch)] + [empty(batch, d**k) for k in range(1, order + 1)]
+                         for _ in range(3))
+    _exp_increment_into(run, incs[:, 0])
+    for s in range(1, n - 1):
+        _exp_increment_into(exp, incs[:, s])
+        run = ta.mul_levels(run, exp, out=run, scratch=scratch)
     return run
 
 

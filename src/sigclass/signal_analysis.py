@@ -108,6 +108,6 @@ def export_spectrum(model, window: int, polyorder: int, out_dir=None) -> list[Sp
             path = os.path.join(out_dir, f"spectrum_{_safe_filename(label)}.csv")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("index,raw_abs,smoothed\n")
-                for i, (r, s) in enumerate(zip(raw, smoothed)):
-                    fh.write(f"{i},{float(r)!r},{float(s)!r}\n")
+                fh.writelines(f"{i},{r!r},{s!r}\n"
+                              for i, (r, s) in enumerate(zip(raw.tolist(), smoothed.tolist())))
     return out

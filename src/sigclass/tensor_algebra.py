@@ -21,16 +21,33 @@ def feature_length(dim: int, order: int) -> int:
     return sum(dim**k for k in range(1, order + 1))
 
 
-def mul_levels(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """Truncated concatenation product of two level lists."""
+def mul_levels(a: list[np.ndarray], b: list[np.ndarray], out=None, scratch=None
+               ) -> list[np.ndarray]:
+    """Truncated concatenation product of two level lists.
+
+    Level k is (a_0 b_k + a_k b_0) + a_1 (x) b_{k-1} + ... + a_{k-1} (x) b_1,
+    summed in that order.  The product goes into `out` when given, which may
+    be `a` itself: levels are written top first, so each lower level of `a`
+    is still unchanged when it is read.  `scratch`, when given, holds one
+    buffer shaped like out[k] for each k >= 1, for the a_0 b_k and cross
+    terms.  A level 0 that is exactly 1.0 is not multiplied by, since
+    1.0 * x == x bit for bit.
+    """
     order = len(a) - 1
-    out = [a[0] * b[0]]
-    for k in range(1, order + 1):
-        acc = a[0][..., None] * b[k] + a[k] * b[0][..., None]
+    a_one, b_one = bool((a[0] == 1.0).all()), bool((b[0] == 1.0).all())
+    if out is None:
+        out = [None] + [np.empty(np.broadcast(a[k], b[k]).shape) for k in range(1, order + 1)]
+    for k in range(order, 0, -1):
+        acc = out[k]
+        tmp = np.empty_like(acc) if scratch is None else scratch[k]
+        ak_b0 = a[k] if b_one else np.multiply(a[k], b[0][..., None], out=acc)
+        a0_bk = b[k] if a_one else np.multiply(a[0][..., None], b[k], out=tmp)
+        np.add(a0_bk, ak_b0, out=acc)
         for i in range(1, k):
-            cross = a[i][..., :, None] * b[k - i][..., None, :]
-            acc = acc + cross.reshape(a[i].shape[:-1] + (-1,))
-        out.append(acc)
+            cross = tmp.reshape(tmp.shape[:-1] + (a[i].shape[-1], -1))
+            np.multiply(a[i][..., :, None], b[k - i][..., None, :], out=cross)
+            np.add(acc, tmp, out=acc)
+    out[0] = a[0] * b[0]
     return out
 
 

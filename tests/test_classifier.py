@@ -1,4 +1,5 @@
 import copy
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -473,6 +474,33 @@ def test_model_json_roundtrip_exact(tmp_path):
     second = tmp_path / "model2.json"
     save_model(back, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+# Labels that a row marker of the writer could be mistaken for, or that
+# json must escape.
+AWKWARD_LABELS = ("plain", 'quo"te', "back\\slash", "ünï©ødé", "\x00", ': "\x00"',
+                  '"lambda_rmse": "\\u0000"', "representative")
+
+
+@pytest.mark.parametrize("factors", ["random", "none", "mixed"])
+def test_save_model_bytes_equal_json_dump(tmp_path, factors):
+    rng = np.random.default_rng(22)
+    shape = (len(AWKWARD_LABELS), 42)
+    reps = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    reps[0, :8] = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e-300, 1.7976931348623157e308, 1.0]
+    lam = {"random": rng.uniform(0.01, 100.0, size=shape),
+           "none": np.ones(shape),  # calibration.method none: rows written as 1.0
+           "mixed": np.where(np.arange(shape[0])[:, None] % 2, reps, 1.0)}[factors]
+    model = ClassModel(config=cfg(), classes=AWKWARD_LABELS, stream_dim=6,
+                       representatives=reps, factors=lam,
+                       train_counts={z: i for i, z in enumerate(AWKWARD_LABELS)})
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    expected = json.dumps(model_to_dict(model), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    back = load_model(path)
+    assert back.classes == AWKWARD_LABELS
+    assert np.array_equal(back.representatives, reps) and np.array_equal(back.factors, lam)
 
 
 def test_model_schema_version_checked():

@@ -153,9 +153,23 @@ def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, 
      ({"feature": {"order": True}}, "order must be an integer >= 1, got True"),
      ({"budgets": {"train": 2.5}}, "budget 'train' must be an integer >= 0, got 2.5"),
      ({"budgets": {"val": True}}, "budget 'val' must be an integer >= 0, got True"),
-     ({"embed": {"samples": 2.5}}, "embed 'samples' must be an integer, got 2.5")],
+     ({"embed": {"samples": 2.5}}, "embed 'samples' must be an integer, got 2.5"),
+     ({"embed": {"iterations": 2.5}}, "embed 'iterations' must be an integer >= 0, got 2.5"),
+     ({"embed": {"iterations": -1}}, "embed 'iterations' must be an integer >= 0, got -1"),
+     ({"embed": {"perplexity": "5"}}, "embed 'perplexity' must be a real number > 0, got '5'"),
+     ({"embed": {"perplexity": True}}, "embed 'perplexity' must be a real number > 0, got True"),
+     ({"embed": {"perplexity": 0}}, "embed 'perplexity' must be a real number > 0, got 0"),
+     ({"seed": 2.7}, "seed must be an integer >= 0, got 2.7"),
+     ({"seed": True}, "seed must be an integer >= 0, got True"),
+     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+     ({"dataset": {"kind": "four_shapes", "size": 16.9}},
+      "dataset 'size' must be an integer, got 16.9"),
+     ({"dataset": {"kind": "four_shapes", "size": True}},
+      "dataset 'size' must be an integer, got True")],
     ids=["float-order", "string-order", "bool-order", "float-budget", "bool-budget",
-         "float-samples"],
+         "float-samples", "float-iterations", "negative-iterations", "string-perplexity",
+         "bool-perplexity", "zero-perplexity", "float-seed", "bool-seed", "negative-seed",
+         "float-size", "bool-size"],
 )
 def test_non_integer_count_fails_with_a_named_error(tmp_path, capsys, overrides, message):
     config = write_config(tmp_path, **overrides)

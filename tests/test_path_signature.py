@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigclass.path_signature as path_signature
 from sigclass.path_signature import (
     FOLD_BYTES,
     StreamConvention,
-    _exp_increment_levels,
     log_signature_many,
     signature_many,
     signature_oracle,
 )
-from sigclass.tensor_algebra import exp_levels, mul_levels
+from sigclass.tensor_algebra import exp_levels, log_levels, mul_levels
 
 
 def random_stream(rng, n=None, d=None):
@@ -241,13 +242,132 @@ def test_fold_chunk_does_not_change_bits(monkeypatch):
         monkeypatch.setattr(path_signature, "FOLD_BYTES", FOLD_BYTES)
 
 
+# ---------------------------------------------------------------------------
+# the in-place fold against the allocating one it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_mul_levels(a, b):
+    """The allocating truncated product: every level a fresh array."""
+    order = len(a) - 1
+    out = [a[0] * b[0]]
+    for k in range(1, order + 1):
+        acc = a[0][..., None] * b[k] + a[k] * b[0][..., None]
+        for i in range(1, k):
+            cross = a[i][..., :, None] * b[k - i][..., None, :]
+            acc = acc + cross.reshape(a[i].shape[:-1] + (-1,))
+        out.append(acc)
+    return out
+
+
+def _exp_increment_levels(incs, order):
+    """Levels of exp of a batch of level-1 tensors: level k = inc^(x)k / k!."""
+    batch = incs.shape[0]
+    levels = [np.ones(batch), incs]
+    term = incs
+    for k in range(2, order + 1):
+        term = (term[:, :, None] * incs[:, None, :]).reshape(batch, -1) / k
+        levels.append(term)
+    return levels
+
+
+def reference_features(points, order, log=False):
+    """The allocating Chen fold, one fresh level list a step, unchunked."""
+    incs = np.diff(points, axis=1)
+    run = _exp_increment_levels(incs[:, 0, :], order)
+    for s in range(1, incs.shape[1]):
+        run = reference_mul_levels(run, _exp_increment_levels(incs[:, s, :], order))
+    if log:
+        run = log_levels(run)
+    return np.concatenate(run[1:], axis=-1)
+
+
 def test_increment_exp_matches_exp_levels_bitwise():
     rng = np.random.default_rng(17)
     v = rng.normal(size=3)
-    batch_levels = _exp_increment_levels(v[None, :], 4)
+    levels = [np.ones(1)] + [np.empty((1, 3**k)) for k in range(1, 5)]
+    path_signature._exp_increment_into(levels, v[None, :])
     reference = exp_levels([np.zeros(()), v] + [np.zeros(3**k) for k in range(2, 5)])
     for k in range(1, 5):
-        assert np.array_equal(batch_levels[k][0], reference[k])
+        assert np.array_equal(levels[k][0], reference[k])
+        assert np.array_equal(_exp_increment_levels(v[None, :], 4)[k][0], reference[k])
+
+
+@st.composite
+def fold_cases(draw):
+    """(points, order): small batches on both sides of the batch-innermost
+    threshold d**(order-1); coordinates on a coarse grid, so that many
+    increments and products are exact zeros of either sign."""
+    d, order = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    threshold = d ** (order - 1)
+    batch = draw(st.one_of(st.integers(1, min(threshold, 7)),
+                           st.integers(threshold, threshold + 3)))
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(-2, 3, size=(batch, n, d)) * 0.5
+    points = np.where(rng.random((batch, n, d)) < draw(st.sampled_from([0.0, 0.5, 1.0])),
+                      grid, rng.normal(size=(batch, n, d)))
+    return points, order
+
+
+FOLD_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+def same_bytes(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@FOLD_PROPERTY
+@given(fold_cases())
+def test_in_place_fold_is_byte_identical_to_the_allocating_fold(case):
+    points, order = case
+    batch, _, d = points.shape
+    levels = path_signature._signature_levels(points, order)
+    if batch > 1 and d**order > 1:
+        # the layout the fold chose for this shape
+        assert levels[order].flags.f_contiguous == (batch >= d ** (order - 1))
+    assert same_bytes(np.concatenate(levels[1:], axis=-1), reference_features(points, order))
+    assert same_bytes(signature_many(points, order), reference_features(points, order))
+    assert same_bytes(log_signature_many(points, order),
+                      reference_features(points, order, log=True))
+
+
+@FOLD_PROPERTY
+@given(fold_cases(), st.integers(1, 10))
+def test_fold_bits_do_not_depend_on_chunk_or_batch(case, chunk):
+    points, order = case
+    whole = signature_many(points, order), log_signature_many(points, order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(path_signature, "FOLD_BYTES", 8 * points.shape[2] ** order * chunk)
+        assert same_bytes(signature_many(points, order), whole[0])
+        assert same_bytes(log_signature_many(points, order), whole[1])
+    for i in range(points.shape[0]):
+        assert same_bytes(signature_many(points[i : i + 1], order)[0], whole[0][i])
+        assert same_bytes(log_signature_many(points[i : i + 1], order)[0], whole[1][i])
+
+
+@pytest.mark.parametrize("level0", ["zero", "one", "arbitrary"])
+def test_mul_levels_in_place_matches_out_of_place(level0):
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        d, order, batch = (int(v) for v in rng.integers(1, 4, size=3))
+
+        def levels():
+            lv = [rng.normal(size=batch)]
+            lv += [rng.normal(size=(batch, d**k)) for k in range(1, order + 1)]
+            lv[1][:, 0] = 0.0
+            lv[1][:, -1] = -0.0
+            if level0 != "arbitrary":
+                lv[0] = np.full(batch, 0.0 if level0 == "zero" else 1.0)
+            return lv
+
+        a, b = levels(), levels()
+        expected = mul_levels(a, b)
+        assert all(same_bytes(x, y) for x, y in zip(expected, reference_mul_levels(a, b)))
+        a_id = [id(lv) for lv in a[1:]]
+        got = mul_levels(a, b, out=a)
+        assert got is a and [id(lv) for lv in a[1:]] == a_id
+        assert all(same_bytes(x, y) for x, y in zip(got, expected))
 
 
 # ---------------------------------------------------------------------------
