@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .calibration import CalibrationSet, closed_form_lambda, optimize_lambda
+from .calibration import CalibrationSet, _real, closed_form_lambda, optimize_lambda
 from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels, group_by_label
 from .path_signature import (
     LOG_SIGNATURE,
@@ -291,7 +291,9 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
 
 
 def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[str, float]:
-    """Per-class accept threshold: slack times the worst own-class validation score."""
+    """Per-class accept threshold: slack times the worst own-class validation
+    score.  slack must be a finite real > 0."""
+    slack = _real("slack", slack)
     _, blocks, _ = _class_features(val_images, model.config, model.classes)
     return {
         z: float(slack * score_rows(x * lam, rep, model.config.metric).max())

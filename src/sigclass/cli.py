@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .calibration import _real
 from .classifier import (
     ModelConfig,
     PROTOCOLS,
@@ -170,7 +171,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         budgets=budgets,
         calibration=calibration,
         protocol=protocol,
-        ova_slack=float(doc.get("ova_slack", 1.1)),
+        ova_slack=_real("ova_slack", doc.get("ova_slack", 1.1)),
         embed=embed,
     )
 

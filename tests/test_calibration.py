@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sigclass.calibration as calibration
 from sigclass.calibration import (
     CalibrationSet,
     _objective_and_subgrad,
@@ -105,8 +110,9 @@ def test_validation_stored_read_only_without_touching_caller():
 
 
 def test_bad_epsilon_rejected():
-    with pytest.raises(ValueError, match="epsilon"):
-        closed_form_lambda(one_class_set([1.0], [[1.0]]), epsilon=0.0)
+    for epsilon in (0.0, -1e-3, np.nan, np.inf, "1e-3", True, None):
+        with pytest.raises(ValueError, match="^epsilon must be"):
+            closed_form_lambda(one_class_set([1.0], [[1.0]]), epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +184,177 @@ def test_deterministic_on_rerun():
     assert np.array_equal(a, b)
 
 
-def test_invalid_arguments_rejected():
-    cal = one_class_set([1.0], [[1.0]])
-    with pytest.raises(ValueError, match="gamma"):
-        optimize_lambda(cal, gamma=-1.0)
-    with pytest.raises(ValueError, match="iters"):
-        optimize_lambda(cal, iters=0)
+def test_invalid_arguments_rejected(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solver started before checking its arguments")
+
+    monkeypatch.setattr(calibration, "closed_form_lambda", no_work)
+    bad = {
+        "gamma": (-1.0, np.nan, np.inf, "0.1", True),
+        "box": (-1.0, 0.0, -np.inf, np.nan, "50", False),
+        "iters": (0, 2.5, "500", True),
+        "epsilon": (0.0, np.nan, "1e-3", True),
+    }
+    for key, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                optimize_lambda(one_class_set([1.0], [[1.0]]), **{key: value})
+
+
+def test_infinite_box_and_numpy_scalars_accepted():
+    cal = synthetic_two_class(np.random.default_rng(5))
+    a = optimize_lambda(cal, gamma=0.1, box=np.inf, iters=20)
+    b = optimize_lambda(cal, gamma=np.float64(0.1), box=float("inf"), iters=np.int64(20))
+    assert a.tobytes() == b.tobytes()
+
+
+def test_non_finite_objective_names_class_and_iteration():
+    # class "b"'s closed-form start overflows to inf, so its first objective is inf
+    cal = CalibrationSet(
+        representatives=np.array([[1.0, 2.0], [1e300, 1.0]]),
+        validation={"a": np.ones((2, 2)), "b": np.full((2, 2), 1e-300)},
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="class 'b' at iteration 1$"):
+            optimize_lambda(cal, gamma=0.1, box=np.inf, iters=5)
+
+
+# ---------------------------------------------------------------------------
+# the class-batched solver against a per-class reference
+# ---------------------------------------------------------------------------
+
+
+def reference_objective(lam, xs, own_rep, other_reps, gamma):
+    """One class, one representative at a time: the objective as first written."""
+    n = lam.size
+    scaled = lam[None, :] * xs
+    resid_own = scaled - own_rep[None, :]
+    value = np.sum(np.abs(resid_own)) / n
+    grad = np.sign(resid_own) * xs
+    grad = grad.sum(axis=0) / n
+    for rep in other_reps:
+        resid = scaled - rep[None, :]
+        value -= gamma * np.sum(np.abs(resid)) / n
+        grad -= gamma * (np.sign(resid) * xs).sum(axis=0) / n
+    return value, grad
+
+
+def reference_optimize(cal, gamma=0.0, box=1.0, iters=500, epsilon=1e-8):
+    """The per-class descent loop that optimize_lambda must match bit for bit."""
+    start = closed_form_lambda(cal, epsilon=epsilon)
+    reps = cal.representatives
+    out = np.empty(reps.shape)
+    for zi, xs in enumerate(cal.validation.values()):
+        own = reps[zi]
+        others = [rep for oi, rep in enumerate(reps) if oi != zi]
+        lam = np.clip(start[zi], -box, box)
+        best_val = np.inf
+        for t in range(1, iters + 1):
+            value, grad = reference_objective(lam, xs, own, others, gamma)
+            assert np.isfinite(value)
+            if value < best_val:
+                best_val, out[zi] = value, lam
+            lam = np.clip(lam - (calibration.STEP0 / np.sqrt(t)) * grad, -box, box)
+        final_val, _ = reference_objective(lam, xs, own, others, gamma)
+        if np.isfinite(final_val) and final_val < best_val:
+            out[zi] = lam
+    return out
+
+
+# a grid with exact ties and both signed zeros, so residuals hit the kinks
+GRID = st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+VALUES = st.one_of(GRID, st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+@st.composite
+def solver_problems(draw):
+    z = draw(st.integers(1, 5))
+    f = draw(st.sampled_from([1, 2, 3, 7, 16]))
+    if draw(st.booleans()):
+        counts = [draw(st.integers(1, 4))] * z
+    else:
+        counts = draw(st.lists(st.integers(1, 4), min_size=z, max_size=z))
+
+    def matrix(rows):
+        return np.array(draw(st.lists(VALUES, min_size=rows * f, max_size=rows * f))).reshape(rows, f)
+
+    cal = CalibrationSet(representatives=matrix(z),
+                         validation={f"c{i}": matrix(n) for i, n in enumerate(counts)})
+    kwargs = {
+        "gamma": draw(st.sampled_from([0.0, 0.1, 0.35])),
+        "box": draw(st.sampled_from([0.5, 3.0, np.inf])),
+        "iters": draw(st.integers(1, 100)),
+        "epsilon": draw(st.sampled_from([1e-8, 1e-3])),
+    }
+    return cal, kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=solver_problems())
+def test_batched_solver_matches_per_class_loop(problem):
+    cal, kwargs = problem
+    expected = reference_optimize(cal, **kwargs)
+    assert optimize_lambda(cal, **kwargs).tobytes() == expected.tobytes()
+    # the kernel's per-class form keeps the reference's bits too
+    reps, start = cal.representatives, np.clip(closed_form_lambda(cal), -1.0, 1.0)
+    for zi, xs in enumerate(cal.validation.values()):
+        others = [rep for oi, rep in enumerate(reps) if oi != zi]
+        got = _objective_and_subgrad(start[zi], xs, reps[zi], others, kwargs["gamma"])
+        want = reference_objective(start[zi], xs, reps[zi], others, kwargs["gamma"])
+        assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
+
+
+def uneven_problems(seed, count=12):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        z = int(rng.integers(2, 6))
+        f = int(rng.choice([1, 5, 40]))
+        counts = [3] * (z - 1) + [int(rng.integers(1, 5))]
+        reps = rng.normal(size=(z, f))
+        val = {f"c{i}": reps[i] + 0.3 * rng.normal(size=(n, f)) for i, n in enumerate(counts)}
+        yield CalibrationSet(reps, val)
+
+
+@pytest.mark.parametrize("budget", ["one byte", "whole problem"])
+def test_batched_solver_matches_under_any_budget(monkeypatch, budget):
+    seen = {"block": 0, "chunk": []}
+    kernel = calibration._objective_and_subgrad
+
+    def recording_kernel(lam, xs, own_rep, other_reps, gamma, scratch=None):
+        result = kernel(lam, xs, own_rep, other_reps, gamma, scratch)
+        seen["block"] = max(seen["block"], len(lam))
+        seen["chunk"].append(len(scratch[0]))  # the first chunk's buffer holds the widest chunk
+        return result
+
+    monkeypatch.setattr(calibration, "_objective_and_subgrad", recording_kernel)
+    for cal in uneven_problems(7):
+        whole = sum(x.nbytes for x in cal.validation.values()) * len(cal.classes)
+        monkeypatch.setattr(calibration, "SOLVE_BYTES", 1 if budget == "one byte" else whole)
+        expected = reference_optimize(cal, gamma=0.2, box=4.0, iters=30)
+        assert optimize_lambda(cal, gamma=0.2, box=4.0, iters=30).tobytes() == expected.tobytes()
+    if budget == "one byte":
+        assert seen["block"] == 1 and set(seen["chunk"]) == {1}
+    else:
+        assert seen["block"] > 1 and max(seen["chunk"]) > 1
+
+
+def test_solver_memory_stays_within_the_budget(monkeypatch):
+    """Every solver temporary is at most max(SOLVE_BYTES, one (n, F) matrix).
+    At most four are live at once (the validation stack, the scaled stack
+    and two residual buffers), beside numpy's own iteration buffers and the
+    (Z, F) start and result."""
+    rng = np.random.default_rng(8)
+    z, n, f = 6, 16, 1024
+    reps = rng.normal(size=(z, f))
+    cal = CalibrationSet(reps, {f"c{i}": reps[i] + rng.normal(size=(n, f)) for i in range(z)})
+    matrix = n * f * 8
+    for budget in (1, 2 * matrix):
+        monkeypatch.setattr(calibration, "SOLVE_BYTES", budget)
+        tracemalloc.start()
+        try:
+            optimize_lambda(cal, gamma=0.1, box=5.0, iters=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # every class against every representative at once would be z * z = 36 matrices
+        assert peak <= 6 * max(budget, matrix) + 2 * reps.nbytes, (budget, peak)

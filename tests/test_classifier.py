@@ -221,6 +221,13 @@ def test_ova_thresholds_cover_validation():
         assert scores[im.label] <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("slack", [0, -2.0, np.nan, np.inf, True, "1.1"])
+def test_ova_thresholds_reject_bad_slack(slack):
+    tr, va, _ = shapes_split()
+    with pytest.raises(ValueError, match="^slack must be"):
+        ova_thresholds(fit(tr, cfg(size=16)), va, slack=slack)
+
+
 def test_ova_vs_fixed_accuracy_recorded():
     # recorded for inspection, not asserted: the two deployable protocols
     # typically land close together on the desk-scale shapes

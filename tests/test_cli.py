@@ -165,11 +165,29 @@ def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, 
      ({"dataset": {"kind": "four_shapes", "size": 16.9}},
       "dataset 'size' must be an integer, got 16.9"),
      ({"dataset": {"kind": "four_shapes", "size": True}},
-      "dataset 'size' must be an integer, got True")],
+      "dataset 'size' must be an integer, got True"),
+     ({"ova_slack": True}, "ova_slack must be a real number, got True"),
+     ({"ova_slack": 0}, "ova_slack must be finite and > 0, got 0"),
+     ({"ova_slack": -2.0}, "ova_slack must be finite and > 0, got -2.0"),
+     ({"ova_slack": "abc"}, "ova_slack must be a real number, got 'abc'"),
+     ({"calibration": {"method": "optimize", "box": -1.0, "iters": 5}},
+      "box must be > 0, got -1.0"),
+     ({"calibration": {"method": "optimize", "iters": "500"}},
+      "iters must be an integer >= 1, got '500'"),
+     ({"calibration": {"method": "optimize", "iters": 2.5}},
+      "iters must be an integer >= 1, got 2.5"),
+     ({"calibration": {"method": "optimize", "gamma": "0.1"}},
+      "gamma must be a real number, got '0.1'"),
+     ({"calibration": {"method": "optimize", "epsilon": "1e-3"}},
+      "epsilon must be a real number, got '1e-3'"),
+     ({"calibration": {"method": "optimize", "epsilon": float("nan")}},
+      "epsilon must be finite and > 0, got nan")],
     ids=["float-order", "string-order", "bool-order", "float-budget", "bool-budget",
          "float-samples", "float-iterations", "negative-iterations", "string-perplexity",
          "bool-perplexity", "zero-perplexity", "float-seed", "bool-seed", "negative-seed",
-         "float-size", "bool-size"],
+         "float-size", "bool-size", "bool-slack", "zero-slack", "negative-slack", "string-slack",
+         "negative-box", "string-iters", "float-iters", "string-gamma", "string-epsilon",
+         "nan-epsilon"],
 )
 def test_non_integer_count_fails_with_a_named_error(tmp_path, capsys, overrides, message):
     config = write_config(tmp_path, **overrides)
