@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CalibrationSet", "closed_form_lambda", "optimize_lambda"]
+__all__ = ["CalibrationSet", "METHODS", "closed_form_lambda", "optimize_lambda", "solver_settings"]
+
+# Each calibration method with the solver keywords it takes
+METHODS = {"none": (), "closed_form": ("epsilon",), "optimize": ("gamma", "box", "iters", "epsilon")}
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ def closed_form_lambda(cal: CalibrationSet, epsilon: float = 1e-8) -> np.ndarray
     mean_v(representative / x_v).  Divisors smaller than epsilon in
     magnitude are replaced by sign-preserving epsilon.
     """
-    epsilon = _real("epsilon", epsilon)
+    epsilon = _setting("epsilon", epsilon)
     out = np.empty(cal.representatives.shape)
     for zi, (rep, xs) in enumerate(zip(cal.representatives, cal.validation.values())):
         out[zi] = (rep[None, :] / _guarded(xs, epsilon)).mean(axis=0)
@@ -95,6 +98,30 @@ def _real(name: str, value, *, zero_ok: bool = False, inf_ok: bool = False) -> f
         bound = f"{'' if inf_ok else 'finite and '}{'>=' if zero_ok else '>'} 0"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return number
+
+
+def _setting(key: str, value):
+    """One solver setting as its solver uses it, or a ValueError naming it:
+    iters an integer >= 1, gamma a finite real >= 0, box a real > 0 (inf
+    allowed), epsilon a finite real > 0; bools and strings are rejected."""
+    if key != "iters":
+        return _real(key, value, zero_ok=key == "gamma", inf_ok=key == "box")
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {value!r}")
+    return value
+
+
+def solver_settings(method: str, settings: dict) -> dict:
+    """The solver keywords of a calibration method, each checked as its
+    solver checks it, so that a bad setting is named before any data is
+    read; a ValueError for an unknown method, a key the method does not
+    take (see METHODS) or a bad value."""
+    if method not in METHODS:
+        raise ValueError(f"unknown calibration method {method!r}")
+    unknown = sorted(set(settings) - set(METHODS[method]))
+    if unknown:
+        raise ValueError(f"calibration method {method!r} takes no key {unknown[0]!r}")
+    return {key: _setting(key, value) for key, value in settings.items()}
 
 
 def _objective_and_subgrad(lam, xs, own_rep, other_reps, gamma, scratch=None):
@@ -161,11 +188,8 @@ def optimize_lambda(
     integer >= 1 and epsilon a finite real > 0; anything else, bools and
     strings included, is a ValueError naming the argument.
     """
-    gamma = _real("gamma", gamma, zero_ok=True)
-    box = _real("box", box, inf_ok=True)
-    if isinstance(iters, (bool, np.bool_)) or not isinstance(iters, numbers.Integral) or iters < 1:
-        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-    epsilon = _real("epsilon", epsilon)
+    gamma, box, iters, epsilon = (_setting(key, value) for key, value in (
+        ("gamma", gamma), ("box", box), ("iters", iters), ("epsilon", epsilon)))
 
     start = closed_form_lambda(cal, epsilon=epsilon)
     reps, labels = cal.representatives, cal.classes

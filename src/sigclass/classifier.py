@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .calibration import CalibrationSet, _real, closed_form_lambda, optimize_lambda
+from .calibration import (
+    CalibrationSet,
+    _real,
+    closed_form_lambda,
+    optimize_lambda,
+    solver_settings,
+)
 from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels, group_by_label
 from .path_signature import (
     LOG_SIGNATURE,
@@ -220,19 +226,15 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
     method "closed_form" averages element-wise ratios (metric-independent);
     method "optimize" runs the projected subgradient solver on the MAE
     separation objective.  Either result is the factor table used under
-    both metrics.  method "none" resets the factors to the identity.
+    both metrics.  method "none" resets the factors to the identity.  An
+    unknown method, or a keyword the method's solver does not take or a
+    value it rejects, is a ValueError before any feature is computed.
     """
+    kwargs = solver_settings(method, kwargs)
     if method == "none":
-        if kwargs:
-            raise ValueError(f"calibration method 'none' takes no key {sorted(kwargs)[0]!r}")
         return replace(model, factors=None)
-    cal = calibration_set(model, val_images)
-    if method == "closed_form":
-        factors = closed_form_lambda(cal, **kwargs)
-    elif method == "optimize":
-        factors = optimize_lambda(cal, **kwargs)
-    else:
-        raise ValueError(f"unknown calibration method {method!r}")
+    solver = closed_form_lambda if method == "closed_form" else optimize_lambda
+    factors = solver(calibration_set(model, val_images), **kwargs)
     return replace(model, factors=factors)
 
 
@@ -412,6 +414,7 @@ _NESTED = {"convention": StreamConvention, "augment": AugmentSpec}
 def _config_from_dict(doc: dict, cls):
     """cls from a model file's JSON object holding every one of its fields;
     lists become tuples and nested config objects are built the same way."""
+    _json_object(doc, "'config'")
     missing = [f.name for f in fields(cls) if f.name not in doc]
     if missing:
         raise ValueError(f"model file 'config' lacks field {missing[0]!r}")
@@ -424,7 +427,22 @@ def _config_from_dict(doc: dict, cls):
     return cls(**values)
 
 
+def _json_object(value, where: str) -> dict:
+    """value, or a ValueError unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"model file {where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _count(value, where: str) -> int:
+    """value, or a ValueError unless it is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"model file {where} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def model_from_dict(doc: dict) -> ClassModel:
+    _json_object(doc, "top level")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     for key in ("config", "stream_dim", "feature_length"):
@@ -434,10 +452,11 @@ def model_from_dict(doc: dict) -> ClassModel:
     classes = tuple(doc.get("classes") or ())
     if not classes:
         raise ValueError("model file lists no classes")
-    missing = [z for z in classes if z not in doc.get("per_class", {})]
+    per_class = _json_object(doc.get("per_class", {}), "field 'per_class'")
+    missing = [z for z in classes if z not in per_class]
     if missing:
         raise ValueError(f"model file 'per_class' lacks classes: {missing}")
-    stream_dim = int(doc["stream_dim"])
+    stream_dim = _count(doc["stream_dim"], "field 'stream_dim'")
     shape = (len(classes), feature_length(stream_dim, config.order))
     if doc["feature_length"] != shape[1]:
         raise ValueError(
@@ -446,11 +465,11 @@ def model_from_dict(doc: dict) -> ClassModel:
         )
     reps, factors, counts = np.empty(shape), np.empty(shape), {}
     for zi, z in enumerate(classes):
-        entry = doc["per_class"][z]
+        entry = _json_object(per_class[z], f"class {z!r}")
         try:
             _fill_row(reps, zi, z, "representative", entry["representative"])
             _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
-            counts[z] = int(entry["train_count"])
+            counts[z] = _count(entry["train_count"], f"class {z!r} field 'train_count'")
             if entry["lambda_mae"] != entry["lambda_rmse"]:
                 raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
         except KeyError as exc:

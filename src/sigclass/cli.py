@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import _real
+from .calibration import _real, solver_settings
 from .classifier import (
     ModelConfig,
     PROTOCOLS,
@@ -145,8 +145,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     calibration = dict(doc.get("calibration") or {})
     calibration.setdefault("method", "closed_form")
-    if calibration["method"] not in ("none", "closed_form", "optimize"):
-        raise ValueError(f"unknown calibration method {calibration['method']!r}")
+    solver_settings(calibration["method"], {k: v for k, v in calibration.items() if k != "method"})
 
     protocol = doc.get("protocol", "fixed")
     if protocol not in PROTOCOLS:

@@ -58,6 +58,16 @@ def test_criterion_1_signature_matches_quadrature_oracle():
         p = rng.normal(size=(n, d))
         worst = max(worst, _relerr(signature_many(p[None], order)[0],
                                    signature_oracle(p, order)))
+    # streams with still coordinates (+0.0, -0.0 and a nonzero constant),
+    # which the fold skips, and a repeated point
+    for _ in range(10):
+        n = int(rng.integers(3, 7))
+        order = int(rng.integers(1, 4))
+        p = rng.normal(size=(n, 5))
+        p[:, 2:] = [0.0, -0.0, rng.normal()]
+        p[2] = p[1]
+        worst = max(worst, _relerr(signature_many(p[None], order)[0],
+                                   signature_oracle(p, order)))
     elapsed = time.time() - start
     _report(
         "criterion 1: Chen signature vs iterated-integral oracle",

@@ -500,7 +500,7 @@ def test_save_model_bytes_equal_json_dump(tmp_path, factors):
            "mixed": np.where(np.arange(shape[0])[:, None] % 2, reps, 1.0)}[factors]
     model = ClassModel(config=cfg(), classes=AWKWARD_LABELS, stream_dim=6,
                        representatives=reps, factors=lam,
-                       train_counts={z: i for i, z in enumerate(AWKWARD_LABELS)})
+                       train_counts={z: i + 1 for i, z in enumerate(AWKWARD_LABELS)})
     path = tmp_path / "model.json"
     save_model(model, path)
     expected = json.dumps(model_to_dict(model), indent=2) + "\n"
@@ -560,6 +560,55 @@ def test_model_schema_version_checked():
                 parent["lambda_mae"] = value
         with pytest.raises(ValueError, match=match):
             model_from_dict(doc)
+
+
+# (where in the model document, value; () for the whole document, which
+# becomes a one-item list), error match
+MALFORMED_MODELS = {
+    "null stream_dim": (("stream_dim",), None, "'stream_dim' must be an integer >= 1, got None"),
+    "float stream_dim": (("stream_dim",), 16.7, "'stream_dim' must be an integer >= 1, got 16.7"),
+    "bool stream_dim": (("stream_dim",), True, "'stream_dim' must be an integer >= 1, got True"),
+    "zero stream_dim": (("stream_dim",), 0, "'stream_dim' must be an integer >= 1, got 0"),
+    "null train_count": (("per_class", "a", "train_count"), None,
+                         "class 'a' field 'train_count' must be an integer >= 1, got None"),
+    "float train_count": (("per_class", "a", "train_count"), 2.5,
+                          "class 'a' field 'train_count' must be an integer >= 1, got 2.5"),
+    "negative train_count": (("per_class", "a", "train_count"), -3,
+                             "class 'a' field 'train_count' must be an integer >= 1, got -3"),
+    "bool train_count": (("per_class", "a", "train_count"), True,
+                         "class 'a' field 'train_count' must be an integer >= 1, got True"),
+    "top-level array": ((), None, "top level must be a JSON object, got list"),
+    "per_class entry not an object": (("per_class", "a"), [1.0],
+                                      "class 'a' must be a JSON object, got list"),
+    "per_class not an object": (("per_class",), ["a"],
+                                "field 'per_class' must be a JSON object, got list"),
+    "config not an object": (("config",), 2, "'config' must be a JSON object, got int"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_malformed_model_file_is_a_named_error(case):
+    path, value, match = MALFORMED_MODELS[case]
+    doc = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a", "b"]), cfg()))
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = [doc]
+    with pytest.raises(ValueError, match=match):
+        model_from_dict(doc)
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    tr, va, _ = shapes_split(per_class=6, train=3, val=3)
+    for method in ("none", "closed_form"):
+        model = calibrate(fit(tr, cfg(size=16)), va, method=method)
+        first, second = tmp_path / f"{method}-1.json", tmp_path / f"{method}-2.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_scalar_lambda_serialization():

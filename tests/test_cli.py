@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sigclass.cli as cli
-from sigclass.calibration import closed_form_lambda, optimize_lambda
+from sigclass.calibration import METHODS, closed_form_lambda, optimize_lambda
 from sigclass.cli import main
 from sigclass.classifier import ModelConfig, load_model
 from sigclass.data_io import (
@@ -83,6 +83,8 @@ def test_readme_calibration_keys_match_solver_parameters():
     for name, solver in solvers.items():
         params = inspect.signature(solver).parameters.values()
         assert named[name] == {p.name for p in params if p.default is not p.empty}, name
+        # the keys the config loader accepts for the method
+        assert set(METHODS[name.removesuffix("_lambda")]) == named[name], name
 
 
 def test_missing_section_keys_take_library_defaults():
@@ -191,6 +193,30 @@ def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, 
 )
 def test_non_integer_count_fails_with_a_named_error(tmp_path, capsys, overrides, message):
     config = write_config(tmp_path, **overrides)
+    assert main(["fit", "--config", str(config)]) == 1
+    assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "calibration, message",
+    [({"method": "optimize", "box": -1.0}, "box must be > 0, got -1.0"),
+     ({"method": "optimize", "iter": 3}, "calibration method 'optimize' takes no key 'iter'"),
+     ({"method": "optimize", "iters": 0}, "iters must be an integer >= 1, got 0"),
+     ({"method": "closed_form", "gamma": 0.1},
+      "calibration method 'closed_form' takes no key 'gamma'"),
+     ({"epsilon": 0.0}, "epsilon must be finite and > 0, got 0.0"),
+     ({"method": "none", "epsilon": 1e-8}, "calibration method 'none' takes no key 'epsilon'"),
+     ({"method": "bogus"}, "unknown calibration method 'bogus'")],
+    ids=["negative-box", "unknown-key", "zero-iters", "closed-form-gamma", "zero-epsilon",
+         "none-epsilon", "unknown-method"],
+)
+def test_calibration_settings_are_checked_before_data_is_loaded(
+        tmp_path, capsys, monkeypatch, calibration, message):
+    def load_pools(config):
+        raise AssertionError("fit loaded data before checking its calibration settings")
+
+    monkeypatch.setattr(cli, "load_pools", load_pools)
+    config = write_config(tmp_path, calibration=calibration)
     assert main(["fit", "--config", str(config)]) == 1
     assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigclass.path_signature as path_signature
+import sigclass.tensor_algebra as ta
 from sigclass.path_signature import (
     FOLD_BYTES,
     StreamConvention,
@@ -228,9 +229,9 @@ def test_fold_chunk_does_not_change_bits(monkeypatch):
     pts = rng.random((5, 4, 28))
     top_level_bytes = 8 * 28**3
     assert FOLD_BYTES // top_level_bytes < pts.shape[0]
-    fold, chunks = path_signature._signature_levels, []
-    monkeypatch.setattr(path_signature, "_signature_levels",
-                        lambda p, order: chunks.append(p.shape[0]) or fold(p, order))
+    fold, chunks = path_signature._fold_into, []
+    monkeypatch.setattr(path_signature, "_fold_into",
+                        lambda out, p, *args: chunks.append(p.shape[0]) or fold(out, p, *args))
     for many in (signature_many, log_signature_many):
         derived = many(pts, 3)
         # a budget below one stream's top level still folds one stream at a time
@@ -297,8 +298,12 @@ def test_increment_exp_matches_exp_levels_bitwise():
 def fold_cases(draw):
     """(points, order): small batches on both sides of the batch-innermost
     threshold d**(order-1); coordinates on a coarse grid, so that many
-    increments and products are exact zeros of either sign."""
-    d, order = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    increments and products are exact zeros of either sign.  Some columns
+    are still (+0.0, -0.0 or a nonzero constant throughout) or move only by
+    -0.0, and some points repeat the one before, in every stream of the
+    batch or in one stream only."""
+    d = draw(st.integers(1, 6))
+    order = draw(st.integers(1, 4 if d <= 4 else 3))
     threshold = d ** (order - 1)
     batch = draw(st.one_of(st.integers(1, min(threshold, 7)),
                            st.integers(threshold, threshold + 3)))
@@ -307,6 +312,13 @@ def fold_cases(draw):
     grid = rng.integers(-2, 3, size=(batch, n, d)) * 0.5
     points = np.where(rng.random((batch, n, d)) < draw(st.sampled_from([0.0, 0.5, 1.0])),
                       grid, rng.normal(size=(batch, n, d)))
+    still = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for j in np.flatnonzero(rng.random(d) < still):
+        fills = (0.0, -0.0, rng.normal(), np.where(rng.random((batch, n)) < 0.5, 0.0, -0.0))
+        points[:, :, j] = fills[rng.integers(len(fills))]
+    for s in np.flatnonzero(rng.random(n - 1) < draw(st.sampled_from([0.0, 0.3, 0.7]))):
+        rows = slice(None) if rng.random() < 0.7 else int(rng.integers(batch))
+        points[rows, s + 1] = points[rows, s]
     return points, order
 
 
@@ -322,12 +334,15 @@ def same_bytes(x, y):
 def test_in_place_fold_is_byte_identical_to_the_allocating_fold(case):
     points, order = case
     batch, _, d = points.shape
-    levels = path_signature._signature_levels(points, order)
-    if batch > 1 and d**order > 1:
+    narrowed, level_lists = path_signature._narrowed, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(path_signature, "_narrowed",
+                   lambda *args: level_lists.append(narrowed(*args)) or level_lists[-1])
+        assert same_bytes(signature_many(points, order), reference_features(points, order))
+    top = level_lists[0][order]
+    if batch > 1 and top.shape[1] > 1:
         # the layout the fold chose for this shape
-        assert levels[order].flags.f_contiguous == (batch >= d ** (order - 1))
-    assert same_bytes(np.concatenate(levels[1:], axis=-1), reference_features(points, order))
-    assert same_bytes(signature_many(points, order), reference_features(points, order))
+        assert top.flags.f_contiguous == (batch >= d ** (order - 1))
     assert same_bytes(log_signature_many(points, order),
                       reference_features(points, order, log=True))
 
@@ -344,6 +359,42 @@ def test_fold_bits_do_not_depend_on_chunk_or_batch(case, chunk):
     for i in range(points.shape[0]):
         assert same_bytes(signature_many(points[i : i + 1], order)[0], whole[0][i])
         assert same_bytes(log_signature_many(points[i : i + 1], order)[0], whole[1][i])
+
+
+def test_fold_skips_still_steps_and_still_coordinates(monkeypatch):
+    # d = 6: three coordinates move, three are still (+0.0, -0.0 and a
+    # nonzero constant); k points repeat the one before
+    rng = np.random.default_rng(20)
+    n, order = 7, 3
+    base = rng.normal(size=(2, n, 6))
+    base[:, :, 3:] = [0.0, -0.0, 2.5]
+    mul, widths = ta.mul_levels, []
+    monkeypatch.setattr(ta, "mul_levels",
+                        lambda a, b, **kw: widths.append(a[1].shape[-1]) or mul(a, b, **kw))
+    for k in range(4):
+        repeats = np.ones(n, dtype=int)
+        repeats[1 : k + 1] = 2  # each a still step after the first
+        points = np.repeat(base, repeats, axis=1)
+        # one stream: n + k - 1 steps, the first an exponential, k of them still
+        widths.clear()
+        assert same_bytes(signature_many(points[:1], order), reference_features(points[:1], order))
+        assert widths == [4] * (n - 2)
+        # the second stream moves coordinate 3 and repeats the same points
+        points[1, :, 3] = np.repeat(rng.normal(size=n), repeats)
+        widths.clear()
+        assert same_bytes(signature_many(points, order), reference_features(points, order))
+        assert widths == [5] * (n - 2)
+
+
+def test_still_step_after_overflow_is_folded_in_full():
+    # level 2 overflows at the first step, and the full fold's next product
+    # turns level 3 into NaN where a skipped step would leave inf
+    points = np.array([[[0.0, 0.0], [1e160, -3e119], [1e160, -3e119], [2e160, 1e119]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_features(points, 3)
+        assert np.isnan(expected).any()
+        assert same_bytes(signature_many(points, 3), expected)
+        assert same_bytes(log_signature_many(points, 3), reference_features(points, 3, log=True))
 
 
 @pytest.mark.parametrize("level0", ["zero", "one", "arbitrary"])
