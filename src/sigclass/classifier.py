@@ -445,17 +445,25 @@ def model_from_dict(doc: dict) -> ClassModel:
     _json_object(doc, "top level")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    for key in ("config", "stream_dim", "feature_length"):
+    for key in ("config", "classes", "stream_dim", "feature_length"):
         if key not in doc:
             raise ValueError(f"model file lacks field {key!r}")
     config = _config_from_dict(doc["config"], ModelConfig)
-    classes = tuple(doc.get("classes") or ())
+    classes = doc.get("classes")
+    if not isinstance(classes, list) or not all(isinstance(z, str) for z in classes):
+        raise ValueError(f"model file field 'classes' must be a JSON list of strings, got {classes!r}")
     if not classes:
         raise ValueError("model file lists no classes")
+    if len(set(classes)) != len(classes):
+        raise ValueError(f"model file field 'classes' repeats a class: {classes!r}")
+    classes = tuple(classes)
     per_class = _json_object(doc.get("per_class", {}), "field 'per_class'")
     missing = [z for z in classes if z not in per_class]
     if missing:
         raise ValueError(f"model file 'per_class' lacks classes: {missing}")
+    extra = sorted(set(per_class) - set(classes))
+    if extra:
+        raise ValueError(f"model file 'per_class' has classes not in 'classes': {extra}")
     stream_dim = _count(doc["stream_dim"], "field 'stream_dim'")
     shape = (len(classes), feature_length(stream_dim, config.order))
     if doc["feature_length"] != shape[1]:

@@ -41,9 +41,12 @@ from .data_io import (
     ensure_channels,
     gen_four_shapes,
     group_by_label,
+    _real_band,
     load_cifar10,
     load_image_dir,
     load_mnist_idx,
+    read_cifar10_labels,
+    read_mnist_labels,
     resize,
     write_pnm,
 )
@@ -194,18 +197,23 @@ def _jitter(section) -> ShapeJitter:
     section = dict(section or {})
     if "rotation" in section:
         raise ValueError("unknown dataset.jitter key 'rotation'; give the band as 'rotation_deg'")
+    _check_keys(section, ("center_frac", "scale_range", "rotation_deg"), "dataset.jitter")
     if "rotation_deg" in section:
         rot = section.pop("rotation_deg")
-        section["rotation"] = None if rot is None else tuple(np.deg2rad(v) for v in rot)
+        if rot is not None:
+            rot = tuple(np.deg2rad(_real_band("dataset.jitter 'rotation_deg'", rot)))
+        section["rotation"] = rot
     return ShapeJitter(**_tuples(section))
 
 
-class _ShapeRef(NamedTuple):
-    """A four-shapes sample before it is rendered: its label and its
-    (class index, sample index) key into gen_four_shapes."""
+class _Ref(NamedTuple):
+    """A pool sample before it is rendered or read: its label and its key.
+    A four-shapes key is the (class index, sample index) of
+    gen_four_shapes; a file dataset's key is ("train" or "test", the index
+    of the record in that part's files)."""
 
     label: str
-    key: tuple[int, int]
+    key: tuple
 
 
 def _shape_params(config: RunConfig) -> dict:
@@ -222,33 +230,43 @@ def _shape_params(config: RunConfig) -> dict:
     }
 
 
-def load_pools(config: RunConfig) -> tuple[list, list[LabeledImage] | None]:
+def _part_files(config: RunConfig, part: str) -> tuple:
+    """The file arguments of an MNIST or CIFAR-10 part, "train" or "test",
+    for its label reader and loader; () when the config names none."""
+    ds = config.dataset
+    if ds["kind"] == "mnist":
+        return (ds[f"{part}_images"], ds[f"{part}_labels"]) if ds.get(f"{part}_images") else ()
+    return (ds[f"{part}_batches"],) if ds.get(f"{part}_batches") else ()
+
+
+def load_pools(config: RunConfig) -> tuple[list, list | None]:
     """(train/validation pool, separate test pool or None).
 
-    A four-shapes pool is a list of unrendered `_ShapeRef`s in the order
-    gen_four_shapes renders the whole set; `prepare_images` renders only
-    the ones a command keeps.
+    Four-shapes, MNIST and CIFAR-10 pools are lists of unloaded `_Ref`s:
+    four-shapes in the order gen_four_shapes renders the whole set, and
+    file datasets in record order, read from their labels alone.
+    `prepare_images` renders or reads only the ones a command keeps.
     """
     ds = config.dataset
     kind = ds["kind"]
     if kind == "four_shapes":
         per_class = _shape_params(config)["per_class"]
         pool = [
-            _ShapeRef(label, (ci, i))
+            _Ref(label, (ci, i))
             for ci, label in enumerate(SHAPE_LABELS)
             for i in range(per_class)
         ]
         return pool, None
-    if kind == "mnist":
-        train = load_mnist_idx(ds["train_images"], ds["train_labels"])
-        test = None
-        if ds.get("test_images"):
-            test = load_mnist_idx(ds["test_images"], ds["test_labels"])
-        return train, test
-    if kind == "cifar10":
-        train = load_cifar10(ds["train_batches"])
-        test = load_cifar10(ds["test_batches"]) if ds.get("test_batches") else None
-        return train, test
+    if kind in ("mnist", "cifar10"):
+        read = read_mnist_labels if kind == "mnist" else read_cifar10_labels
+        pools = {}
+        for part in ("train", "test"):
+            files = _part_files(config, part)
+            if files:
+                pools[part] = [_Ref(str(z), (part, i)) for i, z in enumerate(read(*files).tolist())]
+        if "train" not in pools:
+            raise ValueError(f"dataset kind {kind!r} names no train files")
+        return pools["train"], pools.get("test")
     if kind == "image_dir":
         train = load_image_dir(ds["root"])
         test = load_image_dir(ds["test_root"]) if ds.get("test_root") else None
@@ -287,19 +305,53 @@ def split_dataset(config: RunConfig, pool, test_pool=None):
     return train, val, test
 
 
-def prepare_images(images, config: RunConfig) -> list[LabeledImage]:
-    """Render the four-shapes refs among a split's items, in one
-    gen_four_shapes call, then resize each image not already at the
-    configured size (channels are handled by the model's feature
-    extraction).  Images at size are returned as they are."""
-    if config.dataset["kind"] == "four_shapes":
-        images = gen_four_shapes(**_shape_params(config), samples=[r.key for r in images])
+def embed_sample(config: RunConfig, pool, test_pool, samples: int) -> list:
+    """The items embed maps: a seeded choice of `samples` of the pool and
+    the test pool together, in pool order; all of them when there are no
+    more."""
+    items = list(pool) + list(test_pool or [])
+    if len(items) > samples:
+        idx = _permutation(config, 2000, len(items))[:samples]
+        items = [items[i] for i in sorted(idx)]
+    return items
+
+
+def prepare_images(items, config: RunConfig) -> list[LabeledImage]:
+    """The images of a split's items at the configured size (channels are
+    handled by the model's feature extraction).
+
+    Refs are rendered in one gen_four_shapes call, or read with one loader
+    call per file part.  Images already at size are returned as they are;
+    the others are resized one stack per source shape.
+    """
+    kind = config.dataset["kind"]
+    if kind == "four_shapes":
+        images = gen_four_shapes(**_shape_params(config), samples=[r.key for r in items])
+    elif kind in ("mnist", "cifar10"):
+        load = load_mnist_idx if kind == "mnist" else load_cifar10
+        images = [None] * len(items)
+        for part in ("train", "test"):
+            at = [j for j, ref in enumerate(items) if ref.key[0] == part]
+            if at:
+                records = [items[j].key[1] for j in at]
+                for j, im in zip(at, load(*_part_files(config, part), records=records)):
+                    images[j] = im
+    else:
+        images = list(items)
+
     h, w = config.model.image_size
-    return [
-        im if im.pixels.shape[:2] == (h, w)
-        else LabeledImage(resize(im.pixels, h, w), im.label, im.source_id)
-        for im in images
-    ]
+    by_shape: dict[tuple, list[int]] = {}
+    for j, im in enumerate(images):
+        if im.pixels.shape[:2] != (h, w):
+            by_shape.setdefault(im.pixels.shape, []).append(j)
+    for at in by_shape.values():
+        stack = resize(np.stack([images[j].pixels for j in at]), h, w)
+        resized = LabeledImage.stack(
+            stack, [images[j].label for j in at], [images[j].source_id for j in at]
+        )
+        for j, im in zip(at, resized):
+            images[j] = im
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +479,7 @@ def cmd_embed(args) -> int:
         for key in ("samples", "perplexity", "iterations")
     )
 
-    pool, test_pool = load_pools(config)
-    images = list(pool) + list(test_pool or [])
-    if len(images) > samples:
-        idx = _permutation(config, 2000, len(images))[:samples]
-        images = [images[i] for i in sorted(idx)]
-    images = prepare_images(images, config)
+    images = prepare_images(embed_sample(config, *load_pools(config), samples), config)
 
     feats = features_for_images(images, config.model)
     k = min(50, feats.shape[0] - 1, feats.shape[1])

@@ -10,6 +10,9 @@ generation order cannot change the result.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
+import operator
 import os
 import stat
 import struct
@@ -25,7 +28,9 @@ __all__ = [
     "ShapeJitter",
     "ParseError",
     "SHAPE_LABELS",
+    "read_mnist_labels",
     "load_mnist_idx",
+    "read_cifar10_labels",
     "load_cifar10",
     "load_image_dir",
     "read_pnm",
@@ -61,8 +66,7 @@ class LabeledImage:
             px = px[:, :, None]
         if px.ndim != 3 or px.shape[2] not in (1, 3) or px.size == 0:
             raise ValueError(f"pixels must be nonempty H x W x C, C in {{1, 3}}; got {px.shape}")
-        if not np.all(np.isfinite(px)) or px.min() < 0.0 or px.max() > 1.0:
-            raise ValueError("pixel values must be finite and within [0, 1]")
+        _check_pixel_values(px)
         px = px.copy()
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
@@ -70,6 +74,41 @@ class LabeledImage:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.pixels.shape
+
+    @classmethod
+    def stack(cls, pixels, labels, source_ids) -> list[LabeledImage]:
+        """One image per entry of an N x H x W x C stack, with the checks of
+        the constructor made once over the whole stack.  Each image's pixels
+        are a read-only view of one C-ordered float64 stack.  A stack that
+        is one already and owns its memory is taken over and made read-only
+        in place; any other is copied."""
+        px = np.asarray(pixels, dtype=np.float64)
+        if px.base is not None or not px.flags.c_contiguous:
+            px = np.array(px, order="C")
+        labels, source_ids = list(labels), list(source_ids)
+        if px.ndim != 4 or px.shape[3] not in (1, 3) or 0 in px.shape[1:]:
+            raise ValueError(f"pixels must be a stack N x H x W x C, C in {{1, 3}}; got {px.shape}")
+        if not len(labels) == len(source_ids) == px.shape[0]:
+            raise ValueError(
+                f"{px.shape[0]} images need as many labels and source ids,"
+                f" got {len(labels)} and {len(source_ids)}"
+            )
+        if px.size:
+            _check_pixel_values(px)
+        px.setflags(write=False)
+        images = []
+        for view, label, source_id in zip(px, labels, source_ids):
+            im = object.__new__(cls)
+            for name, value in (("pixels", view), ("label", label), ("source_id", source_id)):
+                object.__setattr__(im, name, value)
+            images.append(im)
+        return images
+
+
+def _check_pixel_values(px: np.ndarray) -> None:
+    # min and max are NaN when any value is, so they catch NaN and inf too.
+    if not (px.min() >= 0.0 and px.max() <= 1.0):
+        raise ValueError("pixel values must be finite and within [0, 1]")
 
 
 def group_by_label(images) -> dict[str, list[LabeledImage]]:
@@ -106,8 +145,18 @@ class AugmentSpec:
 
 
 # ---------------------------------------------------------------------------
-# MNIST IDX
+# MNIST IDX and CIFAR-10 binary batches
+#
+# Each format has a label reader and a loader.  Both run every header, size
+# and label check on the whole file first; the loader then converts only the
+# records it is asked for, read through a memory map.
 # ---------------------------------------------------------------------------
+
+
+def _truncated(path, what: str, count: int, got: int) -> ParseError:
+    return ParseError(
+        f"{path}: truncated {what}: expected {count} bytes, got {got} (missing {count - got})"
+    )
 
 
 def _read_exact(fh, count: int, what: str, path: str) -> bytes:
@@ -118,15 +167,24 @@ def _read_exact(fh, count: int, what: str, path: str) -> bytes:
     held = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else count
     buf = fh.read(max(min(count, held), 0))
     if len(buf) != count:
-        raise ParseError(
-            f"{path}: truncated {what}: expected {count} bytes, got {len(buf)}"
-            f" (missing {count - len(buf)})"
-        )
+        raise _truncated(path, what, count, len(buf))
     return buf
 
 
-def load_mnist_idx(images_path, labels_path) -> list[LabeledImage]:
-    """Parse the big-endian MNIST IDX image/label file pair."""
+def _record_index(records, count: int) -> np.ndarray:
+    """records as an index array into count records; all of them for None."""
+    if records is None:
+        return np.arange(count)
+    index = np.fromiter(map(operator.index, records), dtype=np.intp)
+    outside = index[(index < 0) | (index >= count)]
+    if outside.size:
+        raise ValueError(f"record {int(outside[0])} outside {count} records")
+    return index
+
+
+def _mnist_layout(images_path, labels_path) -> tuple[int, int, np.ndarray]:
+    """(rows, cols, labels) of a checked IDX pair; the pixel payload of
+    len(labels) records starts at byte 16 of the image file."""
     with open(images_path, "rb") as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, "magic", str(images_path)))
         if magic != MNIST_IMAGE_MAGIC:
@@ -139,10 +197,11 @@ def load_mnist_idx(images_path, labels_path) -> list[LabeledImage]:
         )
         if rows < 1 or cols < 1:
             raise ParseError(f"{images_path}: bad image size {rows} x {cols}, need >= 1 x 1")
-        raw = _read_exact(fh, count * rows * cols, "pixel payload", str(images_path))
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held < count * rows * cols:
+            raise _truncated(images_path, "pixel payload", count * rows * cols, held)
         if rows * cols * 8 > np.iinfo(np.intp).max:  # as float64; reachable with count 0
             raise ParseError(f"{images_path}: bad image size {rows} x {cols}, too large")
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
 
     with open(labels_path, "rb") as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, "magic", str(labels_path)))
@@ -162,48 +221,93 @@ def load_mnist_idx(images_path, labels_path) -> list[LabeledImage]:
         raise ParseError(
             f"image/label count mismatch: {count} images vs {label_count} labels"
         )
-    scaled = pixels.astype(np.float64) / 255.0
-    return [
-        LabeledImage(scaled[i][:, :, None], str(int(labels[i])), f"mnist:{i}")
-        for i in range(count)
-    ]
+    return rows, cols, labels
 
 
-# ---------------------------------------------------------------------------
-# CIFAR-10 binary batches
-# ---------------------------------------------------------------------------
+def read_mnist_labels(images_path, labels_path) -> np.ndarray:
+    """The uint8 labels of an MNIST IDX pair, with every check that
+    load_mnist_idx makes and no pixel read."""
+    return _mnist_layout(images_path, labels_path)[2]
 
 
-def load_cifar10(batch_paths) -> list[LabeledImage]:
-    """Parse CIFAR-10 binary batches (3073-byte records, channel-planar)."""
+def load_mnist_idx(images_path, labels_path, records=None) -> list[LabeledImage]:
+    """Parse the big-endian MNIST IDX image/label file pair.
+
+    With records=None every record is returned, in file order.  Otherwise
+    records is a sequence of record indices, and exactly those images are
+    returned, in that order, each bit-identical to the same record of the
+    full load.
+    """
+    rows, cols, labels = _mnist_layout(images_path, labels_path)
+    index = _record_index(records, len(labels))
+    payload = np.memmap(images_path, dtype=np.uint8, mode="r", offset=16,
+                        shape=(len(labels), rows, cols, 1))
+    return LabeledImage.stack(
+        payload[index] / 255.0, [str(int(z)) for z in labels[index]], [f"mnist:{i}" for i in index]
+    )
+
+
+def _cifar_batch(path) -> np.ndarray:
+    """A checked CIFAR-10 batch file as a read-only (records, 3073) map."""
+    size = os.path.getsize(path)
+    if size == 0 or size % CIFAR_RECORD_BYTES != 0:
+        raise ParseError(
+            f"{path}: size {size} is not a positive multiple of {CIFAR_RECORD_BYTES}"
+        )
+    table = np.memmap(path, dtype=np.uint8, mode="r",
+                      shape=(size // CIFAR_RECORD_BYTES, CIFAR_RECORD_BYTES))
+    bad = np.nonzero(table[:, 0] > 9)[0]
+    if bad.size:
+        raise ParseError(
+            f"{path}: record {int(bad[0])} has label {int(table[bad[0], 0])},"
+            " labels must be 0..9"
+        )
+    return table
+
+
+def _batch_paths(batch_paths) -> list:
     if isinstance(batch_paths, (str, os.PathLike)):
-        batch_paths = [batch_paths]
-    images = []
-    for path in batch_paths:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise ParseError(
-                f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES}"
-            )
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels = records[:, 0]
-        bad = np.nonzero(labels > 9)[0]
-        if bad.size:
-            raise ParseError(
-                f"{path}: record {int(bad[0])} has label {int(labels[bad[0]])},"
-                " labels must be 0..9"
-            )
-        planes = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-        for i in range(records.shape[0]):
-            images.append(
-                LabeledImage(
-                    planes[i].transpose(1, 2, 0),
-                    str(int(labels[i])),
-                    f"cifar10:{os.path.basename(str(path))}:{i}",
-                )
-            )
-    return images
+        return [batch_paths]
+    return list(batch_paths)
+
+
+def read_cifar10_labels(batch_paths) -> np.ndarray:
+    """The uint8 labels of CIFAR-10 batches, record by record across the
+    batches in order, with every check that load_cifar10 makes."""
+    return np.concatenate(
+        [np.array(_cifar_batch(path)[:, 0]) for path in _batch_paths(batch_paths)]
+    )
+
+
+def load_cifar10(batch_paths, records=None) -> list[LabeledImage]:
+    """Parse CIFAR-10 binary batches (3073-byte records, channel-planar).
+
+    The records of all batches are numbered in order, batch after batch.
+    With records=None every record is returned in that order.  Otherwise
+    records is a sequence of those numbers, and exactly those images are
+    returned, in that order, each bit-identical to the same record of the
+    full load.
+    """
+    paths = _batch_paths(batch_paths)
+    tables = [_cifar_batch(path) for path in paths]
+    starts = np.cumsum([0] + [len(t) for t in tables])
+    index = _record_index(records, int(starts[-1]))
+    batch = np.searchsorted(starts, index, side="right") - 1
+    local = index - starts[batch]
+    raw = np.empty((index.size, CIFAR_RECORD_BYTES), dtype=np.uint8)
+    for b, table in enumerate(tables):
+        rows = batch == b
+        raw[rows] = table[local[rows]]
+    scaled = np.empty((index.size, 32, 32, 3))
+    # Written through a channel-planar view, so the division reads each
+    # record's bytes in file order.
+    np.divide(raw[:, 1:].reshape(-1, 3, 32, 32), 255.0, out=scaled.transpose(0, 3, 1, 2))
+    names = [os.path.basename(str(path)) for path in paths]
+    return LabeledImage.stack(
+        scaled,
+        [str(int(z)) for z in raw[:, 0]],
+        [f"cifar10:{names[b]}:{i}" for b, i in zip(batch, local)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +421,29 @@ class ShapeJitter:
     center_frac: float = 0.1  # center offset, fraction of image size
     scale_range: tuple[float, float] = (0.6, 0.9)  # shape diameter / image size
     rotation: tuple[float, float] | None = (0.0, 2.0 * np.pi)
+
+    def __post_init__(self):
+        if not _is_real(self.center_frac) or not 0.0 <= self.center_frac < np.inf:
+            raise ValueError(
+                f"ShapeJitter center_frac must be a finite real >= 0, got {self.center_frac!r}"
+            )
+        if _real_band("ShapeJitter scale_range", self.scale_range)[0] <= 0.0:
+            raise ValueError(f"ShapeJitter scale_range must be > 0, got {self.scale_range!r}")
+        if self.rotation is not None:
+            _real_band("ShapeJitter rotation", self.rotation)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _real_band(name: str, band) -> tuple[float, float]:
+    """band as (low, high) floats, or a ValueError naming it: two finite
+    real numbers with low <= high."""
+    if (not isinstance(band, (tuple, list)) or len(band) != 2
+            or not all(_is_real(v) and math.isfinite(v) for v in band) or band[0] > band[1]):
+        raise ValueError(f"{name} must be two finite real numbers low <= high, got {band!r}")
+    return float(band[0]), float(band[1])
 
 
 # Samples per grid pass of the renderer.  A block shares one
@@ -439,11 +566,21 @@ def gen_four_shapes(
 
 
 def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Bilinear resize with half-pixel-center alignment, channels independent."""
+    """Bilinear resize with half-pixel-center alignment, channels independent.
+
+    pixels is H x W, H x W x C or a stack ... x H x W x C, which is resized
+    image by image: every output element comes from the same operations
+    as in a call on its image alone, so the bits are the same.
+    """
+    for name, size in (("height", height), ("width", width)):
+        if isinstance(size, (bool, np.bool_)) or not isinstance(size, numbers.Integral) or size < 1:
+            raise ValueError(f"resize {name} must be an integer >= 1, got {size!r}")
     src = np.asarray(pixels, dtype=np.float64)
     if src.ndim == 2:
         src = src[:, :, None]
-    h, w, _ = src.shape
+    if src.ndim < 2 or 0 in src.shape[-3:-1]:
+        raise ValueError(f"resize needs nonempty H x W (x C) pixels, got shape {src.shape}")
+    h, w = src.shape[-3:-1]
     if (h, w) == (height, width):
         return src.copy()
 
@@ -454,10 +591,17 @@ def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
+    wx = (xs - x0)[:, None]
 
-    top = (1.0 - wx) * src[y0][:, x0] + wx * src[y0][:, x1]
-    bottom = (1.0 - wx) * src[y1][:, x0] + wx * src[y1][:, x1]
+    # Each corner is one gather of (..., height, width, C) from the pixels
+    # flattened to (..., h * w, C).
+    flat = src.reshape(src.shape[:-3] + (h * w, src.shape[-1]))
+
+    def corner(rows, cols):
+        return np.take(flat, rows[:, None] * w + cols, axis=-2)
+
+    top = (1.0 - wx) * corner(y0, x0) + wx * corner(y0, x1)
+    bottom = (1.0 - wx) * corner(y1, x0) + wx * corner(y1, x1)
     out = (1.0 - wy) * top + wy * bottom
     return np.clip(out, 0.0, 1.0)
 

@@ -583,6 +583,14 @@ MALFORMED_MODELS = {
     "per_class not an object": (("per_class",), ["a"],
                                 "field 'per_class' must be a JSON object, got list"),
     "config not an object": (("config",), 2, "'config' must be a JSON object, got int"),
+    "string classes": (("classes",), "ab", "'classes' must be a JSON list of strings, got 'ab'"),
+    "object classes": (("classes",), {"a": 1, "b": 2}, "'classes' must be a JSON list of strings"),
+    "nested classes": (("classes",), [["a"], "b"], "'classes' must be a JSON list of strings"),
+    "number class": (("classes",), ["a", 1], "'classes' must be a JSON list of strings"),
+    "null classes": (("classes",), None, "'classes' must be a JSON list of strings, got None"),
+    "repeated class": (("classes",), ["a", "b", "a"], "'classes' repeats a class"),
+    "per_class beyond classes": (("per_class", "c"), {},
+                                 r"'per_class' has classes not in 'classes': \['c'\]"),
 }
 
 

@@ -2,6 +2,7 @@ import inspect
 import json
 import pathlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from sigclass.calibration import METHODS, closed_form_lambda, optimize_lambda
 from sigclass.cli import main
 from sigclass.classifier import ModelConfig, load_model
 from sigclass.data_io import (
-    AugmentSpec, LabeledImage, ShapeJitter, ensure_channels, gen_four_shapes, resize,
+    AugmentSpec, LabeledImage, ShapeJitter, ensure_channels, gen_four_shapes, load_cifar10,
+    load_mnist_idx, resize,
 )
 from sigclass.path_signature import StreamConvention
 
@@ -116,6 +118,25 @@ def test_unknown_config_key_fails_naming_it(tmp_path, capsys, section, value, ke
     config = write_config(tmp_path, **{section: value})
     assert main(["fit", "--config", str(config)]) == 1
     assert f"'{key}'" in read_stderr_error(capsys)["error"]
+
+
+@pytest.mark.parametrize(
+    "jitter, message",
+    [({"scale_range": [0.9]}, "ShapeJitter scale_range must be two finite real numbers"),
+     ({"scale_range": [-0.8, -0.6]}, "ShapeJitter scale_range must be > 0"),
+     ({"center_frac": float("nan")}, "ShapeJitter center_frac must be a finite real >= 0"),
+     ({"rotation_deg": [7]}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
+     ({"rotation_deg": 7}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
+     ({"rotation_deg": [13, 7]}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
+     ({"wobble": 1}, "unknown dataset.jitter key 'wobble'")],
+    ids=["one-scale", "negative-scale", "nan-center", "one-angle", "scalar-angle",
+         "reversed-angles", "unknown-key"],
+)
+def test_bad_jitter_fails_naming_the_field(tmp_path, capsys, jitter, message):
+    config = write_config(tmp_path, dataset={"kind": "four_shapes", "size": 16, "jitter": jitter})
+    assert main(["fit", "--config", str(config)]) == 1
+    error = read_stderr_error(capsys)
+    assert error["type"] == "ValueError" and error["error"].startswith(message), error
 
 
 @pytest.mark.parametrize(
@@ -500,6 +521,111 @@ def test_zero_test_budget_takes_no_test_samples_from_either_pool(tmp_path):
     config = cli.load_config(write_config(tmp_path, budgets={"train": 2, "val": 1, "test": 4}))
     with pytest.raises(ValueError, match="test class 'a' has 3 samples, needs 4"):
         cli.split_dataset(config, pool, test_pool)
+
+
+# ---------------------------------------------------------------------------
+# MNIST and CIFAR-10: labels first, then only the records a command keeps
+# ---------------------------------------------------------------------------
+
+
+def write_mnist(tmp_path, part, n, rng):
+    """An IDX pair of n random 10 x 12 images, labels 0..3 in seeded order."""
+    pixels = rng.integers(0, 256, (n, 10, 12), dtype=np.uint8)
+    labels = rng.permutation(np.arange(n) % 4).astype(np.uint8)
+    images, label_file = tmp_path / f"{part}-images", tmp_path / f"{part}-labels"
+    images.write_bytes(struct.pack(">IIII", 0x803, n, 10, 12) + pixels.tobytes())
+    label_file.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
+    return {f"{part}_images": str(images), f"{part}_labels": str(label_file)}
+
+
+def write_cifar(tmp_path, name, n, rng):
+    records = rng.integers(0, 256, (n, 3073), dtype=np.uint8)
+    records[:, 0] = rng.permutation(np.arange(n) % 4)
+    (tmp_path / name).write_bytes(records.tobytes())
+    return str(tmp_path / name)
+
+
+def file_dataset(tmp_path, kind, with_test):
+    """Train files of 8 images per class (CIFAR: in two batches), and
+    with_test, a test file of 4 per class."""
+    rng = np.random.default_rng(5)
+    if kind == "mnist":
+        ds = {"kind": "mnist", **write_mnist(tmp_path, "train", 32, rng)}
+        if with_test:
+            ds.update(write_mnist(tmp_path, "test", 16, rng))
+    else:
+        ds = {"kind": "cifar10", "train_batches": [write_cifar(tmp_path, "b1.bin", 20, rng),
+                                                   write_cifar(tmp_path, "b2.bin", 12, rng)]}
+        if with_test:
+            ds["test_batches"] = [write_cifar(tmp_path, "test.bin", 16, rng)]
+    return ds
+
+
+def file_config(tmp_path, kind, with_test, image_size=(8, 8)):
+    return write_config(tmp_path, dataset=file_dataset(tmp_path, kind, with_test),
+                        image_size=list(image_size), budgets={"train": 2, "val": 3, "test": 2})
+
+
+def eager_pools(config):
+    """The pools as every record of every file, loaded up front."""
+    ds = config.dataset
+    if ds["kind"] == "mnist":
+        test = ds.get("test_images") and load_mnist_idx(ds["test_images"], ds["test_labels"])
+        return load_mnist_idx(ds["train_images"], ds["train_labels"]), test or None
+    test = ds.get("test_batches") and load_cifar10(ds["test_batches"])
+    return load_cifar10(ds["train_batches"]), test or None
+
+
+@pytest.mark.parametrize("kind, with_test, image_size", [
+    ("mnist", False, (8, 8)), ("mnist", True, (8, 8)), ("mnist", True, (10, 12)),
+    ("cifar10", False, (8, 8)), ("cifar10", True, (8, 8)), ("cifar10", True, (40, 36)),
+])
+def test_label_first_split_matches_eager_split(tmp_path, kind, with_test, image_size):
+    config = cli.load_config(file_config(tmp_path, kind, with_test, image_size))
+    refs, test_refs = cli.load_pools(config)
+    eager, eager_test = eager_pools(config)
+    assert (test_refs is None) == (eager_test is None) == (not with_test)
+    assert [r.label for r in refs] == [im.label for im in eager]
+    splits = zip(cli.split_dataset(config, refs, test_refs),
+                 cli.split_dataset(config, eager, eager_test))
+    samples = (cli.embed_sample(config, refs, test_refs, 20),
+               cli.embed_sample(config, eager, eager_test, 20))
+    test_ids = {im.source_id for im in eager_test or []}
+    assert bool(test_ids & {im.source_id for im in samples[1]}) == with_test
+    for from_refs, from_pool in (*splits, samples):
+        assert from_refs and len(from_refs) == len(from_pool)
+        got = cli.prepare_images(from_refs, config)
+        assert [(im.label, im.source_id) for im in got] == [
+            (im.label, im.source_id) for im in from_pool
+        ]
+        for a, b in zip(got, from_pool):
+            expected = b.pixels if b.pixels.shape[:2] == image_size else resize(b.pixels, *image_size)
+            assert a.pixels.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["mnist", "cifar10"])
+def test_file_commands_convert_only_what_they_use(tmp_path, monkeypatch, kind):
+    converted = []
+
+    def counting(load):
+        def wrapper(*args, **kwargs):
+            images = load(*args, **kwargs)
+            converted.append(len(images))
+            return images
+        return wrapper
+
+    for name in ("load_mnist_idx", "load_cifar10"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    config = str(file_config(tmp_path, kind, with_test=True))  # train 2, val 3, test 2
+    for argv, expected in (
+        (["fit"], 4 * (2 + 3)),
+        (["eval", "--protocol", "plain,fixed,oracle"], 4 * 2),
+        (["eval", "--protocol", "fixed,ova"], 4 * (2 + 3)),
+        (["embed", "--samples", "20", "--perplexity", "5", "--iterations", "20"], 20),
+    ):
+        converted.clear()
+        assert main([argv[0], "--config", config, *argv[1:]]) == 0
+        assert sum(converted) == expected, argv
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigclass.data_io import (
     RENDER_BLOCK,
@@ -16,6 +18,8 @@ from sigclass.data_io import (
     load_cifar10,
     load_image_dir,
     load_mnist_idx,
+    read_cifar10_labels,
+    read_mnist_labels,
     read_pnm,
     resize,
     write_pnm,
@@ -129,6 +133,116 @@ def test_cifar_bad_label(tmp_path):
     path.write_bytes(cifar_record(3) + bytes([255]) + bytes(3072))
     with pytest.raises(ParseError, match="labels must be 0..9"):
         load_cifar10([path])
+
+
+# ---------------------------------------------------------------------------
+# label readers and records=: the chosen records of the full load
+# ---------------------------------------------------------------------------
+
+
+def assert_same_images(got, expected):
+    assert [(im.label, im.source_id) for im in got] == [
+        (im.label, im.source_id) for im in expected
+    ]
+    for a, b in zip(got, expected):
+        assert a.pixels.shape == b.pixels.shape and a.pixels.tobytes() == b.pixels.tobytes()
+        assert not a.pixels.flags.writeable
+
+
+def random_cifar_batch(path, rng, n):
+    records = rng.integers(0, 256, (n, 3073), dtype=np.uint8)
+    records[:, 0] = rng.integers(0, 10, n)
+    path.write_bytes(records.tobytes())
+    return path
+
+
+RECORD_ORDERS = [[], [0], [4, 1, 4, 0], [9, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize("records", RECORD_ORDERS)
+def test_mnist_records_are_the_full_load_records(tmp_path, records):
+    rng = np.random.default_rng(1)
+    img, lbl = write_idx_pair(tmp_path, rng.integers(0, 256, (10, 5, 7), dtype=np.uint8),
+                              rng.integers(0, 10, 10).tolist())
+    full = load_mnist_idx(img, lbl)
+    assert [im.label for im in full] == [str(z) for z in read_mnist_labels(img, lbl)]
+    assert_same_images(load_mnist_idx(img, lbl, records=records), [full[i] for i in records])
+    assert_same_images(load_mnist_idx(img, lbl, records=np.array(records, dtype=int)),
+                       [full[i] for i in records])
+
+
+@pytest.mark.parametrize("records", RECORD_ORDERS + [[12, 3, 9, 10]])
+def test_cifar_records_number_every_batch_in_order(tmp_path, records):
+    rng = np.random.default_rng(2)
+    batches = [random_cifar_batch(tmp_path / "a.bin", rng, 9),
+               random_cifar_batch(tmp_path / "b.bin", rng, 4)]
+    full = load_cifar10(batches)
+    assert [im.source_id for im in full[8:10]] == ["cifar10:a.bin:8", "cifar10:b.bin:0"]
+    assert [im.label for im in full] == [str(z) for z in read_cifar10_labels(batches)]
+    assert_same_images(load_cifar10(batches, records=records), [full[i] for i in records])
+    assert np.array_equal(read_cifar10_labels(batches[0]), read_cifar10_labels([batches[0]]))
+
+
+def test_records_outside_the_file_are_rejected(tmp_path):
+    img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8), [0, 1, 2])
+    path = tmp_path / "batch.bin"
+    path.write_bytes(cifar_record(3) * 2)
+    for load, n in ((lambda r: load_mnist_idx(img, lbl, records=r), 3),
+                    (lambda r: load_cifar10(path, records=r), 2)):
+        for bad in (n, -1):
+            with pytest.raises(ValueError, match=f"record {bad} outside {n} records"):
+                load([0, bad])
+        with pytest.raises(TypeError):
+            load([0.0])
+
+
+def test_whole_file_checks_run_before_chosen_records(tmp_path):
+    """A fault past the chosen records still fails the load, with the
+    same ParseError as the full load and the label reader."""
+    img, lbl = write_idx_pair(tmp_path, np.zeros((3, 4, 4), dtype=np.uint8), [0, 1, 2])
+    img.write_bytes(img.read_bytes()[:-5])
+    for load in (lambda: load_mnist_idx(img, lbl, records=[0]),
+                 lambda: load_mnist_idx(img, lbl, records=[]),
+                 lambda: read_mnist_labels(img, lbl)):
+        with pytest.raises(ParseError, match="missing 5"):
+            load()
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    good.write_bytes(cifar_record(3))
+    bad.write_bytes(cifar_record(3) + bytes([12]) + bytes(3072))
+    for load in (lambda: load_cifar10([good, bad], records=[0]),
+                 lambda: read_cifar10_labels([good, bad])):
+        with pytest.raises(ParseError, match="record 1 has label 12"):
+            load()
+
+
+# ---------------------------------------------------------------------------
+# LabeledImage.stack: the constructor's checks, once per stack
+# ---------------------------------------------------------------------------
+
+
+def test_labeled_image_stack_matches_the_constructor():
+    px = np.random.default_rng(3).random((3, 4, 5, 3))
+    images = LabeledImage.stack(px, "abc", ["x", "y", "z"])
+    assert_same_images(images, [LabeledImage(p, z, sid) for p, z, sid in zip(px, "abc", "xyz")])
+    assert images[0].pixels.base is px and not px.flags.writeable  # taken over
+    view = np.full((2, 3, 3, 1), 0.5)[::1]
+    copied = LabeledImage.stack(view, "ab", "xy")
+    view[0] = 0.0
+    assert copied[0].pixels.min() == 0.5 and not copied[0].pixels.flags.writeable
+    assert LabeledImage.stack(np.zeros((0, 2, 2, 1)), [], []) == []
+
+
+@pytest.mark.parametrize("pixels, labels, match", [
+    (np.full((1, 2, 2, 1), 1.5), "a", "within"),
+    (np.full((1, 2, 2, 1), np.nan), "a", "within"),
+    (np.zeros((1, 2, 2, 2)), "a", "C in"),
+    (np.zeros((2, 2, 1)), "ab", "C in"),
+    (np.zeros((1, 0, 2, 1)), "a", "C in"),
+    (np.zeros((2, 2, 2, 1)), "a", "as many labels"),
+])
+def test_labeled_image_stack_validation(pixels, labels, match):
+    with pytest.raises(ValueError, match=match):
+        LabeledImage.stack(pixels, labels, ["s"] * len(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +408,31 @@ def test_shapes_subset_render_bit_exact(size, rotation):
         assert im.pixels.tobytes() == ref.pixels.tobytes()
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"center_frac": float("nan")}, "center_frac"),
+    ({"center_frac": -0.1}, "center_frac"),
+    ({"center_frac": True}, "center_frac"),
+    ({"scale_range": (0.9,)}, "scale_range"),
+    ({"scale_range": (-0.8, -0.6)}, "scale_range"),
+    ({"scale_range": (0.0, 0.6)}, "scale_range"),
+    ({"scale_range": (0.9, 0.6)}, "scale_range"),
+    ({"scale_range": (0.6, float("inf"))}, "scale_range"),
+    ({"scale_range": 0.8}, "scale_range"),
+    ({"rotation": (0.12,)}, "rotation"),
+    ({"rotation": (0.2, 0.1)}, "rotation"),
+    ({"rotation": (float("nan"), 0.1)}, "rotation"),
+    ({"rotation": ("0", "1")}, "rotation"),
+])
+def test_shape_jitter_names_bad_fields(fields, name):
+    with pytest.raises(ValueError, match=f"ShapeJitter {name} must be"):
+        ShapeJitter(**fields)
+
+
+def test_shape_jitter_accepts_degenerate_bands():
+    ShapeJitter(center_frac=0, scale_range=(0.7, 0.7), rotation=(-0.1, -0.1))
+    ShapeJitter(scale_range=[0.5, 1.5], rotation=None)
+
+
 def test_shapes_subset_keys_validated():
     assert gen_four_shapes(2, samples=[]) == []
     for key in [(4, 0), (-1, 0), (0, 2), (0, -1)]:
@@ -324,6 +463,33 @@ def test_resize_checkerboard_average():
     board = np.indices((4, 4)).sum(axis=0) % 2
     out = resize(board[:, :, None].astype(float), 2, 2)
     assert np.allclose(out, 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 4),
+    src=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    dst=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    channels=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_resize_is_bytes_equal_to_per_image_resize(batch, src, dst, channels, seed):
+    stack = np.random.default_rng(seed).random((batch, *src, channels))
+    out = resize(stack, *dst)
+    assert out.shape == (batch, *dst, channels)
+    for image, resized in zip(stack, out):
+        assert resized.tobytes() == resize(image, *dst).tobytes()
+    # any number of leading axes
+    assert resize(stack[None], *dst).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("height, width, name", [
+    (0, 4, "height"), (4, -2, "width"), (2.5, 4, "height"), (4, True, "width"), (4, "4", "width"),
+])
+def test_resize_target_must_be_an_integer_of_at_least_one(height, width, name):
+    with pytest.raises(ValueError, match=f"resize {name} must be an integer >= 1"):
+        resize(np.zeros((3, 3, 1)), height, width)
+    assert resize(np.zeros((3, 3, 1)), np.int64(2), 1).shape == (2, 1, 1)
 
 
 def test_ensure_channels():

@@ -1,12 +1,15 @@
-"""Property tests: the binary loaders reject any malformed bytes with
-ParseError and never with another exception."""
+"""Property tests: the binary loaders and label readers reject any
+malformed bytes with ParseError and never with another exception, and
+where a file parses they agree on its labels."""
 
 import struct
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sigclass.data_io import ParseError, load_cifar10, load_mnist_idx, read_pnm
+from sigclass.data_io import (
+    ParseError, load_cifar10, load_mnist_idx, read_cifar10_labels, read_mnist_labels, read_pnm,
+)
 
 FUZZ = settings(
     max_examples=150,
@@ -31,32 +34,67 @@ def idx_file(magic):
     )
 
 
-def parses_or_parse_error(load, *args):
+# Record indices, taken modulo the record count of a file that parses.
+picks = st.lists(st.integers(0, 2**16), max_size=5)
+
+
+def parses_or_parse_error(load, *args, **kwargs):
     try:
-        load(*args)
+        return load(*args, **kwargs)
     except ParseError:
-        pass
+        return None
+
+
+def check_readers(read_labels, load, picks):
+    """The label reader, the full load and a load of some records fail
+    together, each with ParseError, or agree on the labels."""
+    labels = parses_or_parse_error(read_labels)
+    records = [i % len(labels) for i in picks] if labels is not None and len(labels) else []
+    loads = [parses_or_parse_error(load), parses_or_parse_error(load, records=records)]
+    if labels is None:
+        assert loads == [None, None]
+        return
+    full, chosen = loads
+    assert [im.label for im in full] == [str(z) for z in labels]
+    assert [im.source_id for im in chosen] == [full[i].source_id for i in records]
+    assert all(a.pixels.tobytes() == full[i].pixels.tobytes() for a, i in zip(chosen, records))
+
+
+@st.composite
+def idx_pair(draw):
+    """A valid IDX pair of up to 3 small images, then up to 3 bytes cut
+    from the end of either file."""
+    n, rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    images = struct.pack(">IIII", 0x803, n, rows, cols) + draw(
+        st.binary(min_size=n * rows * cols, max_size=n * rows * cols))
+    labels = struct.pack(">II", 0x801, n) + draw(st.binary(min_size=n, max_size=n))
+    cut_images, cut_labels = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return images[: len(images) - cut_images], labels[: len(labels) - cut_labels]
 
 
 @FUZZ
-@given(images=idx_file(0x803), labels=idx_file(0x801))
-def test_mnist_raises_only_parse_error(tmp_path, images, labels):
+@given(files=st.one_of(st.tuples(idx_file(0x803), idx_file(0x801)), idx_pair()), picks=picks)
+def test_mnist_raises_only_parse_error(tmp_path, files, picks):
+    images, labels = files
     img, lbl = tmp_path / "images", tmp_path / "labels"
     img.write_bytes(images)
     lbl.write_bytes(labels)
-    parses_or_parse_error(load_mnist_idx, img, lbl)
+    check_readers(lambda: read_mnist_labels(img, lbl),
+                  lambda **kw: load_mnist_idx(img, lbl, **kw), picks)
 
 
 @FUZZ
 @given(data=st.one_of(
     st.binary(max_size=64),
     st.builds(lambda n, label, rest: (bytes([label]) + bytes(3072)) * n + rest,
-              st.integers(0, 2), st.integers(0, 255), tail),
-))
-def test_cifar_raises_only_parse_error(tmp_path, data):
+              st.integers(0, 2), st.one_of(st.integers(0, 9), st.integers(0, 255)),
+              st.one_of(st.just(b""), tail)),
+), picks=picks)
+def test_cifar_raises_only_parse_error(tmp_path, data, picks):
     path = tmp_path / "batch.bin"
     path.write_bytes(data)
-    parses_or_parse_error(load_cifar10, path)
+    check_readers(lambda: read_cifar10_labels(path),
+                  lambda **kw: load_cifar10(path, **kw), picks)
 
 
 header_token = st.one_of(
