@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import integer, real
 
 __all__ = ["CalibrationSet", "METHODS", "closed_form_lambda", "optimize_lambda", "solver_settings"]
 
@@ -74,7 +75,7 @@ def closed_form_lambda(cal: CalibrationSet, epsilon: float = 1e-8) -> np.ndarray
     mean_v(representative / x_v).  Divisors smaller than epsilon in
     magnitude are replaced by sign-preserving epsilon.
     """
-    epsilon = _setting("epsilon", epsilon)
+    epsilon = _SETTINGS["epsilon"](epsilon)
     out = np.empty(cal.representatives.shape)
     for zi, (rep, xs) in enumerate(zip(cal.representatives, cal.validation.values())):
         out[zi] = (rep[None, :] / _guarded(xs, epsilon)).mean(axis=0)
@@ -88,27 +89,13 @@ STEP0 = 0.1  # optimize_lambda's first step length
 SOLVE_BYTES = 1 << 17
 
 
-def _real(name: str, value, *, zero_ok: bool = False, inf_ok: bool = False) -> float:
-    """value as a float, or a ValueError naming it: a real number other than
-    a bool, > 0 (>= 0 when zero_ok) and finite (or inf, when inf_ok)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    number = float(value)
-    if not (number >= 0 if zero_ok else number > 0) or not (inf_ok or math.isfinite(number)):
-        bound = f"{'' if inf_ok else 'finite and '}{'>=' if zero_ok else '>'} 0"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
-    return number
-
-
-def _setting(key: str, value):
-    """One solver setting as its solver uses it, or a ValueError naming it:
-    iters an integer >= 1, gamma a finite real >= 0, box a real > 0 (inf
-    allowed), epsilon a finite real > 0; bools and strings are rejected."""
-    if key != "iters":
-        return _real(key, value, zero_ok=key == "gamma", inf_ok=key == "box")
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"iters must be an integer >= 1, got {value!r}")
-    return value
+# Each solver setting's check, as the solvers and solver_settings apply it
+_SETTINGS = {
+    "gamma": lambda value: real("gamma", value, zero_ok=True),
+    "box": lambda value: real("box", value, inf_ok=True),
+    "iters": lambda value: integer("iters", value, 1),
+    "epsilon": lambda value: real("epsilon", value),
+}
 
 
 def solver_settings(method: str, settings: dict) -> dict:
@@ -121,7 +108,7 @@ def solver_settings(method: str, settings: dict) -> dict:
     unknown = sorted(set(settings) - set(METHODS[method]))
     if unknown:
         raise ValueError(f"calibration method {method!r} takes no key {unknown[0]!r}")
-    return {key: _setting(key, value) for key, value in settings.items()}
+    return {key: _SETTINGS[key](value) for key, value in settings.items()}
 
 
 def _objective_and_subgrad(lam, xs, own_rep, other_reps, gamma, scratch=None):
@@ -188,7 +175,7 @@ def optimize_lambda(
     integer >= 1 and epsilon a finite real > 0; anything else, bools and
     strings included, is a ValueError naming the argument.
     """
-    gamma, box, iters, epsilon = (_setting(key, value) for key, value in (
+    gamma, box, iters, epsilon = (_SETTINGS[key](value) for key, value in (
         ("gamma", gamma), ("box", box), ("iters", iters), ("epsilon", epsilon)))
 
     start = closed_form_lambda(cal, epsilon=epsilon)

@@ -20,19 +20,13 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .calibration import (
-    CalibrationSet,
-    _real,
-    closed_form_lambda,
-    optimize_lambda,
-    solver_settings,
-)
+from ._checks import integer, real
+from .calibration import CalibrationSet, closed_form_lambda, optimize_lambda, solver_settings
 from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels, group_by_label
 from .path_signature import (
     LOG_SIGNATURE,
     SIGNATURE,
     StreamConvention,
-    _check_order,
     log_signature_many,
     signature_many,
 )
@@ -81,11 +75,18 @@ class ModelConfig:
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.metric not in ("rmse", "mae"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        _check_order(self.order)
-        if not (isinstance(self.image_size, tuple) and len(self.image_size) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                        for v in self.image_size)):
-            raise ValueError(f"image_size must be two integers >= 1, got {self.image_size!r}")
+        object.__setattr__(self, "order", integer("order", self.order, 1))
+        try:  # unpacking anything but a pair raises ValueError too
+            height, width = self.image_size if isinstance(self.image_size, tuple) else ()
+            size = (integer("image_size", height, 1), integer("image_size", width, 1))
+        except ValueError:
+            raise ValueError(
+                f"image_size must be two integers >= 1, got {self.image_size!r}") from None
+        object.__setattr__(self, "image_size", size)
+        channels = None if self.channels is None else integer("channels", self.channels)
+        if channels not in (None, 1, 3):
+            raise ValueError(f"channels must be None, 1 or 3, got {self.channels!r}")
+        object.__setattr__(self, "channels", channels)
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,7 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
 def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[str, float]:
     """Per-class accept threshold: slack times the worst own-class validation
     score.  slack must be a finite real > 0."""
-    slack = _real("slack", slack)
+    slack = real("slack", slack)
     _, blocks, _ = _class_features(val_images, model.config, model.classes)
     return {
         z: float(slack * score_rows(x * lam, rep, model.config.metric).max())
@@ -434,13 +435,6 @@ def _json_object(value, where: str) -> dict:
     return value
 
 
-def _count(value, where: str) -> int:
-    """value, or a ValueError unless it is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"model file {where} must be an integer >= 1, got {value!r}")
-    return value
-
-
 def model_from_dict(doc: dict) -> ClassModel:
     _json_object(doc, "top level")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -464,7 +458,7 @@ def model_from_dict(doc: dict) -> ClassModel:
     extra = sorted(set(per_class) - set(classes))
     if extra:
         raise ValueError(f"model file 'per_class' has classes not in 'classes': {extra}")
-    stream_dim = _count(doc["stream_dim"], "field 'stream_dim'")
+    stream_dim = integer("model file field 'stream_dim'", doc["stream_dim"], 1)
     shape = (len(classes), feature_length(stream_dim, config.order))
     if doc["feature_length"] != shape[1]:
         raise ValueError(
@@ -477,7 +471,7 @@ def model_from_dict(doc: dict) -> ClassModel:
         try:
             _fill_row(reps, zi, z, "representative", entry["representative"])
             _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
-            counts[z] = _count(entry["train_count"], f"class {z!r} field 'train_count'")
+            counts[z] = integer(f"model file class {z!r} field 'train_count'", entry["train_count"], 1)
             if entry["lambda_mae"] != entry["lambda_rmse"]:
                 raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
         except KeyError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibration import _real, solver_settings
+from ._checks import band, integer, real
+from .calibration import solver_settings
 from .classifier import (
     ModelConfig,
     PROTOCOLS,
@@ -41,7 +41,6 @@ from .data_io import (
     ensure_channels,
     gen_four_shapes,
     group_by_label,
-    _real_band,
     load_cifar10,
     load_image_dir,
     load_mnist_idx,
@@ -84,6 +83,14 @@ BUDGET_DEFAULTS = {"train": 10, "val": 100, "test": 200}
 EMBED_DEFAULTS = {"samples": 300, "perplexity": 30.0, "iterations": 500}
 
 
+def _embed_setting(key: str, value, name: str):
+    """One embed setting checked under `name`: samples an integer >= 1, iterations >= 0,
+    and perplexity a real > 0, whose upper bound, a third of the samples, tsne_exact checks."""
+    if key == "perplexity":
+        return real(name, value, inf_ok=True)
+    return integer(name, value, 1 if key == "samples" else 0)
+
+
 @dataclass
 class RunConfig:
     seed: int
@@ -102,10 +109,6 @@ def _tuples(section: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
@@ -120,11 +123,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     kind = dataset.get("kind")
     if kind not in ("four_shapes", "mnist", "cifar10", "image_dir"):
         raise ValueError(f"unknown dataset kind {kind!r}")
-    if kind == "four_shapes" and "size" in dataset and not _is_int(dataset["size"]):
-        raise ValueError(f"dataset 'size' must be an integer, got {dataset['size']!r}")
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if kind == "four_shapes" and "size" in dataset:
+        integer("dataset 'size'", dataset["size"])
+    seed = integer("seed", doc.get("seed", 0), 0)
 
     feature = doc.get("feature") or {}
     _check_keys(feature, ("kind", "order"), "feature")
@@ -142,9 +143,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     budgets = dict(BUDGET_DEFAULTS, **(doc.get("budgets") or {}))
     _check_keys(budgets, BUDGET_DEFAULTS, "budgets")
-    for name, value in budgets.items():
-        if not _is_int(value) or value < 0:
-            raise ValueError(f"budget {name!r} must be an integer >= 0, got {value!r}")
+    budgets = {name: integer(f"budget {name!r}", value, 0) for name, value in budgets.items()}
 
     calibration = dict(doc.get("calibration") or {})
     calibration.setdefault("method", "closed_form")
@@ -156,14 +155,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     embed = dict(EMBED_DEFAULTS, **(doc.get("embed") or {}))
     _check_keys(embed, EMBED_DEFAULTS, "embed")
-    if not _is_int(embed["samples"]):
-        raise ValueError(f"embed 'samples' must be an integer, got {embed['samples']!r}")
-    if not _is_int(embed["iterations"]) or embed["iterations"] < 0:
-        raise ValueError(f"embed 'iterations' must be an integer >= 0, got {embed['iterations']!r}")
-    perplexity = embed["perplexity"]
-    if (isinstance(perplexity, bool) or not isinstance(perplexity, (int, float))
-            or not 0 < perplexity < math.inf):
-        raise ValueError(f"embed 'perplexity' must be a real number > 0, got {perplexity!r}")
+    embed = {key: _embed_setting(key, value, f"embed {key!r}") for key, value in embed.items()}
 
     return RunConfig(
         seed=seed,
@@ -173,7 +165,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         budgets=budgets,
         calibration=calibration,
         protocol=protocol,
-        ova_slack=_real("ova_slack", doc.get("ova_slack", 1.1)),
+        ova_slack=real("ova_slack", doc.get("ova_slack", 1.1)),
         embed=embed,
     )
 
@@ -201,7 +193,7 @@ def _jitter(section) -> ShapeJitter:
     if "rotation_deg" in section:
         rot = section.pop("rotation_deg")
         if rot is not None:
-            rot = tuple(np.deg2rad(_real_band("dataset.jitter 'rotation_deg'", rot)))
+            rot = tuple(np.deg2rad(band("dataset.jitter 'rotation_deg'", rot)))
         section["rotation"] = rot
     return ShapeJitter(**_tuples(section))
 
@@ -475,7 +467,8 @@ def cmd_spectra(args) -> int:
 def cmd_embed(args) -> int:
     config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
     samples, perplexity, iterations = (
-        config.embed[key] if getattr(args, key) is None else getattr(args, key)
+        config.embed[key] if getattr(args, key) is None
+        else _embed_setting(key, getattr(args, key), f"--{key}")
         for key in ("samples", "perplexity", "iterations")
     )
 

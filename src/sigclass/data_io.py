@@ -10,8 +10,6 @@ generation order cannot change the result.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 import operator
 import os
 import stat
@@ -20,6 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import band, integer, real
 
 __all__ = [
     "LabeledImage",
@@ -134,14 +134,16 @@ class AugmentSpec:
     def __post_init__(self):
         if self.noise not in ("none", "speckle", "salt_pepper"):
             raise ValueError(f"unknown noise kind {self.noise!r}")
-        if not all(np.isfinite(self.contrast)) or not all(np.isfinite(self.brightness)):
-            raise ValueError("contrast/brightness ranges must be finite")
-        if self.noise == "salt_pepper" and not 0.0 <= self.noise_level <= 1.0:
+        for name, value in (
+            ("contrast", band("AugmentSpec contrast", self.contrast)),
+            ("brightness", band("AugmentSpec brightness", self.brightness)),
+            ("noise_level", real("AugmentSpec noise_level", self.noise_level, zero_ok=True)),
+            ("copies", integer("AugmentSpec copies", self.copies, 1)),
+            ("seed", integer("AugmentSpec seed", self.seed, 0)),
+        ):
+            object.__setattr__(self, name, value)  # a numpy scalar as its Python number
+        if self.noise == "salt_pepper" and not self.noise_level <= 1.0:
             raise ValueError("salt & pepper fraction must be in [0, 1]")
-        if self.noise == "speckle" and self.noise_level < 0.0:
-            raise ValueError("speckle sigma must be >= 0")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -423,27 +425,11 @@ class ShapeJitter:
     rotation: tuple[float, float] | None = (0.0, 2.0 * np.pi)
 
     def __post_init__(self):
-        if not _is_real(self.center_frac) or not 0.0 <= self.center_frac < np.inf:
-            raise ValueError(
-                f"ShapeJitter center_frac must be a finite real >= 0, got {self.center_frac!r}"
-            )
-        if _real_band("ShapeJitter scale_range", self.scale_range)[0] <= 0.0:
+        real("ShapeJitter center_frac", self.center_frac, zero_ok=True)
+        if band("ShapeJitter scale_range", self.scale_range)[0] <= 0.0:
             raise ValueError(f"ShapeJitter scale_range must be > 0, got {self.scale_range!r}")
         if self.rotation is not None:
-            _real_band("ShapeJitter rotation", self.rotation)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-
-
-def _real_band(name: str, band) -> tuple[float, float]:
-    """band as (low, high) floats, or a ValueError naming it: two finite
-    real numbers with low <= high."""
-    if (not isinstance(band, (tuple, list)) or len(band) != 2
-            or not all(_is_real(v) and math.isfinite(v) for v in band) or band[0] > band[1]):
-        raise ValueError(f"{name} must be two finite real numbers low <= high, got {band!r}")
-    return float(band[0]), float(band[1])
+            band("ShapeJitter rotation", self.rotation)
 
 
 # Samples per grid pass of the renderer.  A block shares one
@@ -535,10 +521,8 @@ def gen_four_shapes(
     Consecutive keys of one class are rendered together, up to
     RENDER_BLOCK at a time.
     """
-    if size < 8:
-        raise ValueError(f"image size must be >= 8, got {size}")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
+    size = integer("image size", size, 8)
+    per_class = integer("per_class", per_class, 1)
     if samples is None:
         samples = itertools.product(range(len(SHAPE_LABELS)), range(per_class))
     samples = list(samples)
@@ -572,9 +556,7 @@ def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     image by image: every output element comes from the same operations
     as in a call on its image alone, so the bits are the same.
     """
-    for name, size in (("height", height), ("width", width)):
-        if isinstance(size, (bool, np.bool_)) or not isinstance(size, numbers.Integral) or size < 1:
-            raise ValueError(f"resize {name} must be an integer >= 1, got {size!r}")
+    height, width = integer("resize height", height, 1), integer("resize width", width, 1)
     src = np.asarray(pixels, dtype=np.float64)
     if src.ndim == 2:
         src = src[:, :, None]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_algebra as ta
+from ._checks import integer
 from .tensor_algebra import feature_length
 
 __all__ = [
@@ -55,6 +56,8 @@ class StreamConvention:
     def __post_init__(self):
         if self.mode not in (PIXELS_AS_STEPS, ROWS_AS_STEPS):
             raise ValueError(f"unknown stream mode {self.mode!r}")
+        if not isinstance(self.basepoint, bool):
+            raise ValueError(f"stream basepoint must be true or false, got {self.basepoint!r}")
 
     def stream_shape(self, height: int, width: int, channels: int) -> tuple[int, int]:
         """(n, d) of the stream produced from an image of the given shape."""
@@ -76,12 +79,6 @@ class StreamConvention:
         return pts
 
 
-def _check_order(order) -> None:
-    """A ValueError unless order is an integer >= 1; a bool is not an order."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError(f"order must be an integer >= 1, got {order!r}")
-
-
 def _checked_points(points, order: int, ndim: int) -> np.ndarray:
     """points as float64, ndim 2 for one (n, d) stream or 3 for a (batch, n, d)
     batch; a ValueError unless every stream holds n >= 2 finite points in R^d,
@@ -96,7 +93,7 @@ def _checked_points(points, order: int, ndim: int) -> np.ndarray:
         raise ValueError("stream dimension d must be >= 1")
     if not np.isfinite(pts).all():
         raise ValueError("stream points contain non-finite coordinates")
-    _check_order(order)
+    integer("order", order, 1)
     return pts
 
 

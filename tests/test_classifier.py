@@ -591,6 +591,10 @@ MALFORMED_MODELS = {
     "repeated class": (("classes",), ["a", "b", "a"], "'classes' repeats a class"),
     "per_class beyond classes": (("per_class", "c"), {},
                                  r"'per_class' has classes not in 'classes': \['c'\]"),
+    "string basepoint": (("config", "convention", "basepoint"), "no",
+                         "stream basepoint must be true or false, got 'no'"),
+    "two channels": (("config", "channels"), 2, "channels must be None, 1 or 3, got 2"),
+    "bool channels": (("config", "channels"), True, "channels must be an integer, got True"),
 }
 
 
@@ -607,6 +611,32 @@ def test_malformed_model_file_is_a_named_error(case):
         doc = [doc]
     with pytest.raises(ValueError, match=match):
         model_from_dict(doc)
+
+
+# augment field, its value as model-file JSON text, error
+BAD_AUGMENT_FIELDS = {
+    "float copies": ("copies", "2.5", "AugmentSpec copies must be an integer >= 1, got 2.5"),
+    "bool copies": ("copies", "true", "AugmentSpec copies must be an integer >= 1, got True"),
+    "three contrasts": ("contrast", "[0.5, 1, 1]", "AugmentSpec contrast must be two finite real"
+                        r" numbers low <= high, got \(0.5, 1, 1\)"),
+    "string contrast": ("contrast", '"ab"', "AugmentSpec contrast must be two finite real"
+                        " numbers low <= high, got 'ab'"),
+    "string noise_level": ("noise_level", '"x"',
+                           "AugmentSpec noise_level must be a real number, got 'x'"),
+    "overflowing noise_level": ("noise_level", "1e400",
+                                "AugmentSpec noise_level must be finite and >= 0, got inf"),
+    "negative seed": ("seed", "-1", "AugmentSpec seed must be an integer >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_AUGMENT_FIELDS)
+def test_bad_augment_field_in_model_file_is_a_named_error(case):
+    key, text, match = BAD_AUGMENT_FIELDS[case]
+    spec = AugmentSpec(noise="speckle", noise_level=0.05, copies=2)
+    doc = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a", "b"]), cfg(augment=spec)))
+    doc["config"]["augment"][key] = "@"
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        model_from_dict(json.loads(json.dumps(doc).replace('"@"', text)))
 
 
 def test_save_load_save_is_byte_identical(tmp_path):

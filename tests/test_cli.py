@@ -124,7 +124,7 @@ def test_unknown_config_key_fails_naming_it(tmp_path, capsys, section, value, ke
     "jitter, message",
     [({"scale_range": [0.9]}, "ShapeJitter scale_range must be two finite real numbers"),
      ({"scale_range": [-0.8, -0.6]}, "ShapeJitter scale_range must be > 0"),
-     ({"center_frac": float("nan")}, "ShapeJitter center_frac must be a finite real >= 0"),
+     ({"center_frac": float("nan")}, "ShapeJitter center_frac must be finite and >= 0, got nan"),
      ({"rotation_deg": [7]}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
      ({"rotation_deg": 7}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
      ({"rotation_deg": [13, 7]}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
@@ -176,12 +176,14 @@ def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, 
      ({"feature": {"order": True}}, "order must be an integer >= 1, got True"),
      ({"budgets": {"train": 2.5}}, "budget 'train' must be an integer >= 0, got 2.5"),
      ({"budgets": {"val": True}}, "budget 'val' must be an integer >= 0, got True"),
-     ({"embed": {"samples": 2.5}}, "embed 'samples' must be an integer, got 2.5"),
+     ({"embed": {"samples": 2.5}}, "embed 'samples' must be an integer >= 1, got 2.5"),
+     ({"embed": {"samples": -3}}, "embed 'samples' must be an integer >= 1, got -3"),
+     ({"embed": {"samples": 0}}, "embed 'samples' must be an integer >= 1, got 0"),
      ({"embed": {"iterations": 2.5}}, "embed 'iterations' must be an integer >= 0, got 2.5"),
      ({"embed": {"iterations": -1}}, "embed 'iterations' must be an integer >= 0, got -1"),
-     ({"embed": {"perplexity": "5"}}, "embed 'perplexity' must be a real number > 0, got '5'"),
-     ({"embed": {"perplexity": True}}, "embed 'perplexity' must be a real number > 0, got True"),
-     ({"embed": {"perplexity": 0}}, "embed 'perplexity' must be a real number > 0, got 0"),
+     ({"embed": {"perplexity": "5"}}, "embed 'perplexity' must be a real number, got '5'"),
+     ({"embed": {"perplexity": True}}, "embed 'perplexity' must be a real number, got True"),
+     ({"embed": {"perplexity": 0}}, "embed 'perplexity' must be > 0, got 0"),
      ({"seed": 2.7}, "seed must be an integer >= 0, got 2.7"),
      ({"seed": True}, "seed must be an integer >= 0, got True"),
      ({"seed": -1}, "seed must be an integer >= 0, got -1"),
@@ -206,9 +208,10 @@ def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, 
      ({"calibration": {"method": "optimize", "epsilon": float("nan")}},
       "epsilon must be finite and > 0, got nan")],
     ids=["float-order", "string-order", "bool-order", "float-budget", "bool-budget",
-         "float-samples", "float-iterations", "negative-iterations", "string-perplexity",
-         "bool-perplexity", "zero-perplexity", "float-seed", "bool-seed", "negative-seed",
-         "float-size", "bool-size", "bool-slack", "zero-slack", "negative-slack", "string-slack",
+         "float-samples", "negative-samples", "zero-samples", "float-iterations",
+         "negative-iterations", "string-perplexity", "bool-perplexity", "zero-perplexity",
+         "float-seed", "bool-seed", "negative-seed", "float-size", "bool-size", "bool-slack",
+         "zero-slack", "negative-slack", "string-slack",
          "negative-box", "string-iters", "float-iters", "string-gamma", "string-epsilon",
          "nan-epsilon"],
 )
@@ -239,6 +242,32 @@ def test_calibration_settings_are_checked_before_data_is_loaded(
     monkeypatch.setattr(cli, "load_pools", load_pools)
     config = write_config(tmp_path, calibration=calibration)
     assert main(["fit", "--config", str(config)]) == 1
+    assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "overrides, flags, message",
+    [({"stream": {"mode": "rows", "basepoint": "no"}}, [],
+      "stream basepoint must be true or false, got 'no'"),
+     ({"channels": 2}, [], "channels must be None, 1 or 3, got 2"),
+     ({"augment": {"copies": 2.5}}, [], "AugmentSpec copies must be an integer >= 1, got 2.5"),
+     ({}, ["--samples", "-3"], "--samples must be an integer >= 1, got -3"),
+     ({}, ["--samples", "0"], "--samples must be an integer >= 1, got 0"),
+     ({}, ["--iterations", "-1"], "--iterations must be an integer >= 0, got -1"),
+     ({}, ["--perplexity", "-2"], "--perplexity must be > 0, got -2.0"),
+     ({}, ["--perplexity", "nan"], "--perplexity must be > 0, got nan")],
+    ids=["string-basepoint", "two-channels", "float-copies", "negative-samples-flag",
+         "zero-samples-flag", "negative-iterations-flag", "negative-perplexity-flag",
+         "nan-perplexity-flag"],
+)
+def test_config_and_embed_flags_are_checked_before_data_is_loaded(
+        tmp_path, capsys, monkeypatch, overrides, flags, message):
+    def load_pools(config):
+        raise AssertionError("embed loaded data before checking its settings")
+
+    monkeypatch.setattr(cli, "load_pools", load_pools)
+    config = write_config(tmp_path, **overrides)
+    assert main(["embed", "--config", str(config), *flags]) == 1
     assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
 
 
@@ -302,7 +331,8 @@ def test_gen_shapes_minimum_size(tmp_path, capsys):
 @pytest.mark.parametrize("with_config", [False, True], ids=["flags", "config"])
 @pytest.mark.parametrize(
     "flag, message",
-    [("--per-class", "per_class must be >= 1"), ("--size", "image size must be >= 8, got 0")],
+    [("--per-class", "per_class must be an integer >= 1, got 0"),
+     ("--size", "image size must be an integer >= 8, got 0")],
     ids=["per-class", "size"],
 )
 def test_gen_shapes_zero_flag_is_not_a_default(tmp_path, capsys, with_config, flag, message):
