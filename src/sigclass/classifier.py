@@ -419,6 +419,7 @@ def _config_from_dict(doc: dict, cls):
     missing = [f.name for f in fields(cls) if f.name not in doc]
     if missing:
         raise ValueError(f"model file 'config' lacks field {missing[0]!r}")
+    _known_fields(doc, {f.name for f in fields(cls)}, "'config'")
     values = {}
     for f in fields(cls):
         v = doc[f.name]
@@ -435,10 +436,19 @@ def _json_object(value, where: str) -> dict:
     return value
 
 
+def _known_fields(doc: dict, known, where: str) -> None:
+    """A ValueError naming the first key of doc that is not in known."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"model file {where} has unknown field {unknown[0]!r}")
+
+
 def model_from_dict(doc: dict) -> ClassModel:
     _json_object(doc, "top level")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
+    _known_fields(doc, ("schema_version", "config", "classes", "stream_dim", "feature_length",
+                        "per_class"), "top level")
     for key in ("config", "classes", "stream_dim", "feature_length"):
         if key not in doc:
             raise ValueError(f"model file lacks field {key!r}")
@@ -468,6 +478,8 @@ def model_from_dict(doc: dict) -> ClassModel:
     reps, factors, counts = np.empty(shape), np.empty(shape), {}
     for zi, z in enumerate(classes):
         entry = _json_object(per_class[z], f"class {z!r}")
+        _known_fields(entry, ("representative", "train_count", "lambda_rmse", "lambda_mae"),
+                      f"class {z!r}")
         try:
             _fill_row(reps, zi, z, "representative", entry["representative"])
             _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])

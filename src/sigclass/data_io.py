@@ -10,7 +10,6 @@ generation order cannot change the result.
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 import stat
 import struct
@@ -177,7 +176,7 @@ def _record_index(records, count: int) -> np.ndarray:
     """records as an index array into count records; all of them for None."""
     if records is None:
         return np.arange(count)
-    index = np.fromiter(map(operator.index, records), dtype=np.intp)
+    index = np.fromiter((integer("record", r) for r in records), dtype=np.intp)
     outside = index[(index < 0) | (index >= count)]
     if outside.size:
         raise ValueError(f"record {int(outside[0])} outside {count} records")

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real
+
 __all__ = ["EmbeddingResult", "pca_reduce", "tsne_exact", "embedding_csv"]
 
 
@@ -32,6 +34,7 @@ def pca_reduce(features, k: int) -> np.ndarray:
     """
     mat = _as_matrix(features)
     n, length = mat.shape
+    k = integer("k", k)
     if not 1 <= k <= min(n, length):
         raise ValueError(f"k must be in 1..min(n, length) = {min(n, length)}, got {k}")
     centered = mat - mat.mean(axis=0)
@@ -152,14 +155,12 @@ def tsne_exact(
     n = x.shape[0]
     if n < 5:
         raise ValueError(f"need at least 5 samples, got {n}")
-    if not perplexity > 0:
-        raise ValueError(f"perplexity must be > 0, got {perplexity}")
+    perplexity = real("perplexity", perplexity, inf_ok=True)
     if not perplexity < n / 3:
         raise ValueError(f"perplexity must be < n/3 = {n / 3:.2f}, got {perplexity}")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    iterations = integer("iterations", iterations, 0)
+    record_every = integer("record_every", record_every, 1)
+    learning_rate = real("learning_rate", learning_rate)
     if labels is not None and len(labels) != n:
         raise ValueError("labels length does not match sample count")
 

@@ -113,58 +113,17 @@ def _exp_increment_into(levels: list[np.ndarray], inc: np.ndarray) -> None:
         np.divide(levels[k], k, out=levels[k])
 
 
-def _narrowed(levels: list[np.ndarray], width: int, batch_inner: bool) -> list[np.ndarray]:
-    """The level list of `width`-dimensional tensors held in the leading
-    entries of each level buffer of the full-width level list `levels`,
-    batch axis innermost when batch_inner."""
-    batch, narrow = len(levels[0]), [levels[0]]
-    for k, lv in enumerate(levels[1:], 1):
-        block = lv.ravel(order="K")[: batch * width**k]
-        narrow.append(block.reshape(-1, batch).T if batch_inner else block.reshape(batch, -1))
-    return narrow
-
-
 def _still_map(moving: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coords, kept) for a (d,) mask of the coordinates that move.  When two
-    or more are still, kept lists the moving coordinates plus the first still
-    one, and coords[j] is the position in kept of coordinate j, every still
-    coordinate taking the first still one's; otherwise every coordinate is
-    kept in place."""
-    d = len(moving)
-    if d - np.count_nonzero(moving) < 2:
-        return np.arange(d), np.arange(d)
+    """(coords, kept) for a (d,) mask of the coordinates that move: kept lists
+    the moving coordinates plus the first still one, if any, and coords[j]
+    is the position in kept of coordinate j, every still coordinate taking
+    the first still one's."""
     first = int(np.argmin(moving))
     kept = moving.copy()
     kept[first] = True
     coords = np.cumsum(kept) - 1
     coords[~moving] = coords[first]
     return coords, np.flatnonzero(kept)
-
-
-def _widen_into(out: np.ndarray, narrow: list[np.ndarray], coords: np.ndarray,
-                full: list[list[np.ndarray]]) -> None:
-    """Write into out, (batch, F) over d = len(coords) coordinates, the
-    features of the level list `narrow` over fewer coordinates, coordinate j
-    of every multi-index read as coords[j].  The memory of the three
-    full-width level lists `full` is used and overwritten: the narrow
-    features go into the top level of the last, level k's gather index
-    into level k of the first, and the gathered level k into level k of
-    the second."""
-    batch, order, d = len(out), len(narrow) - 1, len(coords)
-    width = narrow[1].shape[-1]
-    flat = full[2][order].ravel(order="K")[: batch * feature_length(width, order)]
-    flat = flat.reshape(batch, -1)
-    np.concatenate(narrow[1:], axis=-1, out=flat)
-    # level k of flat starts at width + ... + width**(k-1), so a multi-index
-    # sits at (its prefix's index + 1) * width + its last coordinate's
-    index, wide = np.full(1, -1, dtype=np.intp), []
-    for k in range(1, order + 1):
-        prev, index = index, full[0][k].ravel(order="K").view(np.intp)[: d**k]
-        np.multiply(prev[:, None] + 1, width, out=index.reshape(-1, d))
-        np.add(index.reshape(-1, d), coords, out=index.reshape(-1, d))
-        wide.append(full[1][k].ravel(order="K").reshape(batch, -1))
-        np.take(flat, index, axis=1, out=wide[-1], mode="clip")
-    np.concatenate(wide, axis=-1, out=out)
 
 
 def _add_zero(levels: list[np.ndarray]) -> bool:
@@ -192,11 +151,11 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
     is still when it is +0.0 (all bits clear; -0.0 moves).
     - Still coordinates, +0.0 at every step of every stream: when there are
       two or more, the fold runs over the moving coordinates plus one still
-      coordinate, and the features are gathered back to the full layout,
-      every still coordinate reading the kept one.  Every level entry is
-      computed element-wise from the increments at its own indices (no sum
-      runs over coordinates), so the still coordinates' entries are bitwise
-      copies of the kept one's.
+      coordinate, in buffers sized to that width, and the features are
+      gathered back to the full layout once, every still coordinate reading
+      the kept one.  Every level entry is computed element-wise from the
+      increments at its own indices (no sum runs over coordinates), so the
+      still coordinates' entries are bitwise copies of the kept one's.
     - Still steps, +0.0 in every coordinate of every stream: such a step
       leaves finite levels as x + 0.0, so a run of them is one in-place
       x + 0.0 pass (none when nothing was folded since the last) instead of
@@ -206,26 +165,20 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
     """
     batch, n, d = points.shape
     batch_inner = batch >= d ** (order - 1)
-    incs = np.empty((d, n - 1, batch)).T if batch_inner else np.empty((batch, n - 1, d))
+
+    def empty(*shape):
+        return np.empty(shape[::-1]).T if batch_inner else np.empty(shape)
+
+    incs = empty(batch, n - 1, d)
     np.subtract(points[:, 1:], points[:, :-1], out=incs)
     moved = incs.view(np.uint64).any(axis=0)  # (n - 1, d): moved in some stream
     coords, kept = _still_map(moved.any(axis=0))
     width = len(kept)
     if width < d:
-        for j, c in enumerate(kept):
-            if j != c:
-                incs[:, :, j] = incs[:, :, c]
-        incs = incs[:, :, :width]
+        incs = np.take(incs, kept, axis=2, out=empty(batch, n - 1, width))
     still = ~moved.any(axis=1)
-
-    def empty(*shape):
-        return np.empty(shape[::-1]).T if batch_inner else np.empty(shape)
-
-    # the full-width fold's buffers, of which a narrower fold uses the
-    # leading entries: allocations stay the same whatever the chunk holds
-    full = [[np.ones(batch)] + [empty(batch, d**k) for k in range(1, order + 1)]
-            for _ in range(3)]
-    run, exp, scratch = (_narrowed(levels, width, batch_inner) for levels in full)
+    run, exp, scratch = ([np.ones(batch)] + [empty(batch, width**k) for k in range(1, order + 1)]
+                         for _ in range(3))
     _exp_increment_into(run, incs[:, 0])
     fresh = not still[0]  # run has changed since its last x + 0.0 pass
     for s in range(1, n - 1):
@@ -235,13 +188,22 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
         _exp_increment_into(exp, incs[:, s])
         run = ta.mul_levels(run, exp, out=run, scratch=scratch)
         fresh = True
-    del incs  # long chunks' largest buffer: free it before log_levels allocates
+    del incs, exp, scratch  # free them before log_levels and the gather allocate
     if kind == LOG_SIGNATURE:
         run = ta.log_levels(run)
     if width == d:
         np.concatenate(run[1:], axis=-1, out=out)
-    else:
-        _widen_into(out, run, coords, full)
+        return
+    # a multi-index's position among the narrow features: its prefix's
+    # position in the level below, times width, plus its last coordinate's,
+    # plus the level's offset width + ... + width**(k-1)
+    index, positions = np.zeros(1, dtype=np.intp), []
+    for k in range(1, order + 1):
+        index = (index[:, None] * width + coords).ravel()
+        positions.append(index + feature_length(width, k - 1))
+    # mode "clip" (every index is in range) lets take write out unbuffered
+    np.take(np.concatenate(run[1:], axis=-1), np.concatenate(positions), axis=1, out=out,
+            mode="clip")
 
 
 # Byte budget for one fold chunk's top level (8 * d**order bytes a stream):

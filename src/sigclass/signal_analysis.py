@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
+
 __all__ = [
     "SpectrumSeries",
     "savgol_coefficients",
@@ -36,7 +38,8 @@ def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     the Vandermonde normal equations; the kernel evaluates the fit at the
     window center and sums to 1.
     """
-    if window < 1 or window % 2 == 0:
+    window, polyorder = integer("window", window, 1), integer("polyorder", polyorder)
+    if window % 2 == 0:
         raise ValueError(f"window must be a positive odd integer, got {window}")
     if not 0 <= polyorder < window:
         raise ValueError(

@@ -105,8 +105,9 @@ def test_numpy_scalars_save_the_same_model_file(tmp_path):
 
 
 def test_no_module_but_checks_hand_rolls_a_numeric_check():
-    """Importing numbers or naming numpy's bool type is what a hand-rolled
-    numeric check looks like; only _checks may do either."""
+    """Importing numbers, naming numpy's bool type or taking integers through
+    operator.index is what a hand-rolled numeric check looks like; only
+    _checks may do any of these."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_checks.py":
@@ -116,4 +117,6 @@ def test_no_module_but_checks_hand_rolls_a_numeric_check():
             offenders.append(f"{path.name} imports numbers")
         if re.search(r"\b(np|numpy)\.bool_\b", text):
             offenders.append(f"{path.name} names np.bool_")
+        if re.search(r"\boperator\.index\b|^\s*from operator import\b.*\bindex\b", text, re.M):
+            offenders.append(f"{path.name} uses operator.index")
     assert not offenders, offenders

@@ -595,6 +595,11 @@ MALFORMED_MODELS = {
                          "stream basepoint must be true or false, got 'no'"),
     "two channels": (("config", "channels"), 2, "channels must be None, 1 or 3, got 2"),
     "bool channels": (("config", "channels"), True, "channels must be an integer, got True"),
+    "unknown top-level field": (("extra",), 1, "top level has unknown field 'extra'"),
+    "unknown config field": (("config", "extra"), 1, "'config' has unknown field 'extra'"),
+    "unknown convention field": (("config", "convention", "extra"), 1,
+                                 "'config' has unknown field 'extra'"),
+    "unknown class field": (("per_class", "a", "extra"), 1, "class 'a' has unknown field 'extra'"),
 }
 
 

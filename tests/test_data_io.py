@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -192,8 +193,23 @@ def test_records_outside_the_file_are_rejected(tmp_path):
         for bad in (n, -1):
             with pytest.raises(ValueError, match=f"record {bad} outside {n} records"):
                 load([0, bad])
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="record must be an integer, got 0.0"):
             load([0.0])
+
+
+@pytest.mark.parametrize(
+    "records, bad",
+    [([True, False], True), ([0, np.True_], np.True_), ([1.0], 1.0),
+     (np.array([0.0, 1.0]), np.float64(0.0))],
+)
+def test_record_numbers_must_be_integers(tmp_path, records, bad):
+    img, lbl = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8), [0, 1, 2])
+    path = tmp_path / "batch.bin"
+    path.write_bytes(cifar_record(3) * 2)
+    for load in (lambda: load_mnist_idx(img, lbl, records=records),
+                 lambda: load_cifar10(path, records=records)):
+        with pytest.raises(ValueError, match=re.escape(f"record must be an integer, got {bad!r}")):
+            load()
 
 
 def test_whole_file_checks_run_before_chosen_records(tmp_path):

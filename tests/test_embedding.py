@@ -54,6 +54,9 @@ def test_pca_k_validation():
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="k must be"):
         pca_reduce(rng.normal(size=(5, 3)), 4)
+    for k in (True, 2.5):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+            pca_reduce(rng.normal(size=(5, 3)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +240,14 @@ def test_sample_count_and_perplexity_contracts():
         ({"perplexity": 0.0}, "perplexity must be > 0"),
         ({"perplexity": -2.0}, "perplexity must be > 0"),
         ({"perplexity": float("nan")}, "perplexity must be > 0"),
-        ({"iterations": -1}, "iterations must be >= 0"),
-        ({"record_every": 0}, "record_every must be >= 1"),
+        ({"iterations": -1}, "iterations must be an integer >= 0"),
+        ({"record_every": 0}, "record_every must be an integer >= 1"),
+        ({"perplexity": True}, "perplexity must be a real number, got True"),
+        ({"iterations": 2.5}, "iterations must be an integer >= 0, got 2.5"),
+        ({"iterations": True}, "iterations must be an integer >= 0, got True"),
+        ({"record_every": 2.5}, "record_every must be an integer >= 1, got 2.5"),
+        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+        ({"learning_rate": -1.0}, "learning_rate must be finite and > 0, got -1.0"),
     ],
 )
 def test_embedding_parameters_rejected_by_name(kwargs, match):

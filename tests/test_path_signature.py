@@ -334,10 +334,10 @@ def same_bytes(x, y):
 def test_in_place_fold_is_byte_identical_to_the_allocating_fold(case):
     points, order = case
     batch, _, d = points.shape
-    narrowed, level_lists = path_signature._narrowed, []
+    exp_into, level_lists = path_signature._exp_increment_into, []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(path_signature, "_narrowed",
-                   lambda *args: level_lists.append(narrowed(*args)) or level_lists[-1])
+        mp.setattr(path_signature, "_exp_increment_into",
+                   lambda levels, inc: level_lists.append(levels) or exp_into(levels, inc))
         assert same_bytes(signature_many(points, order), reference_features(points, order))
     top = level_lists[0][order]
     if batch > 1 and top.shape[1] > 1:
@@ -384,6 +384,21 @@ def test_fold_skips_still_steps_and_still_coordinates(monkeypatch):
         widths.clear()
         assert same_bytes(signature_many(points, order), reference_features(points, order))
         assert widths == [5] * (n - 2)
+
+
+def test_mnist_shaped_rows_with_still_margins_match_the_allocating_fold():
+    # basepointed rows of 28 x 28 digits whose ink sits in a shifted 20 x 20
+    # box: black margin columns are still coordinates, black rows still
+    # steps, and each chunk of 2 at the real FOLD_BYTES keeps its own width
+    rng = np.random.default_rng(21)
+    pixels = np.zeros((5, 28, 28, 1))
+    for i in range(5):
+        ink = rng.random((20, 20, 1))
+        pixels[i, 4:24, 2 * i : 2 * i + 20] = np.where(ink < 0.4, ink, 0.0)
+    points = StreamConvention("rows", True).points(pixels)
+    assert points.shape == (5, 29, 28) and FOLD_BYTES // (8 * 28**3) == 2
+    assert same_bytes(signature_many(points, 3), reference_features(points, 3))
+    assert same_bytes(log_signature_many(points, 3), reference_features(points, 3, log=True))
 
 
 def test_still_step_after_overflow_is_folded_in_full():

@@ -48,6 +48,13 @@ def test_coefficient_contracts():
         savgol_coefficients(4, 1)
     with pytest.raises(ValueError, match="polyorder"):
         savgol_coefficients(5, 5)
+    for window, polyorder, match in ((5.5, 2, "window must be an integer >= 1, got 5.5"),
+                                     (True, 0, "window must be an integer >= 1, got True"),
+                                     (0, 0, "window must be an integer >= 1, got 0"),
+                                     (5, 2.0, "polyorder must be an integer, got 2.0"),
+                                     (5, np.True_, "polyorder must be an integer, got np.True_")):
+        with pytest.raises(ValueError, match=match):
+            savgol_coefficients(window, polyorder)
 
 
 def test_filter_preserves_constants():
