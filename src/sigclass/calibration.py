@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer, real
+from ._checks import integer, json_object, real
 
 __all__ = ["CalibrationSet", "METHODS", "closed_form_lambda", "optimize_lambda", "solver_settings"]
 
@@ -103,11 +103,9 @@ def solver_settings(method: str, settings: dict) -> dict:
     solver checks it, so that a bad setting is named before any data is
     read; a ValueError for an unknown method, a key the method does not
     take (see METHODS) or a bad value."""
-    if method not in METHODS:
+    if not isinstance(method, str) or method not in METHODS:
         raise ValueError(f"unknown calibration method {method!r}")
-    unknown = sorted(set(settings) - set(METHODS[method]))
-    if unknown:
-        raise ValueError(f"calibration method {method!r} takes no key {unknown[0]!r}")
+    json_object(f"calibration method {method!r}", settings, METHODS[method])
     return {key: _SETTINGS[key](value) for key, value in settings.items()}
 
 

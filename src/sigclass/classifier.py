@@ -16,11 +16,11 @@ factors.  Four evaluation protocols are provided:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import integer, real
+from ._checks import config_object, integer, json_object, real
 from .calibration import CalibrationSet, closed_form_lambda, optimize_lambda, solver_settings
 from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels, group_by_label
 from .path_signature import (
@@ -408,52 +408,18 @@ def model_to_dict(model: ClassModel, to_json=np.ndarray.tolist) -> dict:
     }
 
 
-# Config fields that hold a nested config object (or None)
+# ModelConfig fields that hold a nested config object (augment may be null)
 _NESTED = {"convention": StreamConvention, "augment": AugmentSpec}
-
-
-def _config_from_dict(doc: dict, cls):
-    """cls from a model file's JSON object holding every one of its fields;
-    lists become tuples and nested config objects are built the same way."""
-    _json_object(doc, "'config'")
-    missing = [f.name for f in fields(cls) if f.name not in doc]
-    if missing:
-        raise ValueError(f"model file 'config' lacks field {missing[0]!r}")
-    _known_fields(doc, {f.name for f in fields(cls)}, "'config'")
-    values = {}
-    for f in fields(cls):
-        v = doc[f.name]
-        if f.name in _NESTED and v is not None:
-            v = _config_from_dict(v, _NESTED[f.name])
-        values[f.name] = tuple(v) if isinstance(v, list) else v
-    return cls(**values)
-
-
-def _json_object(value, where: str) -> dict:
-    """value, or a ValueError unless it is a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"model file {where} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _known_fields(doc: dict, known, where: str) -> None:
-    """A ValueError naming the first key of doc that is not in known."""
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise ValueError(f"model file {where} has unknown field {unknown[0]!r}")
+_MODEL_FIELDS = ("config", "classes", "stream_dim", "feature_length", "per_class")
+_CLASS_FIELDS = ("representative", "train_count", "lambda_rmse", "lambda_mae")
 
 
 def model_from_dict(doc: dict) -> ClassModel:
-    _json_object(doc, "top level")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if json_object("model file top level", doc).get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
-    _known_fields(doc, ("schema_version", "config", "classes", "stream_dim", "feature_length",
-                        "per_class"), "top level")
-    for key in ("config", "classes", "stream_dim", "feature_length"):
-        if key not in doc:
-            raise ValueError(f"model file lacks field {key!r}")
-    config = _config_from_dict(doc["config"], ModelConfig)
-    classes = doc.get("classes")
+    json_object("model file top level", doc, ("schema_version", *_MODEL_FIELDS), _MODEL_FIELDS)
+    config = config_object(ModelConfig, "model file 'config'", doc["config"], True, _NESTED)
+    classes = doc["classes"]
     if not isinstance(classes, list) or not all(isinstance(z, str) for z in classes):
         raise ValueError(f"model file field 'classes' must be a JSON list of strings, got {classes!r}")
     if not classes:
@@ -461,33 +427,26 @@ def model_from_dict(doc: dict) -> ClassModel:
     if len(set(classes)) != len(classes):
         raise ValueError(f"model file field 'classes' repeats a class: {classes!r}")
     classes = tuple(classes)
-    per_class = _json_object(doc.get("per_class", {}), "field 'per_class'")
-    missing = [z for z in classes if z not in per_class]
-    if missing:
-        raise ValueError(f"model file 'per_class' lacks classes: {missing}")
-    extra = sorted(set(per_class) - set(classes))
-    if extra:
-        raise ValueError(f"model file 'per_class' has classes not in 'classes': {extra}")
+    per_class = json_object("model file field 'per_class'", doc["per_class"], classes, classes)
     stream_dim = integer("model file field 'stream_dim'", doc["stream_dim"], 1)
-    shape = (len(classes), feature_length(stream_dim, config.order))
-    if doc["feature_length"] != shape[1]:
-        raise ValueError(
-            f"model file feature_length {doc['feature_length']!r} does not match"
-            f" {shape[1]} for stream_dim={stream_dim}, order={config.order}"
-        )
+    length = integer("model file field 'feature_length'", doc["feature_length"], 1)
+    order = config.order
+    # The sum d + d**2 + ... + d**order is order when d is 1; otherwise its last
+    # term passes any length of fewer than order bits, and a huge order is not summed.
+    expected = (order if stream_dim == 1 else feature_length(stream_dim, order)
+                if order <= length.bit_length() else f"more than {length}")
+    if length != expected:
+        raise ValueError(f"model file feature_length {length!r} does not match {expected}"
+                         f" for stream_dim={stream_dim}, order={order}")
+    shape = (len(classes), length)
     reps, factors, counts = np.empty(shape), np.empty(shape), {}
     for zi, z in enumerate(classes):
-        entry = _json_object(per_class[z], f"class {z!r}")
-        _known_fields(entry, ("representative", "train_count", "lambda_rmse", "lambda_mae"),
-                      f"class {z!r}")
-        try:
-            _fill_row(reps, zi, z, "representative", entry["representative"])
-            _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
-            counts[z] = integer(f"model file class {z!r} field 'train_count'", entry["train_count"], 1)
-            if entry["lambda_mae"] != entry["lambda_rmse"]:
-                raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
-        except KeyError as exc:
-            raise ValueError(f"model file class {z!r} lacks field {exc.args[0]!r}") from None
+        entry = json_object(f"model file class {z!r}", per_class[z], _CLASS_FIELDS, _CLASS_FIELDS)
+        _fill_row(reps, zi, z, "representative", entry["representative"])
+        _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
+        counts[z] = integer(f"model file class {z!r} field 'train_count'", entry["train_count"], 1)
+        if entry["lambda_mae"] != entry["lambda_rmse"]:
+            raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
     return ClassModel(
         config=config,
         classes=classes,

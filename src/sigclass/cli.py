@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import band, integer, real
+from ._checks import band, config_object, integer, json_object, real
 from .calibration import solver_settings
 from .classifier import (
     ModelConfig,
@@ -95,7 +95,7 @@ def _embed_setting(key: str, value, name: str):
 class RunConfig:
     seed: int
     out_dir: str
-    dataset: dict
+    dataset: dict  # the dataset section, four-shapes jitter as a ShapeJitter
     model: ModelConfig
     budgets: dict
     calibration: dict  # "method" plus keyword arguments of its solver
@@ -104,64 +104,85 @@ class RunConfig:
     embed: dict
 
 
-def _tuples(section: dict) -> dict:
-    """A JSON object as dataclass keyword arguments: lists become tuples."""
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
+# The keys a dataset section must and may hold, by kind.  Every key but kind
+# and the four-shapes settings names files: a path, or a non-empty list of
+# paths for *_batches.  MNIST test images and labels come as a pair.
+DATASETS = {
+    "four_shapes": ((), ("size", "per_class", "jitter")),
+    "mnist": (("train_images", "train_labels"), ("test_images", "test_labels")),
+    "cifar10": (("train_batches",), ("test_batches",)),
+    "image_dir": (("root",), ("test_root",)),
+}
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {where} key {unknown[0]!r}")
+def _dataset(section) -> dict:
+    """The dataset section checked against its kind's keys and values."""
+    ds = {"kind": "four_shapes", **json_object("config 'dataset'", section)}
+    kind = ds["kind"]
+    if not isinstance(kind, str) or kind not in DATASETS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    required, optional = DATASETS[kind]
+    if kind == "mnist" and not ds.keys().isdisjoint(optional):
+        required += optional
+    json_object("config 'dataset'", ds, ("kind", *required, *optional), required)
+    if kind == "four_shapes":
+        for key, low in (("size", None), ("per_class", 1)):
+            if key in ds:
+                integer(f"dataset {key!r}", ds[key], low)
+        return dict(ds, jitter=_jitter(ds.get("jitter")))
+    for key in [key for key in ds if key != "kind"]:
+        paths = ds[key] if key.endswith("_batches") else [ds[key]]
+        if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
+            what = "a non-empty list of paths" if key.endswith("_batches") else "a path"
+            raise ValueError(f"dataset {key!r} must be {what}, got {ds[key]!r}")
+    return ds
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    """Sections are passed to the library objects that own their keys, so
-    a key left out takes that object's default and an unknown key raises."""
-    _check_keys(doc, CONFIG_KEYS, "config")
-    dataset = dict(doc.get("dataset") or {"kind": "four_shapes"})
-    kind = dataset.get("kind")
-    if kind not in ("four_shapes", "mnist", "cifar10", "image_dir"):
-        raise ValueError(f"unknown dataset kind {kind!r}")
-    if kind == "four_shapes" and "size" in dataset:
-        integer("dataset 'size'", dataset["size"])
+    """Every section is a JSON object checked against the keys of the
+    library object that owns it, so a key left out takes that object's
+    default and an unknown key raises."""
+    json_object("config", doc, CONFIG_KEYS)
+    dataset = _dataset(doc.get("dataset", {}))
+    kind = dataset["kind"]
     seed = integer("seed", doc.get("seed", 0), 0)
 
-    feature = doc.get("feature") or {}
-    _check_keys(feature, ("kind", "order"), "feature")
-    model = dict(feature, **{k: doc[k] for k in ("metric", "channels") if k in doc})
+    model = dict(json_object("config 'feature'", doc.get("feature", {}), ("kind", "order")))
+    model.update({k: doc[k] for k in ("metric", "channels") if k in doc})
     if doc.get("image_size") is not None:
-        model.update(_tuples({"image_size": doc["image_size"]}))
+        model["image_size"] = doc["image_size"]
     elif kind == "four_shapes" and "size" in dataset:
         model["image_size"] = (dataset["size"],) * 2
     elif kind in _DEFAULT_SIZES:
         model["image_size"] = _DEFAULT_SIZES[kind]
     elif kind == "image_dir":
         raise ValueError("image_size is required for dataset kind 'image_dir'")
+    model["convention"] = config_object(StreamConvention, "config 'stream'", doc.get("stream", {}))
     if doc.get("augment") is not None:
-        model["augment"] = AugmentSpec(**_tuples(doc["augment"]))
+        model["augment"] = config_object(AugmentSpec, "config 'augment'", doc["augment"])
 
-    budgets = dict(BUDGET_DEFAULTS, **(doc.get("budgets") or {}))
-    _check_keys(budgets, BUDGET_DEFAULTS, "budgets")
-    budgets = {name: integer(f"budget {name!r}", value, 0) for name, value in budgets.items()}
+    budgets = json_object("config 'budgets'", doc.get("budgets", {}), BUDGET_DEFAULTS)
+    budgets = {name: integer(f"budget {name!r}", value, 0)
+               for name, value in dict(BUDGET_DEFAULTS, **budgets).items()}
 
-    calibration = dict(doc.get("calibration") or {})
-    calibration.setdefault("method", "closed_form")
+    calibration = {"method": "closed_form",
+                   **json_object("config 'calibration'", doc.get("calibration", {}))}
     solver_settings(calibration["method"], {k: v for k, v in calibration.items() if k != "method"})
 
     protocol = doc.get("protocol", "fixed")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    embed = dict(EMBED_DEFAULTS, **(doc.get("embed") or {}))
-    _check_keys(embed, EMBED_DEFAULTS, "embed")
-    embed = {key: _embed_setting(key, value, f"embed {key!r}") for key, value in embed.items()}
+    embed = json_object("config 'embed'", doc.get("embed", {}), EMBED_DEFAULTS)
+    embed = {key: _embed_setting(key, value, f"embed {key!r}")
+             for key, value in dict(EMBED_DEFAULTS, **embed).items()}
+    json_object("config 'spectra'", doc.get("spectra", {}), ("window", "polyorder"))
 
     return RunConfig(
         seed=seed,
         out_dir=str(doc.get("out_dir", "out")),
         dataset=dataset,
-        model=ModelConfig(convention=StreamConvention(**(doc.get("stream") or {})), **model),
+        model=config_object(ModelConfig, "config", model),
         budgets=budgets,
         calibration=calibration,
         protocol=protocol,
@@ -171,12 +192,14 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
+    """The config file at path, with each override that is not None in place."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            doc[key] = value
-    return config_from_dict(doc)
+        doc = json_object("config", json.load(fh))
+    return config_from_dict(dict(doc, **_not_none(overrides or {})))
+
+
+def _not_none(overrides: dict) -> dict:
+    return {key: value for key, value in overrides.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +209,13 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 def _jitter(section) -> ShapeJitter:
     """dataset.jitter as a ShapeJitter; the rotation band is given in degrees."""
-    section = dict(section or {})
-    if "rotation" in section:
-        raise ValueError("unknown dataset.jitter key 'rotation'; give the band as 'rotation_deg'")
-    _check_keys(section, ("center_frac", "scale_range", "rotation_deg"), "dataset.jitter")
+    section = dict(json_object("config 'dataset.jitter'", {} if section is None else section,
+                               ("center_frac", "scale_range", "rotation_deg")))
     if "rotation_deg" in section:
         rot = section.pop("rotation_deg")
-        if rot is not None:
-            rot = tuple(np.deg2rad(band("dataset.jitter 'rotation_deg'", rot)))
-        section["rotation"] = rot
-    return ShapeJitter(**_tuples(section))
+        section["rotation"] = None if rot is None else tuple(
+            np.deg2rad(np.array(band("dataset.jitter 'rotation_deg'", rot), float)))
+    return config_object(ShapeJitter, "config 'dataset.jitter'", section)
 
 
 class _Ref(NamedTuple):
@@ -210,14 +230,10 @@ class _Ref(NamedTuple):
 
 def _shape_params(config: RunConfig) -> dict:
     ds = config.dataset
-    per_class = ds.get("per_class")
-    if per_class is None:
-        b = config.budgets
-        per_class = b["train"] + b["val"] + b["test"]
     return {
-        "per_class": per_class,
+        "per_class": ds.get("per_class", sum(config.budgets.values())),
         "size": ds.get("size", config.model.image_size[0]),
-        "jitter": _jitter(ds.get("jitter")),
+        "jitter": ds.get("jitter", ShapeJitter()),
         "seed": substream_seed(config.seed, "shapes"),
     }
 
@@ -226,9 +242,8 @@ def _part_files(config: RunConfig, part: str) -> tuple:
     """The file arguments of an MNIST or CIFAR-10 part, "train" or "test",
     for its label reader and loader; () when the config names none."""
     ds = config.dataset
-    if ds["kind"] == "mnist":
-        return (ds[f"{part}_images"], ds[f"{part}_labels"]) if ds.get(f"{part}_images") else ()
-    return (ds[f"{part}_batches"],) if ds.get(f"{part}_batches") else ()
+    keys = (f"{part}_images", f"{part}_labels") if ds["kind"] == "mnist" else (f"{part}_batches",)
+    return tuple(ds[key] for key in keys if key in ds)
 
 
 def load_pools(config: RunConfig) -> tuple[list, list | None]:
@@ -256,14 +271,10 @@ def load_pools(config: RunConfig) -> tuple[list, list | None]:
             files = _part_files(config, part)
             if files:
                 pools[part] = [_Ref(str(z), (part, i)) for i, z in enumerate(read(*files).tolist())]
-        if "train" not in pools:
-            raise ValueError(f"dataset kind {kind!r} names no train files")
         return pools["train"], pools.get("test")
-    if kind == "image_dir":
-        train = load_image_dir(ds["root"])
-        test = load_image_dir(ds["test_root"]) if ds.get("test_root") else None
-        return train, test
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    train = load_image_dir(ds["root"])
+    test = load_image_dir(ds["test_root"]) if "test_root" in ds else None
+    return train, test
 
 
 def _permutation(config: RunConfig, key: int, n: int) -> np.ndarray:
@@ -353,23 +364,20 @@ def prepare_images(items, config: RunConfig) -> list[LabeledImage]:
 
 def cmd_gen_shapes(args) -> int:
     """Write four-shapes PPMs: with a config, the pool that fit, eval and embed render."""
+    overrides = {"seed": args.seed, "out_dir": args.out}
     if args.config:
-        config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-        params, seed, out_dir = _shape_params(config), config.seed, config.out_dir
+        config = load_config(args.config, overrides)
     else:
-        seed = args.seed if args.seed is not None else 0
-        params = {"per_class": 10, "size": 16, "jitter": ShapeJitter(),
-                  "seed": substream_seed(seed, "shapes")}
-        out_dir = args.out or "out"
-    for key in ("per_class", "size"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
+        dataset = {"kind": "four_shapes", "per_class": 10}
+        config = config_from_dict({"dataset": dataset, **_not_none(overrides)})
+    params = dict(_shape_params(config), **_not_none({"per_class": args.per_class, "size": args.size}))
+    out_dir = config.out_dir
 
     images = gen_four_shapes(**params)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "seed": seed,
+        "seed": config.seed,
         "size": params["size"],
         "per_class": params["per_class"],
         "files": [],

@@ -522,6 +522,7 @@ def gen_four_shapes(
     """
     size = integer("image size", size, 8)
     per_class = integer("per_class", per_class, 1)
+    seed = integer("seed", seed, 0)
     if samples is None:
         samples = itertools.product(range(len(SHAPE_LABELS)), range(per_class))
     samples = list(samples)

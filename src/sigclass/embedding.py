@@ -161,6 +161,7 @@ def tsne_exact(
     iterations = integer("iterations", iterations, 0)
     record_every = integer("record_every", record_every, 1)
     learning_rate = real("learning_rate", learning_rate)
+    seed = integer("seed", seed, 0)
     if labels is not None and len(labels) != n:
         raise ValueError("labels length does not match sample count")
 

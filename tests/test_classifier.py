@@ -514,9 +514,9 @@ def test_model_schema_version_checked():
     good = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a"]), cfg()))
     for path, value, match in (
         (("schema_version",), 99, "schema_version"),
-        (("per_class",), None, r"'per_class' lacks classes: \['a'\]"),
+        (("per_class",), None, "top level lacks field 'per_class'"),
         (("classes",), [], "no classes"),
-        (("classes",), ["a", "c"], r"'per_class' lacks classes: \['c'\]"),
+        (("classes",), ["a", "c"], "field 'per_class' lacks field 'c'"),
         (("config",), None, "lacks field 'config'"),
         (("stream_dim",), None, "lacks field 'stream_dim'"),
         (("feature_length",), None, "lacks field 'feature_length'"),
@@ -590,7 +590,7 @@ MALFORMED_MODELS = {
     "null classes": (("classes",), None, "'classes' must be a JSON list of strings, got None"),
     "repeated class": (("classes",), ["a", "b", "a"], "'classes' repeats a class"),
     "per_class beyond classes": (("per_class", "c"), {},
-                                 r"'per_class' has classes not in 'classes': \['c'\]"),
+                                 "field 'per_class' has unknown field 'c'"),
     "string basepoint": (("config", "convention", "basepoint"), "no",
                          "stream basepoint must be true or false, got 'no'"),
     "two channels": (("config", "channels"), 2, "channels must be None, 1 or 3, got 2"),
@@ -600,6 +600,10 @@ MALFORMED_MODELS = {
     "unknown convention field": (("config", "convention", "extra"), 1,
                                  "'config' has unknown field 'extra'"),
     "unknown class field": (("per_class", "a", "extra"), 1, "class 'a' has unknown field 'extra'"),
+    "null convention": (("config", "convention"), None,
+                        "'config' must be a JSON object, got NoneType"),
+    "string feature_length": (("feature_length",), "42",
+                              "'feature_length' must be an integer >= 1, got '42'"),
 }
 
 

@@ -112,12 +112,18 @@ def test_missing_section_keys_take_library_defaults():
         ("feature", {"kind": "signature", "order": 2, "metric": "mae"}, "metric"),
         ("stream", {"mode": "rows", "base_point": True}, "base_point"),
         ("calibration", {"method": "none", "epsilon": 1e-3}, "epsilon"),
+        ("dataset", {"kind": "four_shapes", "sise": 16}, "sise"),
+        ("dataset", {"kind": "four_shapes", "per_clas": 3}, "per_clas"),
+        ("dataset", {"kind": "mnist", "train_images": "a", "train_labels": "b",
+                     "test_image": "c", "test_labels": "d"}, "test_image"),
+        ("spectra", {"window": 21, "polyorde": 3}, "polyorde"),
     ],
 )
 def test_unknown_config_key_fails_naming_it(tmp_path, capsys, section, value, key):
     config = write_config(tmp_path, **{section: value})
     assert main(["fit", "--config", str(config)]) == 1
-    assert f"'{key}'" in read_stderr_error(capsys)["error"]
+    error = read_stderr_error(capsys)
+    assert f"'{key}'" in error["error"] and error["type"] == "ValueError", error
 
 
 @pytest.mark.parametrize(
@@ -128,7 +134,7 @@ def test_unknown_config_key_fails_naming_it(tmp_path, capsys, section, value, ke
      ({"rotation_deg": [7]}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
      ({"rotation_deg": 7}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
      ({"rotation_deg": [13, 7]}, "dataset.jitter 'rotation_deg' must be two finite real numbers"),
-     ({"wobble": 1}, "unknown dataset.jitter key 'wobble'")],
+     ({"wobble": 1}, "config 'dataset.jitter' has unknown field 'wobble'")],
     ids=["one-scale", "negative-scale", "nan-center", "one-angle", "scalar-angle",
          "reversed-angles", "unknown-key"],
 )
@@ -224,12 +230,12 @@ def test_non_integer_count_fails_with_a_named_error(tmp_path, capsys, overrides,
 @pytest.mark.parametrize(
     "calibration, message",
     [({"method": "optimize", "box": -1.0}, "box must be > 0, got -1.0"),
-     ({"method": "optimize", "iter": 3}, "calibration method 'optimize' takes no key 'iter'"),
+     ({"method": "optimize", "iter": 3}, "calibration method 'optimize' has unknown field 'iter'"),
      ({"method": "optimize", "iters": 0}, "iters must be an integer >= 1, got 0"),
      ({"method": "closed_form", "gamma": 0.1},
-      "calibration method 'closed_form' takes no key 'gamma'"),
+      "calibration method 'closed_form' has unknown field 'gamma'"),
      ({"epsilon": 0.0}, "epsilon must be finite and > 0, got 0.0"),
-     ({"method": "none", "epsilon": 1e-8}, "calibration method 'none' takes no key 'epsilon'"),
+     ({"method": "none", "epsilon": 1e-8}, "calibration method 'none' has unknown field 'epsilon'"),
      ({"method": "bogus"}, "unknown calibration method 'bogus'")],
     ids=["negative-box", "unknown-key", "zero-iters", "closed-form-gamma", "zero-epsilon",
          "none-epsilon", "unknown-method"],
@@ -255,10 +261,47 @@ def test_calibration_settings_are_checked_before_data_is_loaded(
      ({}, ["--samples", "0"], "--samples must be an integer >= 1, got 0"),
      ({}, ["--iterations", "-1"], "--iterations must be an integer >= 0, got -1"),
      ({}, ["--perplexity", "-2"], "--perplexity must be > 0, got -2.0"),
-     ({}, ["--perplexity", "nan"], "--perplexity must be > 0, got nan")],
+     ({}, ["--perplexity", "nan"], "--perplexity must be > 0, got nan"),
+     ({"budgets": [1]}, [], "config 'budgets' must be a JSON object, got list"),
+     ({"embed": [1]}, [], "config 'embed' must be a JSON object, got list"),
+     ({"calibration": [1]}, [], "config 'calibration' must be a JSON object, got list"),
+     ({"dataset": [1]}, [], "config 'dataset' must be a JSON object, got list"),
+     ({"dataset": {"jitter": 5}}, [], "config 'dataset.jitter' must be a JSON object, got int"),
+     ({"augment": [1]}, [], "config 'augment' must be a JSON object, got list"),
+     ({"feature": "sig"}, [], "config 'feature' must be a JSON object, got str"),
+     ({"stream": {"mode": "rows", "base_point": True}}, [],
+      "config 'stream' has unknown field 'base_point'"),
+     ({"augment": {"copy": 2}}, [], "config 'augment' has unknown field 'copy'"),
+     ({"dataset": {"kind": "mnist", "train_images": "a"}}, [],
+      "config 'dataset' lacks field 'train_labels'"),
+     ({"dataset": {"kind": "mnist", "train_images": "a", "train_labels": "b", "test_images": "c"}},
+      [], "config 'dataset' lacks field 'test_labels'"),
+     ({"dataset": {"kind": "image_dir"}, "image_size": [8, 8]}, [],
+      "config 'dataset' lacks field 'root'"),
+     ({"dataset": {"kind": ["mnist"]}}, [], "unknown dataset kind ['mnist']"),
+     ({"calibration": {"method": ["optimize"]}}, [], "unknown calibration method ['optimize']"),
+     ({"dataset": {"kind": "four_shapes", "per_class": "3"}}, [],
+      "dataset 'per_class' must be an integer >= 1, got '3'"),
+     ({"dataset": {"kind": "four_shapes", "per_class": 2.5}}, [],
+      "dataset 'per_class' must be an integer >= 1, got 2.5"),
+     ({"dataset": {"kind": "four_shapes", "per_class": True}}, [],
+      "dataset 'per_class' must be an integer >= 1, got True"),
+     ({"dataset": {"kind": "cifar10", "train_batches": 5}}, [],
+      "dataset 'train_batches' must be a non-empty list of paths, got 5"),
+     ({"dataset": {"kind": "cifar10", "train_batches": []}}, [],
+      "dataset 'train_batches' must be a non-empty list of paths, got []"),
+     ({"dataset": {"kind": "image_dir", "root": 5}, "image_size": [8, 8]}, [],
+      "dataset 'root' must be a path, got 5"),
+     ({"dataset": {"kind": "four_shapes", "jitter": {"center_frac": 10**400}}}, [],
+      "ShapeJitter center_frac must be finite and >= 0, got " + str(10**400))],
     ids=["string-basepoint", "two-channels", "float-copies", "negative-samples-flag",
          "zero-samples-flag", "negative-iterations-flag", "negative-perplexity-flag",
-         "nan-perplexity-flag"],
+         "nan-perplexity-flag", "list-budgets", "list-embed", "list-calibration", "list-dataset",
+         "int-jitter", "list-augment", "string-feature", "unknown-stream-key",
+         "unknown-augment-key", "mnist-without-train-labels", "mnist-test-images-alone",
+         "image-dir-without-root", "list-dataset-kind", "list-calibration-method",
+         "string-per-class", "float-per-class", "bool-per-class", "int-train-batches",
+         "empty-train-batches", "int-root", "huge-center-frac"],
 )
 def test_config_and_embed_flags_are_checked_before_data_is_loaded(
         tmp_path, capsys, monkeypatch, overrides, flags, message):
@@ -269,6 +312,15 @@ def test_config_and_embed_flags_are_checked_before_data_is_loaded(
     config = write_config(tmp_path, **overrides)
     assert main(["embed", "--config", str(config), *flags]) == 1
     assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "3"]], ids=["plain", "seed-override"])
+def test_config_file_must_hold_a_json_object(tmp_path, capsys, flags):
+    path = tmp_path / "config.json"
+    path.write_text("[1]")
+    assert main(["fit", "--config", str(path), *flags]) == 1
+    assert read_stderr_error(capsys) == {"error": "config must be a JSON object, got list",
+                                         "type": "ValueError"}
 
 
 def test_spectra_section_is_an_accepted_top_level_key():
@@ -284,7 +336,8 @@ def test_unknown_calibration_method_fails_at_load(tmp_path):
 
 
 def test_prepare_images_shares_images_at_size():
-    config = cli.config_from_dict({"dataset": {"kind": "image_dir"}, "image_size": [8, 8]})
+    config = cli.config_from_dict({"dataset": {"kind": "image_dir", "root": "images"},
+                                  "image_size": [8, 8]})
     rng = np.random.default_rng(0)
     at_size = LabeledImage(rng.random((8, 8, 1)), "a", "x")
     larger = LabeledImage(rng.random((12, 10, 3)), "b", "y")

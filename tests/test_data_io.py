@@ -456,6 +456,9 @@ def test_shapes_subset_keys_validated():
             gen_four_shapes(2, samples=[key])
     with pytest.raises(ValueError, match="per_class"):
         gen_four_shapes(0, samples=[])
+    for seed in (True, 2.5, -1):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            gen_four_shapes(1, seed=seed)
 
 
 # ---------------------------------------------------------------------------

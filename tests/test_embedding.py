@@ -248,6 +248,9 @@ def test_sample_count_and_perplexity_contracts():
         ({"record_every": 2.5}, "record_every must be an integer >= 1, got 2.5"),
         ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
         ({"learning_rate": -1.0}, "learning_rate must be finite and > 0, got -1.0"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ],
 )
 def test_embedding_parameters_rejected_by_name(kwargs, match):
