@@ -6,6 +6,7 @@ whose keys are all known and include the required ones, and from which
 alone a config object is built.  A breach is a ValueError naming it."""
 
 import dataclasses
+import math
 import numbers
 import sys
 
@@ -37,6 +38,8 @@ def real(name: str, value, *, zero_ok: bool = False, inf_ok: bool = False) -> fl
     if not (number >= 0 if zero_ok else number > 0) or not (inf_ok or finite):
         bound = f"{'' if inf_ok else 'finite and '}{'>=' if zero_ok else '>'} 0"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+    if not finite and number != math.inf:  # inf_ok takes a float inf, not a huge int
+        raise ValueError(f"{name} must be within a float's range or inf, got {value!r}")
     return number
 
 

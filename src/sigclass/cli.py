@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .data_io import (
     ShapeJitter,
     ensure_channels,
     gen_four_shapes,
-    group_by_label,
     load_cifar10,
     load_image_dir,
     load_mnist_idx,
@@ -126,16 +124,22 @@ def _dataset(section) -> dict:
         required += optional
     json_object("config 'dataset'", ds, ("kind", *required, *optional), required)
     if kind == "four_shapes":
-        for key, low in (("size", None), ("per_class", 1)):
+        for key, low in (("size", 8), ("per_class", 1)):
             if key in ds:
                 integer(f"dataset {key!r}", ds[key], low)
         return dict(ds, jitter=_jitter(ds.get("jitter")))
     for key in [key for key in ds if key != "kind"]:
-        paths = ds[key] if key.endswith("_batches") else [ds[key]]
-        if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
-            what = "a non-empty list of paths" if key.endswith("_batches") else "a path"
-            raise ValueError(f"dataset {key!r} must be {what}, got {ds[key]!r}")
+        _paths(f"dataset {key!r}", ds[key], key.endswith("_batches"))
     return ds
+
+
+def _paths(name: str, value, many: bool = False):
+    """value as a path, a string, or when many, a non-empty list of paths."""
+    paths = value if many else [value]
+    if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
+        raise ValueError(f"{name} must be {'a non-empty list of paths' if many else 'a path'},"
+                         f" got {value!r}")
+    return value
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -180,7 +184,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     return RunConfig(
         seed=seed,
-        out_dir=str(doc.get("out_dir", "out")),
+        out_dir=_paths("out_dir", doc.get("out_dir", "out")),
         dataset=dataset,
         model=config_object(ModelConfig, "config", model),
         budgets=budgets,
@@ -218,16 +222,6 @@ def _jitter(section) -> ShapeJitter:
     return config_object(ShapeJitter, "config 'dataset.jitter'", section)
 
 
-class _Ref(NamedTuple):
-    """A pool sample before it is rendered or read: its label and its key.
-    A four-shapes key is the (class index, sample index) of
-    gen_four_shapes; a file dataset's key is ("train" or "test", the index
-    of the record in that part's files)."""
-
-    label: str
-    key: tuple
-
-
 def _shape_params(config: RunConfig) -> dict:
     ds = config.dataset
     return {
@@ -238,43 +232,41 @@ def _shape_params(config: RunConfig) -> dict:
     }
 
 
-def _part_files(config: RunConfig, part: str) -> tuple:
-    """The file arguments of an MNIST or CIFAR-10 part, "train" or "test",
-    for its label reader and loader; () when the config names none."""
-    ds = config.dataset
-    keys = (f"{part}_images", f"{part}_labels") if ds["kind"] == "mnist" else (f"{part}_batches",)
-    return tuple(ds[key] for key in keys if key in ds)
+def load_pools(config: RunConfig) -> dict:
+    """The records a command splits, by part: "train", and "test" when the
+    config names test data.  A part is (labels, load): the label of every
+    record as a string array in record order, and load(records), the
+    images of those record numbers in that order.
 
-
-def load_pools(config: RunConfig) -> tuple[list, list | None]:
-    """(train/validation pool, separate test pool or None).
-
-    Four-shapes, MNIST and CIFAR-10 pools are lists of unloaded `_Ref`s:
-    four-shapes in the order gen_four_shapes renders the whole set, and
-    file datasets in record order, read from their labels alone.
-    `prepare_images` renders or reads only the ones a command keeps.
+    Four-shapes records are numbered as gen_four_shapes numbers the full
+    render.  A file dataset's required keys name its train part's files
+    and its optional keys the test part's; MNIST and CIFAR-10 labels are
+    read without a pixel.  Only the records a command keeps are rendered
+    or read, but an image_dir part loads every file up front, because a
+    file that fails to parse is skipped and that decides the records.
     """
     ds = config.dataset
-    kind = ds["kind"]
-    if kind == "four_shapes":
-        per_class = _shape_params(config)["per_class"]
-        pool = [
-            _Ref(label, (ci, i))
-            for ci, label in enumerate(SHAPE_LABELS)
-            for i in range(per_class)
-        ]
-        return pool, None
-    if kind in ("mnist", "cifar10"):
-        read = read_mnist_labels if kind == "mnist" else read_cifar10_labels
-        pools = {}
-        for part in ("train", "test"):
-            files = _part_files(config, part)
-            if files:
-                pools[part] = [_Ref(str(z), (part, i)) for i, z in enumerate(read(*files).tolist())]
-        return pools["train"], pools.get("test")
-    train = load_image_dir(ds["root"])
-    test = load_image_dir(ds["test_root"]) if "test_root" in ds else None
-    return train, test
+    if ds["kind"] == "four_shapes":
+        params = _shape_params(config)
+        labels = np.repeat(SHAPE_LABELS, params["per_class"])
+        return {"train": (labels, lambda records: gen_four_shapes(**params, records=records))}
+    pools = {}
+    for part, keys in zip(("train", "test"), DATASETS[ds["kind"]]):
+        files = [ds[key] for key in keys if key in ds]
+        if files:
+            pools[part] = _file_part(ds["kind"], files)
+    return pools
+
+
+def _file_part(kind: str, files: list) -> tuple:
+    """(labels, load) of a file dataset's part, from the values of its file keys."""
+    if kind == "image_dir":
+        images = load_image_dir(*files)
+        labels = np.array([im.label for im in images], str)
+        return labels, lambda records: [images[r] for r in records]
+    read, load = ((read_mnist_labels, load_mnist_idx) if kind == "mnist"
+                  else (read_cifar10_labels, load_cifar10))
+    return read(*files).astype(str), lambda records: load(*files, records=records)
 
 
 def _permutation(config: RunConfig, key: int, n: int) -> np.ndarray:
@@ -283,65 +275,72 @@ def _permutation(config: RunConfig, key: int, n: int) -> np.ndarray:
     return np.random.default_rng(seq).permutation(n)
 
 
-def split_dataset(config: RunConfig, pool, test_pool=None):
-    """Seeded per-class split into (train, val, test) lists.
+def _class_orders(config: RunConfig, pools: dict, part: str, need: int) -> list:
+    """Each class's record numbers of a part in seeded order, classes in
+    sorted label order; class ci draws split stream ci of the train part,
+    1000 + ci of the test part.  Every class must hold `need` records."""
+    labels = pools[part][0]
+    if need and not labels.size:
+        raise ValueError(f"the {part} data holds no images")
+    orders = []
+    for ci, label in enumerate(sorted(set(labels.tolist()))):
+        members = np.flatnonzero(labels == label)
+        if len(members) < need:
+            what = "test class" if part == "test" else "class"
+            raise ValueError(f"{what} {label!r} has {len(members)} samples, needs {need}")
+        key = ci + (1000 if part == "test" else 0)
+        orders.append(members[_permutation(config, key, len(members))])
+    return orders
 
-    train and val come from `pool`; test comes from `test_pool` when given,
-    otherwise from the unused remainder of `pool`.  Every budget counts
-    samples per class, so a test budget of 0 takes no test samples.
+
+def _take(orders: list, start: int, stop: int) -> np.ndarray:
+    """Positions start:stop of every class's order, class after class."""
+    return np.concatenate([np.empty(0, np.intp)] + [order[start:stop] for order in orders])
+
+
+def split_dataset(config: RunConfig, pools: dict) -> tuple[dict, dict, dict]:
+    """Seeded per-class split into (train, val, test), each a dict of part
+    to record numbers.
+
+    train and val come from the train part; test comes from the test part
+    when there is one, otherwise from the unused remainder of the train
+    part.  Every budget counts samples per class, so a test budget of 0
+    takes no test samples.
     """
     b = config.budgets
     need = b["train"] + b["val"]
-    pool_need = need + (b["test"] if test_pool is None else 0)
-    train, val, test = [], [], []
-    for ci, (label, items) in enumerate(group_by_label(pool).items()):
-        if len(items) < pool_need:
-            raise ValueError(f"class {label!r} has {len(items)} samples, needs {pool_need}")
-        perm = _permutation(config, ci, len(items))
-        train.extend(items[i] for i in perm[: b["train"]])
-        val.extend(items[i] for i in perm[b["train"] : need])
-        test.extend(items[i] for i in perm[need:pool_need])
-    for ci, (label, items) in enumerate(group_by_label(test_pool or []).items()):
-        if len(items) < b["test"]:
-            raise ValueError(f"test class {label!r} has {len(items)} samples, needs {b['test']}")
-        test.extend(items[i] for i in _permutation(config, 1000 + ci, len(items))[: b["test"]])
-    return train, val, test
-
-
-def embed_sample(config: RunConfig, pool, test_pool, samples: int) -> list:
-    """The items embed maps: a seeded choice of `samples` of the pool and
-    the test pool together, in pool order; all of them when there are no
-    more."""
-    items = list(pool) + list(test_pool or [])
-    if len(items) > samples:
-        idx = _permutation(config, 2000, len(items))[:samples]
-        items = [items[i] for i in sorted(idx)]
-    return items
-
-
-def prepare_images(items, config: RunConfig) -> list[LabeledImage]:
-    """The images of a split's items at the configured size (channels are
-    handled by the model's feature extraction).
-
-    Refs are rendered in one gen_four_shapes call, or read with one loader
-    call per file part.  Images already at size are returned as they are;
-    the others are resized one stack per source shape.
-    """
-    kind = config.dataset["kind"]
-    if kind == "four_shapes":
-        images = gen_four_shapes(**_shape_params(config), samples=[r.key for r in items])
-    elif kind in ("mnist", "cifar10"):
-        load = load_mnist_idx if kind == "mnist" else load_cifar10
-        images = [None] * len(items)
-        for part in ("train", "test"):
-            at = [j for j, ref in enumerate(items) if ref.key[0] == part]
-            if at:
-                records = [items[j].key[1] for j in at]
-                for j, im in zip(at, load(*_part_files(config, part), records=records)):
-                    images[j] = im
+    if "test" in pools:
+        orders = _class_orders(config, pools, "train", need)
+        test = {"test": _take(_class_orders(config, pools, "test", b["test"]), 0, b["test"])}
     else:
-        images = list(items)
+        orders = _class_orders(config, pools, "train", need + b["test"])
+        test = {"train": _take(orders, need, need + b["test"])}
+    return {"train": _take(orders, 0, b["train"])}, {"train": _take(orders, b["train"], need)}, test
 
+
+def embed_sample(config: RunConfig, pools: dict, samples: int) -> dict:
+    """The records embed maps, by part: a seeded choice of `samples` of all
+    parts' records numbered together, train part first, each part's in
+    record order; all of them when there are no more."""
+    counts = [len(labels) for labels, _ in pools.values()]
+    chosen = np.arange(sum(counts))
+    if len(chosen) > samples:
+        chosen = np.sort(_permutation(config, 2000, len(chosen))[:samples])
+    starts = np.cumsum([0] + counts)
+    return {part: chosen[(start <= chosen) & (chosen < stop)] - start
+            for part, start, stop in zip(pools, starts, starts[1:])}
+
+
+def prepare_images(chosen: dict, pools: dict, config: RunConfig) -> list[LabeledImage]:
+    """The images of chosen records (a dict of part to record numbers),
+    part by part, at the configured size (channels are handled by the
+    model's feature extraction).
+
+    Images already at size are returned as they are; the others are
+    resized one stack per source shape.
+    """
+    images = [im for part, records in chosen.items() if len(records)
+              for im in pools[part][1](records)]
     h, w = config.model.image_size
     by_shape: dict[tuple, list[int]] = {}
     for j, im in enumerate(images):
@@ -382,13 +381,10 @@ def cmd_gen_shapes(args) -> int:
         "per_class": params["per_class"],
         "files": [],
     }
-    counters: dict[str, int] = {}
-    for im in images:
-        idx = counters.get(im.label, 0)
-        counters[im.label] = idx + 1
+    for r, im in enumerate(images):  # record r is sample r % per_class of its class
         class_dir = os.path.join(out_dir, im.label)
         os.makedirs(class_dir, exist_ok=True)
-        rel = os.path.join(im.label, f"shape_{idx:04d}.ppm")
+        rel = os.path.join(im.label, f"shape_{r % params['per_class']:04d}.ppm")
         write_pnm(os.path.join(out_dir, rel), ensure_channels(im.pixels, 3))
         manifest["files"].append({"path": rel, "label": im.label})
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
@@ -400,10 +396,10 @@ def cmd_gen_shapes(args) -> int:
 
 def cmd_fit(args) -> int:
     config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    pool, test_pool = load_pools(config)
-    train, val, _ = split_dataset(config, pool, test_pool)
-    train = prepare_images(train, config)
-    val = prepare_images(val, config)
+    pools = load_pools(config)
+    train, val, _ = split_dataset(config, pools)
+    train = prepare_images(train, pools, config)
+    val = prepare_images(val, pools, config)
 
     solver = dict(config.calibration)
     method = solver.pop("method")
@@ -435,9 +431,9 @@ def cmd_eval(args) -> int:
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
 
-    pool, test_pool = load_pools(config)
-    _, val, test = split_dataset(config, pool, test_pool)
-    test = prepare_images(test, config)
+    pools = load_pools(config)
+    _, val, test = split_dataset(config, pools)
+    test = prepare_images(test, pools, config)
     if not test:
         raise ValueError("test budget is zero; nothing to evaluate")
 
@@ -445,7 +441,8 @@ def cmd_eval(args) -> int:
     if "ova" in protocols:
         if not val:
             raise ValueError("protocol 'ova' requires a nonzero validation budget")
-        thresholds = ova_thresholds(model, prepare_images(val, config), slack=config.ova_slack)
+        val = prepare_images(val, pools, config)
+        thresholds = ova_thresholds(model, val, slack=config.ova_slack)
 
     os.makedirs(config.out_dir, exist_ok=True)
     eval_seed = substream_seed(config.seed, "augment")
@@ -480,7 +477,8 @@ def cmd_embed(args) -> int:
         for key in ("samples", "perplexity", "iterations")
     )
 
-    images = prepare_images(embed_sample(config, *load_pools(config), samples), config)
+    pools = load_pools(config)
+    images = prepare_images(embed_sample(config, pools, samples), pools, config)
 
     feats = features_for_images(images, config.model)
     k = min(50, feats.shape[0] - 1, feats.shape[1])

@@ -176,11 +176,11 @@ def _record_index(records, count: int) -> np.ndarray:
     """records as an index array into count records; all of them for None."""
     if records is None:
         return np.arange(count)
-    index = np.fromiter((integer("record", r) for r in records), dtype=np.intp)
-    outside = index[(index < 0) | (index >= count)]
-    if outside.size:
-        raise ValueError(f"record {int(outside[0])} outside {count} records")
-    return index
+    index = [integer("record", r) for r in records]
+    outside = [r for r in index if not 0 <= r < count]  # as Python ints: a huge one cannot overflow
+    if outside:
+        raise ValueError(f"record {outside[0]} outside {count} records")
+    return np.array(index, dtype=np.intp)
 
 
 def _mnist_layout(images_path, labels_path) -> tuple[int, int, np.ndarray]:
@@ -506,33 +506,28 @@ def gen_four_shapes(
     size: int = 16,
     jitter: ShapeJitter = ShapeJitter(),
     seed: int = 0,
-    samples=None,
+    records=None,
 ) -> list[LabeledImage]:
     """Render white-on-black square/star/circle/triangle images.
 
-    Sample i of class SHAPE_LABELS[ci] draws from its own RNG stream keyed
-    by (seed, ci, i), so its pixels do not depend on which other samples
-    are rendered with it.  With samples=None every one of the per_class
-    samples of each class is rendered, class by class in SHAPE_LABELS
-    order.  Otherwise samples is a sequence of (ci, i) keys with
-    0 <= i < per_class, and exactly those images are returned, in that
-    order, each bit-identical to the same key in the full render.
-    Consecutive keys of one class are rendered together, up to
+    Record r is sample i = r % per_class of class SHAPE_LABELS[ci], ci =
+    r // per_class.  It draws from its own RNG stream keyed by (seed, ci,
+    i), so its pixels do not depend on which other records are rendered
+    with it.  With records=None every record is rendered, in that order:
+    class by class in SHAPE_LABELS order.  Otherwise records is a sequence
+    of record numbers, and exactly those images are returned, in that
+    order, each bit-identical to the same record of the full render.
+    Consecutive records of one class are rendered together, up to
     RENDER_BLOCK at a time.
     """
     size = integer("image size", size, 8)
     per_class = integer("per_class", per_class, 1)
     seed = integer("seed", seed, 0)
-    if samples is None:
-        samples = itertools.product(range(len(SHAPE_LABELS)), range(per_class))
-    samples = list(samples)
-    for ci, i in samples:
-        if not (0 <= ci < len(SHAPE_LABELS) and 0 <= i < per_class):
-            raise ValueError(f"sample key {(ci, i)} outside 4 classes x {per_class} per class")
+    index = _record_index(records, len(SHAPE_LABELS) * per_class)
     images = []
-    for ci, run in itertools.groupby(samples, key=lambda key: key[0]):
+    for ci, run in itertools.groupby(index.tolist(), key=lambda r: r // per_class):
         label = SHAPE_LABELS[ci]
-        indices = [i for _, i in run]
+        indices = [r % per_class for r in run]
         for start in range(0, len(indices), RENDER_BLOCK):
             block = indices[start : start + RENDER_BLOCK]
             rngs = [np.random.default_rng(np.random.SeedSequence([seed, ci, i])) for i in block]

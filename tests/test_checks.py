@@ -71,6 +71,10 @@ def test_real_bounds_at_zero_and_inf():
     with pytest.raises(ValueError, match=r"^x must be finite and > 0, got inf$"):
         real("x", math.inf)
     assert real("x", math.inf, inf_ok=True) == math.inf
+    with pytest.raises(ValueError, match=r"^x must be finite and > 0, got 1(0{400})$"):
+        real("x", 10**400)
+    with pytest.raises(ValueError, match=r"^x must be within a float's range or inf, got 1(0{400})$"):
+        real("x", 10**400, inf_ok=True)
     with pytest.raises(ValueError, match=r"^x must be > 0, got -inf$"):
         real("x", -math.inf, inf_ok=True)
     for kwargs in ({}, {"zero_ok": True}, {"inf_ok": True}):

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigclass.cli as cli
 from sigclass.calibration import METHODS, closed_form_lambda, optimize_lambda
@@ -13,7 +14,7 @@ from sigclass.cli import main
 from sigclass.classifier import ModelConfig, load_model
 from sigclass.data_io import (
     AugmentSpec, LabeledImage, ShapeJitter, ensure_channels, gen_four_shapes, load_cifar10,
-    load_mnist_idx, resize,
+    load_image_dir, load_mnist_idx, resize, write_pnm,
 )
 from sigclass.path_signature import StreamConvention
 
@@ -194,9 +195,9 @@ def test_degenerate_image_size_fails_with_a_named_error(tmp_path, capsys, size, 
      ({"seed": True}, "seed must be an integer >= 0, got True"),
      ({"seed": -1}, "seed must be an integer >= 0, got -1"),
      ({"dataset": {"kind": "four_shapes", "size": 16.9}},
-      "dataset 'size' must be an integer, got 16.9"),
+      "dataset 'size' must be an integer >= 8, got 16.9"),
      ({"dataset": {"kind": "four_shapes", "size": True}},
-      "dataset 'size' must be an integer, got True"),
+      "dataset 'size' must be an integer >= 8, got True"),
      ({"ova_slack": True}, "ova_slack must be a real number, got True"),
      ({"ova_slack": 0}, "ova_slack must be finite and > 0, got 0"),
      ({"ova_slack": -2.0}, "ova_slack must be finite and > 0, got -2.0"),
@@ -236,9 +237,11 @@ def test_non_integer_count_fails_with_a_named_error(tmp_path, capsys, overrides,
       "calibration method 'closed_form' has unknown field 'gamma'"),
      ({"epsilon": 0.0}, "epsilon must be finite and > 0, got 0.0"),
      ({"method": "none", "epsilon": 1e-8}, "calibration method 'none' has unknown field 'epsilon'"),
-     ({"method": "bogus"}, "unknown calibration method 'bogus'")],
+     ({"method": "bogus"}, "unknown calibration method 'bogus'"),
+     ({"method": "optimize", "box": 10**400},
+      "box must be within a float's range or inf, got " + str(10**400))],
     ids=["negative-box", "unknown-key", "zero-iters", "closed-form-gamma", "zero-epsilon",
-         "none-epsilon", "unknown-method"],
+         "none-epsilon", "unknown-method", "huge-int-box"],
 )
 def test_calibration_settings_are_checked_before_data_is_loaded(
         tmp_path, capsys, monkeypatch, calibration, message):
@@ -293,7 +296,13 @@ def test_calibration_settings_are_checked_before_data_is_loaded(
      ({"dataset": {"kind": "image_dir", "root": 5}, "image_size": [8, 8]}, [],
       "dataset 'root' must be a path, got 5"),
      ({"dataset": {"kind": "four_shapes", "jitter": {"center_frac": 10**400}}}, [],
-      "ShapeJitter center_frac must be finite and >= 0, got " + str(10**400))],
+      "ShapeJitter center_frac must be finite and >= 0, got " + str(10**400)),
+     ({"dataset": {"kind": "four_shapes", "size": 4}}, [],
+      "dataset 'size' must be an integer >= 8, got 4"),
+     ({"dataset": {"kind": "four_shapes", "size": -3}}, [],
+      "dataset 'size' must be an integer >= 8, got -3"),
+     ({"out_dir": None}, [], "out_dir must be a path, got None"),
+     ({"out_dir": {"a": 1}}, [], "out_dir must be a path, got {'a': 1}")],
     ids=["string-basepoint", "two-channels", "float-copies", "negative-samples-flag",
          "zero-samples-flag", "negative-iterations-flag", "negative-perplexity-flag",
          "nan-perplexity-flag", "list-budgets", "list-embed", "list-calibration", "list-dataset",
@@ -301,7 +310,8 @@ def test_calibration_settings_are_checked_before_data_is_loaded(
          "unknown-augment-key", "mnist-without-train-labels", "mnist-test-images-alone",
          "image-dir-without-root", "list-dataset-kind", "list-calibration-method",
          "string-per-class", "float-per-class", "bool-per-class", "int-train-batches",
-         "empty-train-batches", "int-root", "huge-center-frac"],
+         "empty-train-batches", "int-root", "huge-center-frac", "small-size", "negative-size",
+         "null-out-dir", "object-out-dir"],
 )
 def test_config_and_embed_flags_are_checked_before_data_is_loaded(
         tmp_path, capsys, monkeypatch, overrides, flags, message):
@@ -323,6 +333,13 @@ def test_config_file_must_hold_a_json_object(tmp_path, capsys, flags):
                                          "type": "ValueError"}
 
 
+def test_out_flag_replaces_a_config_out_dir_before_it_is_checked(tmp_path):
+    path = write_config(tmp_path, out_dir=None)
+    assert cli.load_config(path, {"out_dir": "elsewhere"}).out_dir == "elsewhere"
+    with pytest.raises(ValueError, match="out_dir must be a path, got None"):
+        cli.load_config(path)
+
+
 def test_spectra_section_is_an_accepted_top_level_key():
     config = cli.config_from_dict({"spectra": {"window": 21, "polyorder": 3}})
     assert config.embed == cli.EMBED_DEFAULTS
@@ -341,7 +358,9 @@ def test_prepare_images_shares_images_at_size():
     rng = np.random.default_rng(0)
     at_size = LabeledImage(rng.random((8, 8, 1)), "a", "x")
     larger = LabeledImage(rng.random((12, 10, 3)), "b", "y")
-    same, resized = cli.prepare_images([at_size, larger], config)
+    images = [larger, at_size]
+    pools = {"train": (np.array(["b", "a"]), lambda records: [images[r] for r in records])}
+    same, resized = cli.prepare_images({"train": np.array([1, 0])}, pools, config)
     assert same is at_size
     assert (resized.label, resized.source_id) == ("b", "y")
     assert np.array_equal(resized.pixels, resize(larger.pixels, 8, 8))
@@ -405,7 +424,9 @@ def test_gen_shapes_config_renders_the_fit_pool(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["size"], manifest["per_class"], len(manifest["files"])) == (24, 2, 8)
     config = cli.load_config(config_path)
-    rendered = cli.prepare_images(cli.load_pools(config)[0], config)
+    pools = cli.load_pools(config)
+    rendered = cli.prepare_images({"train": np.arange(len(pools["train"][0]))}, pools, config)
+    assert pools["train"][0].tolist() == [entry["label"] for entry in manifest["files"]]
     for entry, im in zip(manifest["files"], rendered):
         assert entry["label"] == im.label
         expected = np.clip(np.rint(ensure_channels(im.pixels, 3) * 255.0), 0, 255)
@@ -570,40 +591,136 @@ def test_commands_render_only_what_they_use(tmp_path, monkeypatch):
         assert sum(rendered) == expected, argv
 
 
+def reference_split(config, labels, test_labels=None):
+    """The list-based split that the array split replaced, as (part, record)
+    pairs: items grouped by label, groups in sorted label order, each group
+    in record order and drawn by one seeded permutation."""
+    def groups(part, part_labels):
+        by_label = {}
+        for record, label in enumerate(part_labels):
+            by_label.setdefault(label, []).append((part, record))
+        return [(label, by_label[label]) for label in sorted(by_label)]
+
+    b = config.budgets
+    need = b["train"] + b["val"]
+    pool_need = need + (b["test"] if test_labels is None else 0)
+    train, val, test = [], [], []
+    for ci, (label, items) in enumerate(groups("train", labels)):
+        if len(items) < pool_need:
+            raise ValueError(f"class {label!r} has {len(items)} samples, needs {pool_need}")
+        perm = cli._permutation(config, ci, len(items))
+        train.extend(items[i] for i in perm[: b["train"]])
+        val.extend(items[i] for i in perm[b["train"] : need])
+        test.extend(items[i] for i in perm[need:pool_need])
+    for ci, (label, items) in enumerate(groups("test", test_labels or [])):
+        if len(items) < b["test"]:
+            raise ValueError(f"test class {label!r} has {len(items)} samples, needs {b['test']}")
+        test.extend(items[i] for i in cli._permutation(config, 1000 + ci, len(items))[: b["test"]])
+    return train, val, test
+
+
+def reference_embed_sample(config, labels, test_labels, samples):
+    """The list-based embed sample, as (part, record) pairs."""
+    items = [("train", r) for r in range(len(labels))]
+    items += [("test", r) for r in range(len(test_labels or []))]
+    if len(items) > samples:
+        idx = cli._permutation(config, 2000, len(items))[:samples]
+        items = [items[i] for i in sorted(idx)]
+    return items
+
+
+def picked(chosen):
+    """A split's dict of part to record numbers as (part, record) pairs."""
+    return [(part, int(r)) for part, records in chosen.items() for r in records]
+
+
+def eager_parts(config):
+    """Every record of every part, loaded up front."""
+    ds = config.dataset
+    kind = ds["kind"]
+    if kind == "four_shapes":
+        return {"train": gen_four_shapes(**cli._shape_params(config))}
+
+    def load(part):
+        if kind == "mnist":
+            return load_mnist_idx(ds[f"{part}_images"], ds[f"{part}_labels"])
+        if kind == "cifar10":
+            return load_cifar10(ds[f"{part}_batches"])
+        return load_image_dir(ds["root" if part == "train" else "test_root"])
+
+    has_test = {"mnist": "test_images", "cifar10": "test_batches", "image_dir": "test_root"}[kind] in ds
+    return {part: load(part) for part in ("train", "test")[: 1 + has_test]}
+
+
+def assert_split_matches_eager(config, embed_samples=20):
+    """Each split and the embed sample pick the records of the reference
+    split, and the records-only path gives the labels, source ids and pixel
+    bytes of an eager full load indexed by those records."""
+    pools, eager = cli.load_pools(config), eager_parts(config)
+    assert list(pools) == list(eager)
+    labels = {part: [im.label for im in images] for part, images in eager.items()}
+    for part, (part_labels, _) in pools.items():
+        assert part_labels.tolist() == labels[part]
+    chosen = (*cli.split_dataset(config, pools), cli.embed_sample(config, pools, embed_samples))
+    reference = (*reference_split(config, labels["train"], labels.get("test")),
+                 reference_embed_sample(config, labels["train"], labels.get("test"), embed_samples))
+    image_size = config.model.image_size
+    for records, expected in zip(chosen, reference):
+        assert picked(records) and picked(records) == expected
+        got = cli.prepare_images(records, pools, config)
+        from_eager = [eager[part][r] for part, r in expected]
+        assert [(im.label, im.source_id) for im in got] == [
+            (im.label, im.source_id) for im in from_eager
+        ]
+        for a, b in zip(got, from_eager):
+            px = b.pixels if b.pixels.shape[:2] == image_size else resize(b.pixels, *image_size)
+            assert a.pixels.tobytes() == px.tobytes()
+    return chosen
+
+
 def test_label_only_split_matches_rendered_pool(tmp_path):
-    config = cli.load_config(write_config(tmp_path))
-    refs, test_pool = cli.load_pools(config)
-    assert test_pool is None
-    eager = gen_four_shapes(**cli._shape_params(config))
-    assert [r.label for r in refs] == [im.label for im in eager]
-    for from_refs, from_pool in zip(cli.split_dataset(config, refs),
-                                    cli.split_dataset(config, eager)):
-        assert from_refs and len(from_refs) == len(from_pool)
-        rendered = cli.prepare_images(from_refs, config)
-        assert [im.source_id for im in rendered] == [im.source_id for im in from_pool]
-        for a, b in zip(rendered, from_pool):
-            assert a.label == b.label and a.pixels.tobytes() == b.pixels.tobytes()
+    for image_size in (None, [24, 24]):  # rendered at 16 x 16, then resized or not
+        config = cli.load_config(write_config(tmp_path, image_size=image_size))
+        assert list(cli.load_pools(config)) == ["train"]
+        assert_split_matches_eager(config)
 
 
 def test_zero_test_budget_takes_no_test_samples_from_either_pool(tmp_path):
-    rng = np.random.default_rng(0)
-
-    def images(prefix, per_class):
-        return [LabeledImage(rng.random((4, 4, 1)), z, f"{prefix}{z}:{i}")
-                for z in "ab" for i in range(per_class)]
-
-    pool, test_pool = images("", 5), images("t", 3)
+    pools = {"train": (np.repeat(["a", "b"], 5), None), "test": (np.repeat(["a", "b"], 3), None)}
     for test, expected in ((0, 0), (2, 4)):
         budgets = {"train": 2, "val": 1, "test": test}
         config = cli.load_config(write_config(tmp_path, budgets=budgets))
-        train, val, chosen = cli.split_dataset(config, pool, test_pool)
-        assert (len(train), len(val), len(chosen)) == (4, 2, expected)
-        assert all(im.source_id.startswith("t") for im in chosen)
+        train, val, chosen = cli.split_dataset(config, pools)
+        assert (len(train["train"]), len(val["train"]), len(chosen["test"])) == (4, 2, expected)
+        assert list(chosen) == ["test"]
         # a four-shapes pool reads the budget the same way
-        assert len(cli.split_dataset(config, cli.load_pools(config)[0])[2]) == 4 * test
+        assert len(cli.split_dataset(config, cli.load_pools(config))[2]["train"]) == 4 * test
     config = cli.load_config(write_config(tmp_path, budgets={"train": 2, "val": 1, "test": 4}))
     with pytest.raises(ValueError, match="test class 'a' has 3 samples, needs 4"):
-        cli.split_dataset(config, pool, test_pool)
+        cli.split_dataset(config, pools)
+
+
+LABELS = st.lists(st.sampled_from(["0", "1", "9", "10", "a", "b", "é"]), min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=LABELS, test_labels=st.none() | LABELS,
+       budgets=st.fixed_dictionaries({name: st.integers(0, 4) for name in ("train", "val", "test")}),
+       seed=st.integers(0, 2**64), samples=st.integers(1, 50))
+def test_array_split_picks_the_records_of_the_list_split(labels, test_labels, budgets, seed, samples):
+    config = cli.config_from_dict({"seed": seed, "budgets": budgets})
+    pools = {"train": (np.array(labels), None)}
+    if test_labels is not None:
+        pools["test"] = (np.array(test_labels), None)
+    try:
+        expected = reference_split(config, labels, test_labels)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            cli.split_dataset(config, pools)
+    else:
+        assert [picked(chosen) for chosen in cli.split_dataset(config, pools)] == list(expected)
+    assert picked(cli.embed_sample(config, pools, samples)) == reference_embed_sample(
+        config, labels, test_labels, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +745,24 @@ def write_cifar(tmp_path, name, n, rng):
     return str(tmp_path / name)
 
 
+def write_image_dir(root, per_class, rng):
+    """Classes a..d of per_class images each, 8 x 8 grey and 10 x 12 RGB in turn."""
+    for label in "abcd":
+        (root / label).mkdir(parents=True)
+        for i in range(per_class):
+            write_pnm(root / label / f"{i:02d}.pnm", rng.random((8, 8, 1) if i % 2 else (10, 12, 3)))
+    return str(root)
+
+
 def file_dataset(tmp_path, kind, with_test):
     """Train files of 8 images per class (CIFAR: in two batches), and
     with_test, a test file of 4 per class."""
     rng = np.random.default_rng(5)
+    if kind == "image_dir":
+        ds = {"kind": "image_dir", "root": write_image_dir(tmp_path / "train", 8, rng)}
+        if with_test:
+            ds["test_root"] = write_image_dir(tmp_path / "test", 4, rng)
+        return ds
     if kind == "mnist":
         ds = {"kind": "mnist", **write_mnist(tmp_path, "train", 32, rng)}
         if with_test:
@@ -649,41 +780,28 @@ def file_config(tmp_path, kind, with_test, image_size=(8, 8)):
                         image_size=list(image_size), budgets={"train": 2, "val": 3, "test": 2})
 
 
-def eager_pools(config):
-    """The pools as every record of every file, loaded up front."""
-    ds = config.dataset
-    if ds["kind"] == "mnist":
-        test = ds.get("test_images") and load_mnist_idx(ds["test_images"], ds["test_labels"])
-        return load_mnist_idx(ds["train_images"], ds["train_labels"]), test or None
-    test = ds.get("test_batches") and load_cifar10(ds["test_batches"])
-    return load_cifar10(ds["train_batches"]), test or None
-
-
 @pytest.mark.parametrize("kind, with_test, image_size", [
     ("mnist", False, (8, 8)), ("mnist", True, (8, 8)), ("mnist", True, (10, 12)),
     ("cifar10", False, (8, 8)), ("cifar10", True, (8, 8)), ("cifar10", True, (40, 36)),
+    ("image_dir", False, (8, 8)), ("image_dir", True, (8, 8)), ("image_dir", True, (10, 12)),
 ])
 def test_label_first_split_matches_eager_split(tmp_path, kind, with_test, image_size):
     config = cli.load_config(file_config(tmp_path, kind, with_test, image_size))
-    refs, test_refs = cli.load_pools(config)
-    eager, eager_test = eager_pools(config)
-    assert (test_refs is None) == (eager_test is None) == (not with_test)
-    assert [r.label for r in refs] == [im.label for im in eager]
-    splits = zip(cli.split_dataset(config, refs, test_refs),
-                 cli.split_dataset(config, eager, eager_test))
-    samples = (cli.embed_sample(config, refs, test_refs, 20),
-               cli.embed_sample(config, eager, eager_test, 20))
-    test_ids = {im.source_id for im in eager_test or []}
-    assert bool(test_ids & {im.source_id for im in samples[1]}) == with_test
-    for from_refs, from_pool in (*splits, samples):
-        assert from_refs and len(from_refs) == len(from_pool)
-        got = cli.prepare_images(from_refs, config)
-        assert [(im.label, im.source_id) for im in got] == [
-            (im.label, im.source_id) for im in from_pool
-        ]
-        for a, b in zip(got, from_pool):
-            expected = b.pixels if b.pixels.shape[:2] == image_size else resize(b.pixels, *image_size)
-            assert a.pixels.tobytes() == expected.tobytes()
+    assert list(cli.load_pools(config)) == ["train", "test"][: 1 + with_test]
+    embedded = assert_split_matches_eager(config)[3]
+    assert (len(embedded.get("test", ())) > 0) == with_test
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_test_data_without_images_is_named(tmp_path, capsys, command):
+    ds = file_dataset(tmp_path, "image_dir", with_test=False)
+    common = {"image_size": [8, 8], "channels": 3, "budgets": {"train": 2, "val": 3, "test": 2}}
+    assert main(["fit", "--config", str(write_config(tmp_path, dataset=ds, **common))]) == 0
+    (tmp_path / "empty").mkdir()
+    config = write_config(tmp_path, dataset=dict(ds, test_root=str(tmp_path / "empty")), **common)
+    assert main([command, "--config", str(config)]) == 1
+    assert read_stderr_error(capsys) == {"error": "the test data holds no images",
+                                         "type": "ValueError"}
 
 
 @pytest.mark.parametrize("kind", ["mnist", "cifar10"])

@@ -403,23 +403,25 @@ def test_shapes_subset_render_bit_exact(size, rotation):
     jitter = ShapeJitter(rotation=rotation)
     per_class = RENDER_BLOCK + 9  # blocks split every class
     full = gen_four_shapes(per_class, size=size, jitter=jitter, seed=size)
-    by_key = {(SHAPE_LABELS.index(im.label), int(im.source_id.rsplit(":", 1)[1])): im
-              for im in full}
-    assert len(by_key) == 4 * per_class
-    for (ci, i), im in by_key.items():
+    # Record r is sample r % per_class of class r // per_class.
+    assert [(im.label, im.source_id) for im in full] == [
+        (label, f"shapes:{label}:{i}") for label in SHAPE_LABELS for i in range(per_class)
+    ]
+    for r, im in enumerate(full):
+        ci, i = divmod(r, per_class)
         rng = np.random.default_rng(np.random.SeedSequence([size, ci, i]))
         expected = _reference_render(SHAPE_LABELS[ci], size, jitter, rng)
         assert im.pixels[:, :, 0].tobytes() == expected.tobytes()
 
     # Classes interleaved, a run longer than a block, repeats, any order.
     rng = np.random.default_rng(0)
-    keys = [(int(ci), int(i)) for ci, i in zip(rng.integers(0, 4, 30),
-                                               rng.integers(0, per_class, 30))]
-    keys += [(2, i) for i in range(per_class - 1, -1, -1)] + [(0, 3), (0, 3)]
-    subset = gen_four_shapes(per_class, size=size, jitter=jitter, seed=size, samples=keys)
-    assert len(subset) == len(keys)
-    for key, im in zip(keys, subset):
-        ref = by_key[key]
+    records = [int(r) for r in rng.integers(0, 4 * per_class, 30)]
+    records += [2 * per_class + i for i in range(per_class - 1, -1, -1)] + [3, 3]
+    subset = gen_four_shapes(per_class, size=size, jitter=jitter, seed=size,
+                             records=np.array(records))
+    assert len(subset) == len(records)
+    for r, im in zip(records, subset):
+        ref = full[r]
         assert (im.label, im.source_id) == (ref.label, ref.source_id)
         assert im.pixels.tobytes() == ref.pixels.tobytes()
 
@@ -450,12 +452,15 @@ def test_shape_jitter_accepts_degenerate_bands():
 
 
 def test_shapes_subset_keys_validated():
-    assert gen_four_shapes(2, samples=[]) == []
-    for key in [(4, 0), (-1, 0), (0, 2), (0, -1)]:
-        with pytest.raises(ValueError, match="sample key"):
-            gen_four_shapes(2, samples=[key])
+    assert gen_four_shapes(2, records=[]) == []
+    for bad in (8, -1, 4 * 2**62):
+        with pytest.raises(ValueError, match=f"^record {bad} outside 8 records$"):
+            gen_four_shapes(2, records=[0, bad])
+    for bad in (True, np.True_, 1.0, np.float64(0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"record must be an integer, got {bad!r}")):
+            gen_four_shapes(2, records=[0, bad])
     with pytest.raises(ValueError, match="per_class"):
-        gen_four_shapes(0, samples=[])
+        gen_four_shapes(0, records=[])
     for seed in (True, 2.5, -1):
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
             gen_four_shapes(1, seed=seed)
