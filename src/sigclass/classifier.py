@@ -155,7 +155,14 @@ def _prepared_pixels(model_config: ModelConfig, pixels: np.ndarray) -> np.ndarra
 
 def _features_and_dim(images, config: ModelConfig) -> tuple[np.ndarray, int]:
     pixel_list = [im.pixels if isinstance(im, LabeledImage) else im for im in images]
-    pts = config.convention.points(np.stack([_prepared_pixels(config, px) for px in pixel_list]))
+    prepared = [_prepared_pixels(config, px) for px in pixel_list]
+    counts = sorted({px.shape[2] for px in prepared})
+    if len(counts) > 1:
+        raise ValueError(
+            f"images have {counts[0]} and {counts[-1]} channels; set \"channels\""
+            " in the config to convert them to one count"
+        )
+    pts = config.convention.points(np.stack(prepared))
     many = signature_many if config.kind == SIGNATURE else log_signature_many
     return many(pts, config.order), pts.shape[2]
 

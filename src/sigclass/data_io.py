@@ -10,6 +10,7 @@ generation order cannot change the result.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import stat
 import struct
@@ -424,81 +425,91 @@ class ShapeJitter:
     rotation: tuple[float, float] | None = (0.0, 2.0 * np.pi)
 
     def __post_init__(self):
-        real("ShapeJitter center_frac", self.center_frac, zero_ok=True)
+        cf = real("ShapeJitter center_frac", self.center_frac, zero_ok=True)
         if band("ShapeJitter scale_range", self.scale_range)[0] <= 0.0:
             raise ValueError(f"ShapeJitter scale_range must be > 0, got {self.scale_range!r}")
+        bands = {"center_frac": (-cf, cf)}
         if self.rotation is not None:
-            band("ShapeJitter rotation", self.rotation)
+            bands["rotation"] = band("ShapeJitter rotation", self.rotation)
+        for name, (low, high) in bands.items():  # a draw is low + (high - low) * u
+            if not math.isfinite(float(high) - float(low)):
+                raise ValueError(f"ShapeJitter {name} must be a draw band of finite"
+                                 f" width, got {getattr(self, name)!r}")
 
 
-# Samples per grid pass of the renderer.  A block shares one
-# (block, 2*size, 2*size) coverage test, which this bounds in memory; on a
-# 2-vCPU Xeon VM blocks larger than 32 rendered no faster.
-RENDER_BLOCK = 32
+# Samples per pass of the renderer's grid test, and images per pass of
+# resize.  A block bounds the memory of each pass's temporaries: the
+# renderer's (block, 2*size, 2*size) coverage test and resize's corner
+# gathers.  On a 2-vCPU Xeon VM blocks larger than 32 ran no faster.
+IMAGE_BLOCK = 32
+
+# The polygon classes: vertex count, angle of the first vertex, and the
+# radius of the odd-numbered vertices as a fraction of the shape's radius.
+_POLYGONS = {
+    "square": (4, np.pi / 4.0, 1.0),
+    "star": (10, np.pi / 2.0, 0.5),
+    "triangle": (3, np.pi / 2.0, 1.0),
+}
 
 
-def _point_in_polygon(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
+def _point_in_polygon(px, py, x, y) -> np.ndarray:
     """Even-odd test of the grid of columns px (1, W) and rows py (H, 1)
-    against each (k, 2) polygon of a (b, k, 2) stack; (b, H, W) booleans."""
-    inside = np.zeros((verts.shape[0], py.shape[0], px.shape[1]), dtype=bool)
-    edge = verts[:, :, :, None, None]  # (b, k, 2, 1, 1): broadcasts over the grid
-    x1, y1 = edge[:, -1, 0], edge[:, -1, 1]
-    for j in range(verts.shape[1]):
-        x2, y2 = edge[:, j, 0], edge[:, j, 1]
-        # Where an edge crosses a row, and the x at which it does, depend on
-        # the row alone.  A horizontal edge never crosses; its division by
-        # zero is masked out.
-        crosses = (y1 > py) != (y2 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    against each polygon of a block, vertices x, y (b, k); (b, H, W) booleans."""
+    inside = np.zeros((x.shape[0], py.shape[0], px.shape[1]), dtype=bool)
+    x, y = x[:, :, None, None], y[:, :, None, None]  # broadcast over the grid
+    x1, y1 = x[:, -1], y[:, -1]
+    # Where an edge crosses a row, and the x at which it does, depend on the
+    # row alone.  A horizontal edge never crosses; its division by zero is
+    # masked out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(x.shape[1]):
+            x2, y2 = x[:, j], y[:, j]
+            crosses = (y1 > py) != (y2 > py)
             x_at = (x2 - x1) * (py - y1) / (y2 - y1) + x1
-        inside ^= crosses & (px < x_at)
-        x1, y1 = x2, y2
+            inside ^= crosses & (px < x_at)
+            x1, y1 = x2, y2
     return inside
 
 
-def _regular_polygon(cx, cy, radii, angles) -> np.ndarray:
-    return np.stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)], axis=1)
-
-
 def _render_block(label: str, size: int, jitter: ShapeJitter, rngs) -> np.ndarray:
-    """(len(rngs), size, size) coverage of one shape class, one RNG per sample.
+    """(len(rngs), size, size, 1) coverage of one shape class.
 
-    Each sample's draws and geometry are computed on their own, exactly as
-    for a single image; only the grid test runs over the whole block.
+    Each sample's own RNG makes one call, rng.random(m), which draws the
+    doubles that Generator.uniform would, in the same order: the centre,
+    the radius and, for a rotated polygon, the angle.  The rest runs over
+    the whole block in one pass, with the operations of a one-at-a-time
+    render, so each image's bytes equal those of rendering it alone.
     """
-    ss = 2  # 2x2 subsamples per pixel: 4x supersampled coverage
-    coords = (np.arange(size * ss) + 0.5) / ss
+    coords = (np.arange(2 * size) + 0.5) / 2  # 2x2 subsamples per pixel
     py, px = coords[:, None], coords[None, :]
 
-    cf = jitter.center_frac
-    shapes = []
-    for rng in rngs:
-        cx, cy = size / 2.0 + rng.uniform(-cf, cf, size=2) * size
-        radius = rng.uniform(*jitter.scale_range) * size / 2.0
-        if label == "circle":
-            shapes.append((cx, cy, radius**2))
-            continue
-        theta = 0.0 if jitter.rotation is None else rng.uniform(*jitter.rotation)
-        if label == "square":
-            angles = theta + np.pi / 4.0 + np.arange(4) * (np.pi / 2.0)
-            verts = _regular_polygon(cx, cy, radius, angles)
-        elif label == "triangle":
-            angles = theta + np.pi / 2.0 + np.arange(3) * (2.0 * np.pi / 3.0)
-            verts = _regular_polygon(cx, cy, radius, angles)
-        elif label == "star":
-            angles = theta + np.pi / 2.0 + np.arange(10) * (np.pi / 5.0)
-            radii = np.where(np.arange(10) % 2 == 0, radius, 0.5 * radius)
-            verts = _regular_polygon(cx, cy, radii, angles)
-        else:
-            raise ValueError(f"unknown shape label {label!r}")
-        shapes.append(verts)
+    polygon = _POLYGONS.get(label)
+    rotated = polygon is not None and jitter.rotation is not None
+    u = np.empty((len(rngs), 4 if rotated else 3))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
 
-    if label == "circle":
-        cx, cy, r2 = np.array(shapes).T[:, :, None, None]
-        inside = (px - cx) ** 2 + (py - cy) ** 2 <= r2
+    def uniform(band, draws):  # what Generator.uniform computes
+        low, high = float(band[0]), float(band[1])
+        return low + (high - low) * draws
+
+    cf = jitter.center_frac
+    cx, cy = (size / 2.0 + uniform((-cf, cf), u[:, :2]) * size).T[:, :, None]  # each (b, 1)
+    radius = uniform(jitter.scale_range, u[:, 2]) * size / 2.0
+    if polygon is None:  # a circle; r**2 is Python's float power, as for one image alone
+        r2 = np.array([r**2 for r in radius.tolist()])[:, None, None]
+        inside = (px - cx[:, :, None]) ** 2 + (py - cy[:, :, None]) ** 2 <= r2
     else:
-        inside = _point_in_polygon(px, py, np.array(shapes))
-    return inside.reshape(len(rngs), size, ss, size, ss).mean(axis=(2, 4))
+        k, first, odd = polygon
+        theta = uniform(jitter.rotation, u[:, 3]) if rotated else np.zeros(len(rngs))
+        angles = (theta + first)[:, None] + np.arange(k) * (2.0 * np.pi / k)
+        radii = radius[:, None] * np.where(np.arange(k) % 2 == 0, 1.0, odd)
+        x, y = cx + radii * np.cos(angles), cy + radii * np.sin(angles)
+        inside = _point_in_polygon(px, py, x, y)
+    # Subsamples covered per pixel, an exact count: /4.0 gives the mean's bits.
+    hits = inside.view(np.uint8)
+    count = hits[:, ::2, ::2] + hits[:, ::2, 1::2] + hits[:, 1::2, ::2] + hits[:, 1::2, 1::2]
+    return count[..., None] / 4.0
 
 
 def gen_four_shapes(
@@ -518,7 +529,9 @@ def gen_four_shapes(
     of record numbers, and exactly those images are returned, in that
     order, each bit-identical to the same record of the full render.
     Consecutive records of one class are rendered together, up to
-    RENDER_BLOCK at a time.
+    IMAGE_BLOCK at a time, in one vectorised pass whose bytes equal those
+    of a one-at-a-time render; the images of a block are read-only views
+    of one pixel stack.
     """
     size = integer("image size", size, 8)
     per_class = integer("per_class", per_class, 1)
@@ -528,13 +541,13 @@ def gen_four_shapes(
     for ci, run in itertools.groupby(index.tolist(), key=lambda r: r // per_class):
         label = SHAPE_LABELS[ci]
         indices = [r % per_class for r in run]
-        for start in range(0, len(indices), RENDER_BLOCK):
-            block = indices[start : start + RENDER_BLOCK]
+        for start in range(0, len(indices), IMAGE_BLOCK):
+            block = indices[start : start + IMAGE_BLOCK]
             rngs = [np.random.default_rng(np.random.SeedSequence([seed, ci, i])) for i in block]
-            coverage = _render_block(label, size, jitter, rngs)
-            images.extend(
-                LabeledImage(cov[:, :, None], label, f"shapes:{label}:{i}")
-                for cov, i in zip(coverage, block)
+            images += LabeledImage.stack(
+                _render_block(label, size, jitter, rngs),
+                [label] * len(block),
+                [f"shapes:{label}:{i}" for i in block],
             )
     return images
 
@@ -548,8 +561,8 @@ def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     """Bilinear resize with half-pixel-center alignment, channels independent.
 
     pixels is H x W, H x W x C or a stack ... x H x W x C, which is resized
-    image by image: every output element comes from the same operations
-    as in a call on its image alone, so the bits are the same.
+    IMAGE_BLOCK images at a time: every output element comes from the same
+    operations as in a call on its image alone, so the bits are the same.
     """
     height, width = integer("resize height", height, 1), integer("resize width", width, 1)
     src = np.asarray(pixels, dtype=np.float64)
@@ -570,17 +583,21 @@ def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[:, None]
 
-    # Each corner is one gather of (..., height, width, C) from the pixels
-    # flattened to (..., h * w, C).
-    flat = src.reshape(src.shape[:-3] + (h * w, src.shape[-1]))
+    # Each corner is one gather of (block, height, width, C) from a block of
+    # images flattened to (block, h * w, C); a block's temporaries stay small.
+    count, channels = math.prod(src.shape[:-3]), src.shape[-1]
+    flat = src.reshape(count, h * w, channels)
+    out = np.empty((count, height, width, channels))
 
-    def corner(rows, cols):
-        return np.take(flat, rows[:, None] * w + cols, axis=-2)
+    def corner(block, rows, cols):
+        return np.take(block, rows[:, None] * w + cols, axis=1)
 
-    top = (1.0 - wx) * corner(y0, x0) + wx * corner(y0, x1)
-    bottom = (1.0 - wx) * corner(y1, x0) + wx * corner(y1, x1)
-    out = (1.0 - wy) * top + wy * bottom
-    return np.clip(out, 0.0, 1.0)
+    for start in range(0, count, IMAGE_BLOCK):
+        block = flat[start : start + IMAGE_BLOCK]
+        top = (1.0 - wx) * corner(block, y0, x0) + wx * corner(block, y0, x1)
+        bottom = (1.0 - wx) * corner(block, y1, x0) + wx * corner(block, y1, x1)
+        np.clip((1.0 - wy) * top + wy * bottom, 0.0, 1.0, out=out[start : start + IMAGE_BLOCK])
+    return out.reshape(src.shape[:-3] + (height, width, channels))
 
 
 def ensure_channels(pixels: np.ndarray, channels: int | None) -> np.ndarray:

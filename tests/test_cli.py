@@ -804,6 +804,19 @@ def test_test_data_without_images_is_named(tmp_path, capsys, command):
                                          "type": "ValueError"}
 
 
+def test_mixed_channel_counts_are_named(tmp_path, capsys):
+    ds = file_dataset(tmp_path, "image_dir", with_test=False)  # 8 x 8 grey and 10 x 12 RGB
+    common = {"image_size": [8, 8], "budgets": {"train": 2, "val": 3, "test": 2}}
+    assert main(["fit", "--config", str(write_config(tmp_path, dataset=ds, **common))]) == 1
+    assert read_stderr_error(capsys) == {
+        "error": 'images have 1 and 3 channels; set "channels" in the config'
+                 " to convert them to one count",
+        "type": "ValueError",
+    }
+    config = write_config(tmp_path, dataset=ds, channels=3, **common)
+    assert main(["fit", "--config", str(config)]) == 0
+
+
 @pytest.mark.parametrize("kind", ["mnist", "cifar10"])
 def test_file_commands_convert_only_what_they_use(tmp_path, monkeypatch, kind):
     converted = []

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigclass.data_io as data_io
 from sigclass.data_io import (
-    RENDER_BLOCK,
+    IMAGE_BLOCK,
     AugmentSpec,
     LabeledImage,
     ParseError,
@@ -401,7 +402,7 @@ def _reference_render(label, size, jitter, rng):
 @pytest.mark.parametrize("rotation", [None, (0.0, 2.0 * np.pi)])
 def test_shapes_subset_render_bit_exact(size, rotation):
     jitter = ShapeJitter(rotation=rotation)
-    per_class = RENDER_BLOCK + 9  # blocks split every class
+    per_class = IMAGE_BLOCK + 9  # blocks split every class
     full = gen_four_shapes(per_class, size=size, jitter=jitter, seed=size)
     # Record r is sample r % per_class of class r // per_class.
     assert [(im.label, im.source_id) for im in full] == [
@@ -426,6 +427,61 @@ def test_shapes_subset_render_bit_exact(size, rotation):
         assert im.pixels.tobytes() == ref.pixels.tobytes()
 
 
+def band(low, high):
+    return st.tuples(st.floats(low, high), st.floats(low, high)).map(sorted).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(8, 33),
+    center_frac=st.one_of(st.just(0), st.floats(0.0, 0.5)),
+    scale_range=st.one_of(band(0.05, 2.0), st.floats(0.05, 2.0).map(lambda v: (v, v))),
+    rotation=st.one_of(st.none(), band(-1.0, 1.0), band(-100.0, 100.0),
+                       st.floats(-7.0, 7.0).map(lambda v: (v, v))),
+    seed=st.integers(0, 2**63),
+    per_class=st.integers(1, 40),
+    records=st.one_of(st.none(), st.lists(st.integers(0, 10**6), max_size=40)),
+)
+def test_render_is_bytes_equal_to_the_one_at_a_time_reference(
+    size, center_frac, scale_range, rotation, seed, per_class, records
+):
+    jitter = ShapeJitter(center_frac=center_frac, scale_range=scale_range, rotation=rotation)
+    if records is not None:
+        records = [r % (4 * per_class) for r in records]
+    images = gen_four_shapes(per_class, size=size, jitter=jitter, seed=seed, records=records)
+    numbers = range(4 * per_class) if records is None else records
+    assert len(images) == len(numbers)
+    for r, im in zip(numbers, images):
+        ci, i = divmod(r, per_class)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, ci, i]))
+        expected = _reference_render(SHAPE_LABELS[ci], size, jitter, rng)
+        assert (im.label, im.source_id) == (SHAPE_LABELS[ci], f"shapes:{SHAPE_LABELS[ci]}:{i}")
+        assert im.pixels.shape == (size, size, 1)
+        assert im.pixels[:, :, 0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_output_bytes_do_not_depend_on_the_image_block(monkeypatch, block):
+    jitter = ShapeJitter(center_frac=0.2, rotation=(-1.0, 3.0))
+    records = [5, 6, 7, 8, 9, 10, 30, 31, 0, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 1]
+    stack = np.random.default_rng(block).random((2, 9, 7, 5, 3))
+
+    def outputs():
+        images = (gen_four_shapes(20, size=13, jitter=jitter, seed=4, records=records)
+                  + gen_four_shapes(IMAGE_BLOCK + 3, size=9, jitter=jitter, seed=1))
+        rendered = [(im.label, im.source_id, im.pixels.tobytes()) for im in images]
+        return images, rendered, resize(stack, 4, 6).tobytes()
+
+    expected = outputs()[1:]
+    monkeypatch.setattr(data_io, "IMAGE_BLOCK", block)
+    images, *got = outputs()
+    assert tuple(got) == expected
+    for im in images:
+        assert not im.pixels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            im.pixels[0, 0, 0] = 0.5
+
+
 @pytest.mark.parametrize("fields, name", [
     ({"center_frac": float("nan")}, "center_frac"),
     ({"center_frac": -0.1}, "center_frac"),
@@ -440,6 +496,8 @@ def test_shapes_subset_render_bit_exact(size, rotation):
     ({"rotation": (0.2, 0.1)}, "rotation"),
     ({"rotation": (float("nan"), 0.1)}, "rotation"),
     ({"rotation": ("0", "1")}, "rotation"),
+    ({"rotation": (-1e308, 1e308)}, "rotation"),
+    ({"center_frac": 1e308}, "center_frac"),
 ])
 def test_shape_jitter_names_bad_fields(fields, name):
     with pytest.raises(ValueError, match=f"ShapeJitter {name} must be"):
