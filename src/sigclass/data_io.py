@@ -2,9 +2,9 @@
 procedural four-shapes generation, bilinear resizing, and the
 contrast/brightness/noise augmentation operators.
 
-All loaders produce float64 pixels in [0, 1].  Randomized generation draws
-from per-sample RNG streams split off the master seed, so parallel
-generation order cannot change the result.
+All loaders produce float64 pixels in [0, 1].  Each four-shapes sample
+draws what its own default_rng(SeedSequence([seed, class, sample])) would,
+computed in bulk for a whole call, so no other record can change its image.
 """
 
 from __future__ import annotations
@@ -452,42 +452,129 @@ _POLYGONS = {
 }
 
 
-def _point_in_polygon(px, py, x, y) -> np.ndarray:
-    """Even-odd test of the grid of columns px (1, W) and rows py (H, 1)
-    against each polygon of a block, vertices x, y (b, k); (b, H, W) booleans."""
-    inside = np.zeros((x.shape[0], py.shape[0], px.shape[1]), dtype=bool)
-    x, y = x[:, :, None, None], y[:, :, None, None]  # broadcast over the grid
-    x1, y1 = x[:, -1], y[:, -1]
+# NumPy's SeedSequence hash and PCG64 generator, which NEP 19 keeps stable:
+# the constants of numpy/random/bit_generator.pyx and of PCG64's 128-bit LCG.
+_MASK32 = 0xFFFFFFFF
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = np.array([0x2360ED051FC65DA44385DF649FCCF645 >> s & _MASK32 for s in (0, 32, 64, 96)],
+                     dtype=np.uint64)[:, None]
+
+
+def _hashmix(value, hash_const, j, count):
+    """Hash steps j .. j + count - 1 of SeedSequence on uint32 words held in
+    uint64 arrays.  Step k xors with c_k, multiplies by c_(k+1) and
+    xorshifts, where c_k = init * mult**k mod 2**32, (init, mult) = hash_const."""
+    init, mult = hash_const
+    c = np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(j, j + count + 1)],
+                 dtype=np.uint64)[:, None]
+    value = (value ^ c[:-1]) * c[1:] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32  # uint64 arrays wrap, so mod 2**32 holds
+    return value ^ value >> 16
+
+
+def _carry(limbs):
+    """A 128-bit number from 4 columns of 32-bit limbs plus carries, low limb first."""
+    for k in range(3):
+        limbs[k + 1] += limbs[k] >> 32
+    return limbs & _MASK32
+
+
+def _lcg_step(state, increment):
+    """PCG64's step, state * multiplier + increment mod 2**128, in 32-bit limbs."""
+    products = state[:, None] * _PCG_MULT  # limb i of the state times limb j of the multiplier
+    low, high = products & _MASK32, products >> 32
+    columns = increment.copy()
+    for i in range(4):
+        columns[i:] += low[i, : 4 - i]
+        columns[i + 1 :] += high[i, : 3 - i]
+    return _carry(columns)
+
+
+def _stream_doubles(entropy: np.ndarray, m: int) -> np.ndarray:
+    """(n, m): the first m doubles of default_rng(SeedSequence(words)) for n
+    streams at once.  Row k of entropy is uint32 word k of each stream's
+    words, with zero rows up to 4, which hash as SeedSequence's padding."""
+    # SeedSequence's pool: hash the first 4 words, mix each pool word into
+    # the other three, then mix each further word into all four.
+    pool, j = _hashmix(entropy[:4], _HASH_A, 0, 4), 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst], j = _mix(pool[dst], _hashmix(pool[src], _HASH_A, j, 3)), j + 3
+    for word in entropy[4:]:
+        pool, j = _mix(pool, _hashmix(word, _HASH_A, j, 4)), j + 4
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8)
+    # words are 4 uint64s as low, high uint32 halves.  The initial state is
+    # uint64s 0, 1 and the sequence 2, 3, each 128-bit number high first, so
+    # their limbs, low first, are words 2, 3, 0, 1 and 6, 7, 4, 5.  PCG64
+    # seeding: state 0 stepped is the increment, seq << 1 | 1; add the
+    # initial state; step.
+    increment = 2 * words[[6, 7, 4, 5]]
+    increment[0] += 1
+    increment = _carry(increment)
+    state = _lcg_step(_carry(increment + words[[2, 3, 0, 1]]), increment)
+    draws = np.empty((m, entropy.shape[1]), dtype=np.uint64)
+    for row in draws:  # a draw steps, then outputs XSL-RR: high ^ low rotated by the top 6 bits
+        state = _lcg_step(state, increment)
+        xsl, rot = (state[3] << 32 | state[2]) ^ (state[1] << 32 | state[0]), state[3] >> 26
+        row[:] = (xsl >> rot | xsl << (64 - rot & 63)) >> 11
+    return draws.T * 2.0**-53
+
+
+def _shape_draws(seed: int, classes, samples, m: int) -> np.ndarray:
+    """(n, m) doubles: row r is default_rng(SeedSequence([seed, classes[r],
+    samples[r]])).random(m), for all n records of the integer arrays
+    classes and samples in one vectorised pass."""
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    draws = np.empty((samples.size, m))
+    for wide in (False, True):  # a sample number of 2**32 or more is two words
+        rows = (samples > _MASK32) == wide
+        if rows.any():
+            i = samples[rows]
+            words = seed_words + [classes[rows], i & _MASK32] + [i >> 32] * wide
+            entropy = np.zeros((max(len(words), 4), i.size), dtype=np.uint64)
+            for row, word in zip(entropy, words):
+                row[:] = word
+            draws[rows] = _stream_doubles(entropy, m)
+    return draws
+
+
+def _point_in_polygon(coords, x, y) -> np.ndarray:
+    """Even-odd test of the grid of columns and rows at coords against each
+    polygon of a block, vertices x, y (b, k); (b, H, W) booleans."""
+    # The grid is laid out (W, b, H), so each pass runs over b * H elements.
+    inside = np.zeros((coords.size, x.shape[0], coords.size), dtype=bool)
+    px, py = coords[:, None, None], coords
+    x, y = x.T[:, :, None], y.T[:, :, None]  # (k, b, 1): broadcast over the rows
+    x1, y1 = x[-1], y[-1]
     # Where an edge crosses a row, and the x at which it does, depend on the
     # row alone.  A horizontal edge never crosses; its division by zero is
     # masked out.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(x.shape[1]):
-            x2, y2 = x[:, j], y[:, j]
+        for x2, y2 in zip(x, y):
             crosses = (y1 > py) != (y2 > py)
             x_at = (x2 - x1) * (py - y1) / (y2 - y1) + x1
             inside ^= crosses & (px < x_at)
             x1, y1 = x2, y2
-    return inside
+    return np.ascontiguousarray(inside.transpose(1, 2, 0))
 
 
-def _render_block(label: str, size: int, jitter: ShapeJitter, rngs) -> np.ndarray:
-    """(len(rngs), size, size, 1) coverage of one shape class.
+def _render_block(label: str, size: int, jitter: ShapeJitter, u: np.ndarray) -> np.ndarray:
+    """(len(u), size, size, 1) coverage of one shape class.
 
-    Each sample's own RNG makes one call, rng.random(m), which draws the
-    doubles that Generator.uniform would, in the same order: the centre,
-    the radius and, for a rotated polygon, the angle.  The rest runs over
-    the whole block in one pass, with the operations of a one-at-a-time
-    render, so each image's bytes equal those of rendering it alone.
+    Row r of u is sample r's default_rng(SeedSequence([seed, ci,
+    i])).random(4), from _shape_draws: the doubles Generator.uniform drew,
+    in the same order: the centre, the radius and, for a rotated polygon,
+    the angle.  The rest runs over the whole block in one pass, with the
+    operations of a one-at-a-time render, so each image's bytes equal
+    those of rendering it alone.
     """
     coords = (np.arange(2 * size) + 0.5) / 2  # 2x2 subsamples per pixel
-    py, px = coords[:, None], coords[None, :]
-
     polygon = _POLYGONS.get(label)
-    rotated = polygon is not None and jitter.rotation is not None
-    u = np.empty((len(rngs), 4 if rotated else 3))
-    for rng, row in zip(rngs, u):
-        rng.random(out=row)
 
     def uniform(band, draws):  # what Generator.uniform computes
         low, high = float(band[0]), float(band[1])
@@ -498,14 +585,14 @@ def _render_block(label: str, size: int, jitter: ShapeJitter, rngs) -> np.ndarra
     radius = uniform(jitter.scale_range, u[:, 2]) * size / 2.0
     if polygon is None:  # a circle; r**2 is Python's float power, as for one image alone
         r2 = np.array([r**2 for r in radius.tolist()])[:, None, None]
-        inside = (px - cx[:, :, None]) ** 2 + (py - cy[:, :, None]) ** 2 <= r2
+        inside = (coords - cx[:, :, None]) ** 2 + (coords[:, None] - cy[:, :, None]) ** 2 <= r2
     else:
         k, first, odd = polygon
-        theta = uniform(jitter.rotation, u[:, 3]) if rotated else np.zeros(len(rngs))
+        theta = np.zeros(len(u)) if jitter.rotation is None else uniform(jitter.rotation, u[:, 3])
         angles = (theta + first)[:, None] + np.arange(k) * (2.0 * np.pi / k)
         radii = radius[:, None] * np.where(np.arange(k) % 2 == 0, 1.0, odd)
         x, y = cx + radii * np.cos(angles), cy + radii * np.sin(angles)
-        inside = _point_in_polygon(px, py, x, y)
+        inside = _point_in_polygon(coords, x, y)
     # Subsamples covered per pixel, an exact count: /4.0 gives the mean's bits.
     hits = inside.view(np.uint8)
     count = hits[:, ::2, ::2] + hits[:, ::2, 1::2] + hits[:, 1::2, ::2] + hits[:, 1::2, 1::2]
@@ -522,33 +609,32 @@ def gen_four_shapes(
     """Render white-on-black square/star/circle/triangle images.
 
     Record r is sample i = r % per_class of class SHAPE_LABELS[ci], ci =
-    r // per_class.  It draws from its own RNG stream keyed by (seed, ci,
-    i), so its pixels do not depend on which other records are rendered
-    with it.  With records=None every record is rendered, in that order:
-    class by class in SHAPE_LABELS order.  Otherwise records is a sequence
-    of record numbers, and exactly those images are returned, in that
-    order, each bit-identical to the same record of the full render.
-    Consecutive records of one class are rendered together, up to
-    IMAGE_BLOCK at a time, in one vectorised pass whose bytes equal those
-    of a one-at-a-time render; the images of a block are read-only views
-    of one pixel stack.
+    r // per_class.  Its draws equal those of its own RNG stream,
+    default_rng(SeedSequence([seed, ci, i])), so its pixels do not depend
+    on which other records are rendered with it; the streams of all
+    records of a call are computed together, in one vectorised pass.
+    With records=None every record is rendered, in that order: class by
+    class in SHAPE_LABELS order.  Otherwise records is a sequence of record
+    numbers, and exactly those images are returned, in that order, each
+    bit-identical to the same record of the full render.  Consecutive
+    records of one class are rendered together, up to IMAGE_BLOCK at a
+    time, in one vectorised pass whose bytes equal those of a one-at-a-time
+    render; the images of a block are read-only views of one pixel stack.
     """
     size = integer("image size", size, 8)
     per_class = integer("per_class", per_class, 1)
     seed = integer("seed", seed, 0)
-    index = _record_index(records, len(SHAPE_LABELS) * per_class)
-    images = []
-    for ci, run in itertools.groupby(index.tolist(), key=lambda r: r // per_class):
-        label = SHAPE_LABELS[ci]
-        indices = [r % per_class for r in run]
-        for start in range(0, len(indices), IMAGE_BLOCK):
-            block = indices[start : start + IMAGE_BLOCK]
-            rngs = [np.random.default_rng(np.random.SeedSequence([seed, ci, i])) for i in block]
-            images += LabeledImage.stack(
-                _render_block(label, size, jitter, rngs),
-                [label] * len(block),
-                [f"shapes:{label}:{i}" for i in block],
-            )
+    classes, samples = np.divmod(_record_index(records, len(SHAPE_LABELS) * per_class), per_class)
+    draws = _shape_draws(seed, classes, samples, 4)
+    images, start = [], 0
+    for ci, run in itertools.groupby(classes.tolist()):
+        label, stop = SHAPE_LABELS[ci], start + len(list(run))
+        for lo in range(start, stop, IMAGE_BLOCK):
+            block = slice(lo, min(lo + IMAGE_BLOCK, stop))
+            ids = [f"shapes:{label}:{i}" for i in samples[block].tolist()]
+            pixels = _render_block(label, size, jitter, draws[block])
+            images += LabeledImage.stack(pixels, [label] * len(ids), ids)
+        start = stop
     return images
 
 

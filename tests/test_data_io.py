@@ -438,7 +438,7 @@ def band(low, high):
     scale_range=st.one_of(band(0.05, 2.0), st.floats(0.05, 2.0).map(lambda v: (v, v))),
     rotation=st.one_of(st.none(), band(-1.0, 1.0), band(-100.0, 100.0),
                        st.floats(-7.0, 7.0).map(lambda v: (v, v))),
-    seed=st.integers(0, 2**63),
+    seed=st.one_of(st.integers(0, 2**63), st.integers(2**64 - 2**16, 2**160)),
     per_class=st.integers(1, 40),
     records=st.one_of(st.none(), st.lists(st.integers(0, 10**6), max_size=40)),
 )
@@ -458,6 +458,53 @@ def test_render_is_bytes_equal_to_the_one_at_a_time_reference(
         assert (im.label, im.source_id) == (SHAPE_LABELS[ci], f"shapes:{SHAPE_LABELS[ci]}:{i}")
         assert im.pixels.shape == (size, size, 1)
         assert im.pixels[:, :, 0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**96 + 7])
+def test_bulk_draws_are_each_records_own_default_rng_stream(seed, m):
+    # Every word-count boundary: the seed is 1 to 4 uint32 words and a
+    # sample number 1 or 2, so the entropy is 3 to 6 words; 5 or more take
+    # SeedSequence's further mixing loop.  Classes interleave within a call.
+    samples = [0, 1, 299, 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**63 - 1]
+    classes = [ci for ci in range(4) for _ in samples]
+    samples = [i for _ in range(4) for i in samples]
+    order = np.random.default_rng(m).permutation(len(samples))
+    classes, samples = np.array(classes)[order], np.array(samples)[order]
+    draws = data_io._shape_draws(seed, classes, samples, m)
+    assert draws.shape == (len(samples), m)
+    for ci, i, row in zip(classes.tolist(), samples.tolist(), draws):
+        expected = np.random.default_rng(np.random.SeedSequence([seed, ci, i])).random(m)
+        assert row.tobytes() == expected.tobytes(), (seed, ci, i)
+
+
+def test_records_past_two_to_the_32_render_their_own_streams():
+    per_class = 2**33  # sample numbers of one and of two uint32 words, in one block
+    records = [2**32 + 5, 2**32 - 1, 2**32, 3, 3 * per_class + 2**32 + 7, 2 * per_class + 1]
+    jitter = ShapeJitter(center_frac=0.2, rotation=(-1.0, 3.0))
+    images = gen_four_shapes(per_class, size=9, jitter=jitter, seed=2**64 + 3, records=records)
+    for r, im in zip(records, images, strict=True):
+        ci, i = divmod(r, per_class)
+        rng = np.random.default_rng(np.random.SeedSequence([2**64 + 3, ci, i]))
+        expected = _reference_render(SHAPE_LABELS[ci], 9, jitter, rng)
+        assert im.source_id == f"shapes:{SHAPE_LABELS[ci]}:{i}"
+        assert im.pixels[:, :, 0].tobytes() == expected.tobytes()
+
+
+def test_render_builds_no_generator_or_seed_sequence(monkeypatch):
+    jitter = ShapeJitter(center_frac=0.2, rotation=(-1.0, 3.0))
+    calls = [dict(per_class=IMAGE_BLOCK + 3), dict(per_class=20, records=[70, 5, 6, 30, 0, 71])]
+    expected = [[im.pixels.tobytes() for im in gen_four_shapes(size=9, jitter=jitter, seed=4, **kw)]
+                for kw in calls]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_four_shapes built an RNG")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    got = [[im.pixels.tobytes() for im in gen_four_shapes(size=9, jitter=jitter, seed=4, **kw)]
+           for kw in calls]
+    assert got == expected
 
 
 @pytest.mark.parametrize("block", [1, 7])
