@@ -22,7 +22,7 @@ import numpy as np
 
 from ._checks import config_object, integer, json_object, real
 from .calibration import CalibrationSet, closed_form_lambda, optimize_lambda, solver_settings
-from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels, group_by_label
+from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels
 from .path_signature import (
     LOG_SIGNATURE,
     SIGNATURE,
@@ -142,43 +142,44 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _prepared_pixels(model_config: ModelConfig, pixels: np.ndarray) -> np.ndarray:
-    px = ensure_channels(pixels, model_config.channels)
-    h, w = model_config.image_size
-    if px.shape[0] != h or px.shape[1] != w:
-        raise ValueError(
-            f"image shape {px.shape[:2]} does not match model size {(h, w)};"
-            " resize upstream"
-        )
-    return px
-
-
-def _features_and_dim(images, config: ModelConfig) -> tuple[np.ndarray, int]:
-    pixel_list = [im.pixels if isinstance(im, LabeledImage) else im for im in images]
-    prepared = [_prepared_pixels(config, px) for px in pixel_list]
-    counts = sorted({px.shape[2] for px in prepared})
+def _points(images, config: ModelConfig) -> np.ndarray:
+    """(n, points, d) streams of one stack of LabeledImage objects or raw pixel
+    arrays, each through ensure_channels; the size and channel-count checks
+    run once over the distinct shapes.  The stack is freed before the fold."""
+    pixels = [ensure_channels(im.pixels if isinstance(im, LabeledImage) else im, config.channels)
+              for im in images]
+    if not pixels:
+        raise ValueError("no images to extract features from")
+    shapes = dict.fromkeys(px.shape for px in pixels)  # input order: the first bad shape is named
+    size = config.image_size
+    for shape in shapes:
+        if shape[:2] != size:
+            raise ValueError(f"image shape {shape[:2]} does not match model size {size}; resize upstream")
+    counts = sorted({shape[2] for shape in shapes})
     if len(counts) > 1:
-        raise ValueError(
-            f"images have {counts[0]} and {counts[-1]} channels; set \"channels\""
-            " in the config to convert them to one count"
-        )
-    pts = config.convention.points(np.stack(prepared))
+        raise ValueError(f"images have {counts[0]} and {counts[-1]} channels; set \"channels\""
+                         " in the config to convert them to one count")
+    return config.convention.points(np.stack(pixels))
+
+
+def _features(points: np.ndarray, config: ModelConfig) -> np.ndarray:
     many = signature_many if config.kind == SIGNATURE else log_signature_many
-    return many(pts, config.order), pts.shape[2]
+    return many(points, config.order)
 
 
 def features_for_images(images, config: ModelConfig) -> np.ndarray:
-    """Feature matrix (batch, feature_length) for a list of images.
+    """Feature matrix (batch, feature_length) of a list of images, folded as one stack.
 
     Accepts LabeledImage objects or raw pixel arrays, all already at the
-    model's image size.
+    model's image size.  An empty list is a ValueError.
     """
-    return _features_and_dim(images, config)[0]
+    return _features(_points(images, config), config)
 
 
 def _test_features(model: ClassModel, pixel_list, seeds) -> np.ndarray:
     """(n, F) test features: row i is the mean over the augmented copies drawn
-    from augment seed seeds[i], or over the image alone without augmentation."""
+    from augment seed seeds[i], or over the image alone without augmentation.
+    Copies are drawn from the pixels as given, before ensure_channels."""
     spec = model.config.augment
     if spec is not None:
         pixel_list = [c for px, s in zip(pixel_list, seeds) for c in augment(px, spec, seed=s)]
@@ -191,21 +192,30 @@ def _test_features(model: ClassModel, pixel_list, seeds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _codes(labels, classes, what: str) -> np.ndarray:
+    """Index into classes of each label; a label outside classes is an error."""
+    index = {z: zi for zi, z in enumerate(classes)}
+    if unknown := sorted({z for z in labels if z not in index}):
+        raise ValueError(f"{what} contains unknown classes: {unknown}")
+    return np.array([index[z] for z in labels], dtype=np.intp)
+
+
 def _class_features(images, config: ModelConfig, classes=None):
     """(classes, one (n_z, F) feature block per class, stream dim) from one fold
-    over the images ordered class by class.  classes defaults to the labels
-    present, in sorted order; a requested class with no image is an error."""
-    groups = group_by_label(images)
+    over the images in class runs, input order within a run.  classes defaults
+    to the labels present, sorted; classes given must be exactly those labels."""
+    images = list(images)
+    labels = [im.label for im in images]
     if classes is None:
-        if not groups:
+        if not images:
             raise ValueError("training set is empty")
-        classes = tuple(groups)
-    missing = [z for z in classes if z not in groups]
-    if missing:
+        classes = tuple(sorted(set(labels)))
+    codes = _codes(labels, classes, "validation set")
+    counts = np.bincount(codes, minlength=len(classes))
+    if missing := [z for z, n in zip(classes, counts) if not n]:
         raise ValueError(f"validation set lacks classes: {missing}")
-    feats, dim = _features_and_dim([im for z in classes for im in groups[z]], config)
-    blocks = np.split(feats, np.cumsum([len(groups[z]) for z in classes])[:-1])
-    return classes, blocks, dim
+    points = _points([images[i] for i in np.argsort(codes, kind="stable")], config)
+    return classes, np.split(_features(points, config), np.cumsum(counts)[:-1]), points.shape[2]
 
 
 def fit(train, config: ModelConfig) -> ClassModel:
@@ -236,7 +246,8 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
     separation objective.  Either result is the factor table used under
     both metrics.  method "none" resets the factors to the identity.  An
     unknown method, or a keyword the method's solver does not take or a
-    value it rejects, is a ValueError before any feature is computed.
+    value it rejects, is a ValueError before any feature is computed.  The
+    validation images must be of the model's classes, each class at least once.
     """
     kwargs = solver_settings(method, kwargs)
     if method == "none":
@@ -302,7 +313,8 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
 
 def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[str, float]:
     """Per-class accept threshold: slack times the worst own-class validation
-    score.  slack must be a finite real > 0."""
+    score.  slack must be a finite real > 0.  The validation images must be
+    of the model's classes, each class at least once."""
     slack = real("slack", slack)
     _, blocks, _ = _class_features(val_images, model.config, model.classes)
     return {
@@ -327,8 +339,9 @@ def evaluate(
     Augmentation randomness (when the model enables it) is drawn from a
     per-sample stream keyed by (seed, sample index), so the report is
     deterministic and independent of evaluation order.  The test set is
-    walked in blocks of about BLOCK_BYTES; every report is bit-identical
-    to one built from per-image predict*() calls.
+    stacked and walked in blocks of about BLOCK_BYTES; every report is
+    bit-identical to one built from per-image predict*() calls.  A test
+    image of a class the model lacks is a ValueError.
     """
     protocols = (protocol,) if isinstance(protocol, str) else tuple(protocol)
     for name in protocols:
@@ -339,11 +352,7 @@ def evaluate(
         raise ValueError("test set is empty")
     if "ova" in protocols and thresholds is None:
         raise ValueError("protocol 'ova' requires thresholds")
-    unknown = sorted({im.label for im in test} - set(model.classes))
-    if unknown:
-        raise ValueError(f"test set contains unknown classes: {unknown}")
-
-    true_idx = np.array([model.classes.index(im.label) for im in test])
+    true_idx = _codes([im.label for im in test], model.classes, "test set")
     cfg = model.config
     copies = cfg.augment.copies if cfg.augment is not None else 1
     n_points = cfg.convention.stream_shape(*cfg.image_size, 1)[0]

@@ -23,7 +23,6 @@ from ._checks import band, integer, real
 
 __all__ = [
     "LabeledImage",
-    "group_by_label",
     "AugmentSpec",
     "ShapeJitter",
     "ParseError",
@@ -109,15 +108,6 @@ def _check_pixel_values(px: np.ndarray) -> None:
     # min and max are NaN when any value is, so they catch NaN and inf too.
     if not (px.min() >= 0.0 and px.max() <= 1.0):
         raise ValueError("pixel values must be finite and within [0, 1]")
-
-
-def group_by_label(images) -> dict[str, list[LabeledImage]]:
-    """Images grouped by label, groups in sorted label order, each group in
-    input order."""
-    groups: dict[str, list[LabeledImage]] = {}
-    for im in images:
-        groups.setdefault(im.label, []).append(im)
-    return {label: groups[label] for label in sorted(groups)}
 
 
 @dataclass(frozen=True)

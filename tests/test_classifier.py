@@ -1,9 +1,12 @@
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigclass import classifier
 from sigclass.classifier import (
@@ -290,6 +293,74 @@ def test_labelled_sets_fold_once_and_match_per_class_features(monkeypatch):
     assert calls == []
 
 
+# "10" sorts before "9", and "a\x00" is not "a": labels are compared as they are
+RUN_LABELS = st.lists(st.sampled_from(["9", "10", "a", "a\x00", "b"]), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(train_labels=RUN_LABELS, data=st.data())
+def test_class_runs_fold_each_split_once_in_input_order(train_labels, data):
+    # every class's rows, from any interleaving of labels, equal that class's
+    # images folded on their own in input order
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    config = cfg(size=3, metric="mae")
+    classes = sorted(set(train_labels))
+    val_labels = data.draw(st.lists(st.sampled_from(classes), max_size=8))
+    val_labels = data.draw(st.permutations(val_labels + [z for z in classes if z not in val_labels]))
+    train, val = tiny_images(rng, train_labels, 3), tiny_images(rng, val_labels, 3)
+
+    def own(images, z):
+        return features_for_images([im for im in images if im.label == z], config)
+
+    calls = []
+    fold = classifier.signature_many
+
+    def counted(points, order):
+        calls.append(len(points))
+        return fold(points, order)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifier, "signature_many", counted)
+        model = fit(train, config)
+        cal = classifier.calibration_set(model, val)
+        model = replace(model, factors=rng.uniform(0.5, 1.5, size=model.factors.shape))
+        thresholds = ova_thresholds(model, val, slack=1.2)
+    assert calls == [len(train), len(val), len(val)]
+    assert model.classes == tuple(classes)
+    assert model.train_counts == {z: train_labels.count(z) for z in classes}
+    assert list(cal.validation) == classes
+    for zi, z in enumerate(classes):
+        assert np.array_equal(model.representatives[zi], own(train, z).mean(axis=0))
+        assert np.array_equal(cal.validation[z], own(val, z))
+        x = own(val, z) * model.factors[zi]
+        expected = 1.2 * classifier.score_rows(x, model.representatives[zi], "mae").max()
+        assert thresholds[z] == float(expected)
+
+
+@pytest.mark.parametrize("entry", ["calibrate", "calibrate-optimize", "ova_thresholds", "evaluate"])
+def test_images_of_a_class_the_model_lacks_are_a_named_error(monkeypatch, entry):
+    rng = np.random.default_rng(21)
+    model = fit(tiny_images(rng, list("abab")), cfg())
+    split = tiny_images(rng, list("abzzz")) + tiny_images(rng, ["y"])
+    calls = []
+    monkeypatch.setattr(classifier, "signature_many", lambda *args: calls.append(args))
+    run = {
+        "calibrate": lambda: calibrate(model, split),
+        "calibrate-optimize": lambda: calibrate(model, split, method="optimize", iters=2),
+        "ova_thresholds": lambda: ova_thresholds(model, split),
+        "evaluate": lambda: evaluate(model, split, "plain"),
+    }[entry]
+    what = "test" if entry == "evaluate" else "validation"
+    with pytest.raises(ValueError, match=rf"^{what} set contains unknown classes: \['y', 'z'\]$"):
+        run()
+    assert calls == []
+
+
+def test_features_of_no_images_are_a_named_error():
+    with pytest.raises(ValueError, match="^no images to extract features from$"):
+        features_for_images([], cfg())
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -396,6 +467,24 @@ def test_predict_scores_match_reference_kernel(metric):
         assert plain[z] == reference(x, reps[zi])
         assert fixed[z] == reference(lams[zi] * x, reps[zi])
         assert oracle[z] == reference(lams[true] * x, reps[zi])
+
+
+def test_evaluate_memory_does_not_grow_with_the_test_set():
+    # test pixels are stacked one evaluation block at a time: ten times the
+    # images adds their labels and scores, not a stack of all their pixels
+    rng = np.random.default_rng(22)
+    labels = [f"c{i % 4}" for i in range(2000)]
+    images = LabeledImage.stack(rng.random((2000, 16, 16, 1)), labels, labels)
+    model = fit(images[:40], cfg(size=16))
+    peaks = []
+    for n in (200, 2000):
+        tracemalloc.start()
+        try:
+            evaluate(model, images[:n], ("plain", "fixed", "oracle"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2e6, peaks
 
 
 def test_evaluate_error_paths():
