@@ -3,7 +3,6 @@ subgradient optimization of the scaled-MAE separation objective."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,43 +108,38 @@ def solver_settings(method: str, settings: dict) -> dict:
     return {key: _SETTINGS[key](value) for key, value in settings.items()}
 
 
-def _objective_and_subgrad(lam, xs, own_rep, other_reps, gamma, scratch=None):
+def _objective_and_subgrad(lam, xs, own_rep, other_reps, gamma):
     """Scalarized objective sum_v MAE(lam*x_v, own) - gamma * sum_{l,v} MAE(lam*x_v, other_l)
     and its subgradient (0 at kinks).
 
     Broadcasts over leading axes: lam (..., F), xs (..., n, F), own_rep
-    (..., F) and an iterable other_reps of (..., F) arrays give a value (...)
-    and a gradient (..., F).  The representatives, own first, are scored a
-    chunk at a time, the (chunk, ..., n, F) residuals kept within
-    SOLVE_BYTES (at least one representative), and each term is folded in
-    the order above, so the bits equal a one-representative-at-a-time sum.
-    scratch is a list in which the two residual buffers are kept between
-    calls of the same shapes ([] before the first); without it they are
-    allocated for this call alone.
+    (..., F) and a sequence other_reps of (..., F) arrays give a value (...)
+    and a gradient (..., F).  The representatives, own first, are stacked
+    into one (R, ..., F) table and scored a chunk of rows at a time, the
+    (chunk, ..., n, F) residuals kept within SOLVE_BYTES (at least one row).
+    The R terms are folded left in table order, so the bits equal a
+    one-representative-at-a-time sum.
     """
     f = lam.shape[-1]
     scaled = lam[..., None, :] * xs
-    reps = itertools.chain([own_rep], other_reps)
+    table = np.stack([own_rep, *other_reps])
     chunk = max(1, SOLVE_BYTES // scaled.nbytes)
-    scratch = [] if scratch is None else scratch
-    value = grad = None
-    while table := list(itertools.islice(reps, chunk)):
-        if not scratch:  # the first chunk is the largest
-            scratch += [np.empty((len(table),) + scaled.shape) for _ in range(2)]
-        resid, signs = (buf[:len(table)] for buf in scratch)
-        np.subtract(scaled, np.stack(table)[..., None, :], out=resid)
-        sums = np.abs(resid, out=signs).reshape(signs.shape[:-2] + (-1,)).sum(-1)
-        np.sign(resid, out=signs)  # not in place: numpy's in-place sign is several times slower
-        signs *= xs
-        weight = np.full(sums.shape[:1] + (1,) * (sums.ndim - 1), gamma, dtype=float)
-        if value is None:
-            weight[0] = 1.0  # the own-class term, unweighted
-        values, grads = weight * sums / f, weight[..., None] * signs.sum(-2) / f
-        if value is not None:
-            values = np.concatenate([[value], values])
-            grads = np.concatenate([[grad], grads])
-        value, grad = np.subtract.reduce(values), np.subtract.reduce(grads)
-    return value, grad
+    resid, signs = (np.empty((min(chunk, len(table)),) + scaled.shape) for _ in range(2))
+    sums, grads = np.empty(table.shape[:-1]), np.empty(table.shape)
+    for r0 in range(0, len(table), chunk):
+        reps = table[r0:r0 + chunk]
+        res, sig = resid[:len(reps)], signs[:len(reps)]
+        np.subtract(scaled, reps[..., None, :], out=res)
+        np.abs(res, out=sig).reshape(sig.shape[:-2] + (-1,)).sum(-1, out=sums[r0:r0 + chunk])
+        np.sign(res, out=sig)  # not in place: numpy's in-place sign is several times slower
+        sig *= xs
+        sig.sum(-2, out=grads[r0:r0 + chunk])
+    # weighted in place, as copies would raise the peak; row 0, the own class, is unweighted
+    sums[1:] *= gamma
+    grads[1:] *= gamma
+    sums /= f
+    grads /= f
+    return np.subtract.reduce(sums), np.subtract.reduce(grads)
 
 
 def optimize_lambda(
@@ -167,8 +161,11 @@ def optimize_lambda(
     worse than the start.
 
     Classes with equal validation counts descend together, in blocks whose
-    (block, n, F) validation stack fits SOLVE_BYTES (at least one class);
-    every factor is bit-identical to solving each class on its own.  gamma
+    (block, n, F) validation stack fits SOLVE_BYTES (at least one class).
+    Each step scores a block against a table of every representative, own
+    first, a chunk of rows at a time within the same budget, in two
+    residual buffers allocated for that step; every factor is bit-identical
+    to solving each class on its own.  gamma
     must be a finite real >= 0, box a real > 0 (inf allowed), iters an
     integer >= 1 and epsilon a finite real > 0; anything else, bools and
     strings included, is a ValueError naming the argument.
@@ -183,14 +180,12 @@ def optimize_lambda(
     for block in _class_blocks(cal):
         xs = np.stack([cal.validation[labels[zi]] for zi in block])
         own = reps[block]
-        # row k indexes the k-th other representative of each block class, in class order
-        others = np.array([np.delete(np.arange(len(reps)), zi) for zi in block]).T
+        # row k holds the k-th other representative of each block class, in class order
+        others = reps[np.array([np.delete(np.arange(len(reps)), zi) for zi in block]).T]
         lam = np.clip(start[block], -box, box)
         best, best_val = np.empty_like(lam), np.full(len(block), np.inf)
-        scratch = []
         for t, step in enumerate(steps, 1):
-            value, grad = _objective_and_subgrad(
-                lam, xs, own, map(reps.__getitem__, others), gamma, scratch)
+            value, grad = _objective_and_subgrad(lam, xs, own, others, gamma)
             bad = ~np.isfinite(value)
             if bad.any():
                 raise ArithmeticError(
@@ -200,8 +195,7 @@ def optimize_lambda(
             better = value < best_val
             best_val[better], best[better] = value[better], lam[better]
             lam = np.clip(lam - step * grad, -box, box)
-        final_val, _ = _objective_and_subgrad(
-            lam, xs, own, map(reps.__getitem__, others), gamma, scratch)
+        final_val, _ = _objective_and_subgrad(lam, xs, own, others, gamma)
         better = np.isfinite(final_val) & (final_val < best_val)
         best[better] = lam[better]
         out[block] = best

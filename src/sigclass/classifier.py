@@ -179,11 +179,18 @@ def features_for_images(images, config: ModelConfig) -> np.ndarray:
 def _test_features(model: ClassModel, pixel_list, seeds) -> np.ndarray:
     """(n, F) test features: row i is the mean over the augmented copies drawn
     from augment seed seeds[i], or over the image alone without augmentation.
-    Copies are drawn from the pixels as given, before ensure_channels."""
-    spec = model.config.augment
-    if spec is not None:
+    Copies are drawn from the pixels as given, before ensure_channels.  Images
+    whose channel count differs from the model's are a ValueError before the fold."""
+    cfg = model.config
+    if (spec := cfg.augment) is not None:
         pixel_list = [c for px, s in zip(pixel_list, seeds) for c in augment(px, spec, seed=s)]
-    feats = features_for_images(pixel_list, model.config)
+    points = _points(pixel_list, cfg)
+    if points.shape[2] != model.stream_dim:
+        per_channel = cfg.convention.stream_shape(*cfg.image_size, 1)[1]
+        raise ValueError(
+            f"test images have {points.shape[2] // per_channel} channels but the model was fit on"
+            f" {model.stream_dim // per_channel}; set \"channels\" in the config to convert them")
+    feats = _features(points, cfg)
     return feats.reshape(len(seeds), -1, feats.shape[1]).mean(axis=1)
 
 
@@ -454,6 +461,11 @@ def model_from_dict(doc: dict) -> ClassModel:
     if length != expected:
         raise ValueError(f"model file feature_length {length!r} does not match {expected}"
                          f" for stream_dim={stream_dim}, order={order}")
+    counts = (1, 3) if config.channels is None else (config.channels,)
+    if stream_dim not in [config.convention.stream_shape(*config.image_size, c)[1] for c in counts]:
+        raise ValueError(f"model file stream_dim {stream_dim} does not match {config.convention.mode}"
+                         f" streams of {config.image_size} images with {' or '.join(map(str, counts))}"
+                         " channels")
     shape = (len(classes), length)
     reps, factors, counts = np.empty(shape), np.empty(shape), {}
     for zi, z in enumerate(classes):
@@ -487,12 +499,12 @@ def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value) -> None:
     table[zi] = row
 
 
-# save_model dumps the model with this value in place of each row list, then
-# writes the rows' text where the dump shows ': "\u0000"'.  Only a per-class
-# row field can be followed by that text: a label is a list item or a key
-# followed by ': {', and no JSON string holds an unescaped quote.
+# save_model dumps the model with "\u0000<i>" in place of the i-th row list it
+# is given, then writes that row's text where the dump shows ': "\u0000<i>"'.
+# Only a per-class row field can be followed by that text: a label is a list
+# item or a key followed by ': {', and no JSON string holds an unescaped quote.
 _ROW_MARK = "\x00"
-_MARKED = ': "\\u0000"'
+_MARKED = ': "\\u0000'
 
 
 def _row_text(row: np.ndarray) -> str:
@@ -500,26 +512,23 @@ def _row_text(row: np.ndarray) -> str:
     return "[\n        " + ",\n        ".join(map(repr, row.tolist())) + "\n      ]"
 
 
-def _row_texts(model: ClassModel):
-    """The text of each marked row of the dump, in document order."""
-    for rep, lam in zip(model.representatives, model.factors):
-        yield _row_text(rep)
-        lam_text = _factor_to_json(lam, _row_text)
-        if isinstance(lam_text, str):  # not the number 1.0
-            yield from (lam_text, lam_text)  # lambda_rmse, lambda_mae
-
-
 def save_model(model: ClassModel, path):
     """The bytes of json.dump(model_to_dict(model), indent=2) and a newline,
     written one row at a time into the dumped skeleton of the rest."""
-    skeleton = json.dumps(model_to_dict(model, lambda row: _ROW_MARK), indent=2)
-    parts = skeleton.split(_MARKED)
+    texts = []
+
+    def mark(row):
+        texts.append(_row_text(row))
+        return f"{_ROW_MARK}{len(texts) - 1}"
+
+    parts = json.dumps(model_to_dict(model, mark), indent=2).split(_MARKED)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(parts[0])
-        for row, part in zip(_row_texts(model), parts[1:], strict=True):
+        for part in parts[1:]:
+            index, _, rest = part.partition('"')
             fh.write(": ")
-            fh.write(row)
-            fh.write(part)
+            fh.write(texts[int(index)])
+            fh.write(rest)
         fh.write("\n")
 
 

@@ -51,6 +51,12 @@ class ParseError(ValueError):
     """A dataset file violates its binary format."""
 
 
+def _hwc(pixels) -> np.ndarray:
+    """pixels as a float64 array, an H x W input given a trailing channel axis."""
+    px = np.asarray(pixels, dtype=np.float64)
+    return px[:, :, None] if px.ndim == 2 else px
+
+
 @dataclass(frozen=True)
 class LabeledImage:
     """H x W x C pixels in [0, 1] with a class label and provenance id."""
@@ -60,9 +66,7 @@ class LabeledImage:
     source_id: str = ""
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim == 2:
-            px = px[:, :, None]
+        px = _hwc(self.pixels)
         if px.ndim != 3 or px.shape[2] not in (1, 3) or px.size == 0:
             raise ValueError(f"pixels must be nonempty H x W x C, C in {{1, 3}}; got {px.shape}")
         _check_pixel_values(px)
@@ -355,9 +359,7 @@ def read_pnm(path) -> np.ndarray:
 
 def write_pnm(path, pixels: np.ndarray):
     """Write float pixels in [0, 1] as binary PGM (C=1) or PPM (C=3), maxval 255."""
-    px = np.asarray(pixels, dtype=np.float64)
-    if px.ndim == 2:
-        px = px[:, :, None]
+    px = _hwc(pixels)
     h, w, c = px.shape
     if c not in (1, 3):
         raise ValueError(f"channel count must be 1 or 3, got {c}")
@@ -641,9 +643,7 @@ def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
     operations as in a call on its image alone, so the bits are the same.
     """
     height, width = integer("resize height", height, 1), integer("resize width", width, 1)
-    src = np.asarray(pixels, dtype=np.float64)
-    if src.ndim == 2:
-        src = src[:, :, None]
+    src = _hwc(pixels)
     if src.ndim < 2 or 0 in src.shape[-3:-1]:
         raise ValueError(f"resize needs nonempty H x W (x C) pixels, got shape {src.shape}")
     h, w = src.shape[-3:-1]
@@ -678,9 +678,7 @@ def resize(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
 
 def ensure_channels(pixels: np.ndarray, channels: int | None) -> np.ndarray:
     """Replicate grayscale to 3 channels when the config expects RGB."""
-    px = np.asarray(pixels, dtype=np.float64)
-    if px.ndim == 2:
-        px = px[:, :, None]
+    px = _hwc(pixels)
     if channels is None or px.shape[2] == channels:
         return px
     if px.shape[2] == 1 and channels == 3:
@@ -695,9 +693,7 @@ def augment(pixels: np.ndarray, spec: AugmentSpec, seed: int | None = None) -> l
     clamped to [0, 1].  Speckle multiplies by (1 + N(0, sigma)) per element;
     salt & pepper forces a fraction of pixels to 0 or 1 equiprobably.
     """
-    px = np.asarray(pixels, dtype=np.float64)
-    if px.ndim == 2:
-        px = px[:, :, None]
+    px = _hwc(pixels)
     rng = np.random.default_rng(
         np.random.SeedSequence([spec.seed if seed is None else seed])
     )

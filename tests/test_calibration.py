@@ -315,27 +315,60 @@ def uneven_problems(seed, count=12):
         yield CalibrationSet(reps, val)
 
 
-@pytest.mark.parametrize("budget", ["one byte", "whole problem"])
+class RecordingNumpy:
+    """numpy as calibration sees it, recording the shape of every np.empty."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        self.shapes.append(tuple(shape))
+        return np.empty(shape, *args, **kwargs)
+
+
+def budgets(cal):
+    """Each budget's SOLVE_BYTES for one calibration set."""
+    smallest = min(x.nbytes for x in cal.validation.values())
+    return {
+        "one byte": 1,
+        "whole problem": sum(x.nbytes for x in cal.validation.values()) * len(cal.classes),
+        # a lone class of the smallest count scores two representatives a chunk
+        "partial last chunk": 5 * smallest // 2,
+    }
+
+
+@pytest.mark.parametrize("budget", ["one byte", "whole problem", "partial last chunk"])
 def test_batched_solver_matches_under_any_budget(monkeypatch, budget):
     seen = {"block": 0, "chunk": []}
     kernel = calibration._objective_and_subgrad
+    numpy = RecordingNumpy()
+    monkeypatch.setattr(calibration, "np", numpy)
 
-    def recording_kernel(lam, xs, own_rep, other_reps, gamma, scratch=None):
-        result = kernel(lam, xs, own_rep, other_reps, gamma, scratch)
+    def recording_kernel(lam, xs, own_rep, other_reps, gamma):
+        numpy.shapes.clear()
+        result = kernel(lam, xs, own_rep, other_reps, gamma)
         seen["block"] = max(seen["block"], len(lam))
-        seen["chunk"].append(len(scratch[0]))  # the first chunk's buffer holds the widest chunk
+        # the residual buffers are (chunk, *xs.shape), or (rows, *xs.shape) for fewer rows
+        lead = {shape[0] for shape in numpy.shapes if shape[1:] == xs.shape}
+        assert len(lead) == 1
+        seen["chunk"].append((lead.pop(), 1 + len(other_reps)))
         return result
 
     monkeypatch.setattr(calibration, "_objective_and_subgrad", recording_kernel)
     for cal in uneven_problems(7):
-        whole = sum(x.nbytes for x in cal.validation.values()) * len(cal.classes)
-        monkeypatch.setattr(calibration, "SOLVE_BYTES", 1 if budget == "one byte" else whole)
+        monkeypatch.setattr(calibration, "SOLVE_BYTES", budgets(cal)[budget])
         expected = reference_optimize(cal, gamma=0.2, box=4.0, iters=30)
         assert optimize_lambda(cal, gamma=0.2, box=4.0, iters=30).tobytes() == expected.tobytes()
+    chunks = [chunk for chunk, _ in seen["chunk"]]
     if budget == "one byte":
-        assert seen["block"] == 1 and set(seen["chunk"]) == {1}
-    else:
-        assert seen["block"] > 1 and max(seen["chunk"]) > 1
+        assert seen["block"] == 1 and set(chunks) == {1}
+    elif budget == "whole problem":
+        assert seen["block"] > 1 and max(chunks) > 1
+    else:  # three or more chunks, the last one partial
+        assert any(chunk > 1 and rows > 2 * chunk and rows % chunk for chunk, rows in seen["chunk"])
 
 
 def test_solver_memory_stays_within_the_budget(monkeypatch):

@@ -507,6 +507,49 @@ def test_evaluate_error_paths():
         predict_ova(model, images[0], {"a": 0.5})
 
 
+@pytest.mark.parametrize("entry", ["evaluate", "predict", "evaluate-later-block"])
+def test_test_images_of_another_channel_count_are_a_named_error(monkeypatch, entry):
+    # a model fit on grey images with channels unset, given an RGB image
+    rng = np.random.default_rng(31)
+    grey = tiny_images(rng, ["a", "b"])
+    model = fit(grey, cfg())
+    rgb = LabeledImage(rng.random((6, 6, 3)), "a", "rgb")
+    calls = []
+    fold = classifier.signature_many
+
+    def counted(points, order):
+        calls.append(len(points))
+        return fold(points, order)
+
+    monkeypatch.setattr(classifier, "signature_many", counted)
+    run = {
+        "evaluate": lambda: evaluate(model, [rgb], "plain"),
+        "predict": lambda: predict(model, rgb),
+        "evaluate-later-block": lambda: evaluate(model, [grey[0], rgb], ("plain", "fixed")),
+    }[entry]
+    # one image a block: in the later-block case the grey block folds, the RGB one is refused
+    monkeypatch.setattr(classifier, "BLOCK_BYTES", 1)
+    with pytest.raises(ValueError, match=r'^test images have 3 channels but the model was fit on 1;'
+                       r' set "channels" in the config to convert them$'):
+        run()
+    assert calls == ([1] if entry == "evaluate-later-block" else [])
+
+
+def test_model_file_stream_dim_must_fit_its_config():
+    # the channel count a model was fit on is its stream dim over one channel's
+    doc = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a"]), cfg()))
+    doc["stream_dim"], doc["feature_length"] = 7, 56
+    doc["per_class"]["a"]["representative"] = [0.5] * 56
+    with pytest.raises(ValueError, match=r"^model file stream_dim 7 does not match rows streams"
+                       r" of \(6, 6\) images with 1 or 3 channels$"):
+        model_from_dict(doc)
+    doc["config"]["channels"] = 3
+    doc["stream_dim"], doc["feature_length"] = 6, 42
+    doc["per_class"]["a"]["representative"] = [0.5] * 42
+    with pytest.raises(ValueError, match=r"^model file stream_dim 6 .* with 3 channels$"):
+        model_from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
