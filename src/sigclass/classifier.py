@@ -131,7 +131,7 @@ class EvalReport:
     protocol: str
     classes: tuple[str, ...]
     accuracy: float
-    per_class_accuracy: dict[str, float]
+    per_class_accuracy: dict[str, float | None]  # None: no test image of the class
     confusion: np.ndarray  # rows = true class, cols = predicted class
     mean_margin: float
     total: int
@@ -387,7 +387,7 @@ def _report(protocol: str, classes, true_idx, parts) -> EvalReport:
     per_class = {}
     for zi, label in enumerate(classes):
         row = confusion[zi].sum()
-        per_class[label] = float(confusion[zi, zi] / row) if row else float("nan")
+        per_class[label] = float(confusion[zi, zi] / row) if row else None
     return EvalReport(
         protocol=protocol,
         classes=classes,

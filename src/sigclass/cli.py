@@ -450,7 +450,7 @@ def cmd_eval(args) -> int:
     for protocol, report in zip(protocols, reports):
         report_path = os.path.join(config.out_dir, f"report_{protocol}.json")
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report_to_dict(report), fh, indent=2)
+            json.dump(report_to_dict(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
         csv_path = os.path.join(config.out_dir, f"confusion_{protocol}.csv")
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

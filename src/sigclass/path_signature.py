@@ -8,8 +8,10 @@ The fast path multiplies per-increment exponentials left to right in the
 truncated tensor algebra (one exponential per stream segment), in place in
 buffers allocated once per chunk of streams; their memory layout depends
 on the chunk's width but never changes a bit of the result.  Coordinates
-and steps that do not move in any stream of a chunk are skipped, again
-without changing a bit (see _fold_into).  A slow
+and steps that do not move in any stream of a chunk are skipped, and for
+streams so wide that no chunk keeps its batch axis innermost the top level
+is folded at each step only in the columns of the coordinates that move in
+it, again without changing a bit (see _fold_into).  A slow
 iterated-integral quadrature oracle over the piecewise-linear path is kept
 alongside for testing; it shares no code with the product route.
 """
@@ -138,6 +140,51 @@ def _add_zero(levels: list[np.ndarray]) -> bool:
     return True
 
 
+def _stays_finite(incs: np.ndarray, order: int) -> bool:
+    """Whether no level entry of the fold, and no term summed into one, can
+    leave the float range.  Each is at most max(L, 1)**order in size, L
+    being a stream's sum over its steps of its largest increment entry,
+    which is at most the step count times the chunk's largest entry."""
+    return incs.shape[1] * float(np.abs(incs).max()) <= np.finfo(float).max ** (1 / order) / 2
+
+
+def _holds_negative_zero(columns: np.ndarray) -> np.ndarray:
+    """(m,) mask of the columns of a (batch, m, rest) slab holding a -0.0."""
+    return ((columns == 0.0) & np.signbit(columns)).any(axis=(0, 2))
+
+
+def _fold_top_columns(top, run, exp, cols, flagged) -> None:
+    """One Chen step on the columns cols of a last-letter-major top level.
+
+    top is (batch, d, d**(N-1)), top[:, k] holding the level-N entries whose
+    last letter is k; run and exp hold levels 0..N-1 of the running product
+    (not yet stepped) and of the step's increment exponential.  Each entry
+    of the columns becomes, term for term as in ta.mul_levels,
+    (b_N + a_N) + a_1 (x) b_{N-1} + ... + a_{N-1} (x) b_1, where b_N is
+    (b_{N-1} b_1) / N as in _exp_increment_into.  Unless they are all the
+    columns, they are gathered into one slab and scattered back.  A flagged
+    column's flag is cleared once it holds no -0.0.
+    """
+    batch, width, rest = top.shape
+    order = len(run)
+    # exp[j] restricted to the columns, (batch, m, d**(j-1))
+    b = [None] + [lv.reshape(batch, -1, width)[:, :, cols].transpose(0, 2, 1) for lv in exp[1:]]
+    whole = len(cols) == width  # every column: fold top in place
+    acc = top if whole else np.take(top, cols, axis=1)
+    tmp = np.multiply(exp[-1][:, None, :], b[1])
+    np.divide(tmp, order, out=tmp)
+    np.add(tmp, acc, out=acc)
+    for i in range(1, order):
+        np.multiply(run[i][:, None, :, None], b[order - i][:, :, None, :],
+                    out=tmp.reshape(batch, len(cols), run[i].shape[-1], b[order - i].shape[-1]))
+        np.add(acc, tmp, out=acc)
+    if not whole:
+        top[:, cols] = acc
+    held = flagged[cols]
+    if held.any():
+        flagged[cols[held]] = _holds_negative_zero(acc[:, held])
+
+
 def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> None:
     """Write the features of a (batch, n, d) chunk of streams into out, (batch, F).
 
@@ -161,6 +208,18 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
       x + 0.0 pass (none when nothing was folded since the last) instead of
       an exponential and a product.  Levels holding a non-finite entry are
       folded through in full.
+    - Still columns of the top level N, in a chunk of streams so wide that
+      a full chunk (_chunk) is below d**(order-1), and whose levels stay
+      finite (_stays_finite): the top level is held apart, last letter
+      slowest, as (batch, d, d**(N-1)).  A step folds levels 1..N-1
+      through ta.mul_levels and the top only in the columns k whose
+      coordinate moves in the step or which may hold a -0.0
+      (_fold_top_columns); the x + 0.0 pass of a run of still steps is
+      such a step.  Every term a step adds to a column whose increment is
+      +0.0 is +-0.0, which leaves a finite entry other than -0.0 as it is;
+      and a sum is -0.0 only when both terms are, so a column with no -0.0
+      after the first step never gains one.  The top level is laid out
+      row-major again once, at the end.
     Layout and skipping change no bit of the result.
     """
     batch, n, d = points.shape
@@ -176,19 +235,35 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
     width = len(kept)
     if width < d:
         incs = np.take(incs, kept, axis=2, out=empty(batch, n - 1, width))
+        moved = moved[:, kept]
     still = ~moved.any(axis=1)
-    run, exp, scratch = ([np.ones(batch)] + [empty(batch, width**k) for k in range(1, order + 1)]
+    # streams so wide that even a full chunk is batch-outer
+    split = not batch_inner and _chunk(d, order) < d ** (order - 1) and _stays_finite(incs, order)
+    run, exp, scratch = ([np.ones(batch)]
+                         + [empty(batch, width**k) for k in range(1, order + 1 - split)]
                          for _ in range(3))
     _exp_increment_into(run, incs[:, 0])
+    if split:
+        # the first step's top level as _exp_increment_into writes it
+        top = np.empty((batch, width, width ** (order - 1)))
+        np.multiply(run[-1][:, None, :], incs[:, 0, :, None], out=top)
+        np.divide(top, order, out=top)
+        flagged = _holds_negative_zero(top)
     fresh = not still[0]  # run has changed since its last x + 0.0 pass
     for s in range(1, n - 1):
-        if still[s] and (not fresh or _add_zero(run)):
+        if still[s] and (not fresh or (not split and _add_zero(run))):
             fresh = False
             continue
         _exp_increment_into(exp, incs[:, s])
+        if split:
+            _fold_top_columns(top, run, exp, np.flatnonzero(moved[s] | flagged), flagged)
         run = ta.mul_levels(run, exp, out=run, scratch=scratch)
-        fresh = True
+        # a still step folded in a split chunk is x + 0.0 on finite levels
+        fresh = not (split and still[s])
     del incs, exp, scratch  # free them before log_levels and the gather allocate
+    if split:
+        run.append(top.transpose(0, 2, 1).reshape(batch, -1))
+        del top
     if kind == LOG_SIGNATURE:
         run = ta.log_levels(run)
     if width == d:
@@ -212,9 +287,15 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
 FOLD_BYTES = 384 * 1024
 
 
+def _chunk(d: int, order: int) -> int:
+    """Streams of dimension d a fold chunk holds: as many top levels as fit
+    in FOLD_BYTES, at least one."""
+    return max(1, FOLD_BYTES // (8 * d**order))
+
+
 def _features_batch(points: np.ndarray, order: int, kind: str) -> np.ndarray:
     points = _checked_points(points, order, 3)
-    chunk = max(1, FOLD_BYTES // (8 * points.shape[2] ** order))
+    chunk = _chunk(points.shape[2], order)
     out = np.empty((points.shape[0], feature_length(points.shape[2], order)))
     for start in range(0, points.shape[0], chunk):
         _fold_into(out[start : start + chunk], points[start : start + chunk], order, kind)

@@ -95,10 +95,17 @@ def export_spectrum(model, window: int, polyorder: int, out_dir=None) -> list[Sp
     When out_dir is given, each class is written as
     spectrum_<label>.csv with columns index,raw_abs,smoothed.  Windows
     larger than the feature length are clamped (largest odd value that
-    fits) with a warning.
+    fits) with a warning.  Two labels that map to one file name are a
+    ValueError, raised before any file is written.
     """
+    names = [f"spectrum_{_safe_filename(label)}.csv" for label in model.classes]
+    if out_dir is not None:
+        first = {}
+        for name, label in zip(names, model.classes):
+            if first.setdefault(name, label) != label:
+                raise ValueError(f"class labels {first[name]!r} and {label!r} both map to {name}")
     out = []
-    for label, rep in zip(model.classes, model.representatives):
+    for name, label, rep in zip(names, model.classes, model.representatives):
         raw = np.abs(rep)
         win = _clamped_window(window, raw.size)
         smoothed = savgol_filter(raw, win, polyorder)
@@ -108,8 +115,7 @@ def export_spectrum(model, window: int, polyorder: int, out_dir=None) -> list[Sp
         out.append(series)
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"spectrum_{_safe_filename(label)}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("index,raw_abs,smoothed\n")
                 fh.writelines(f"{i},{r!r},{s!r}\n"
                               for i, (r, s) in enumerate(zip(raw.tolist(), smoothed.tolist())))

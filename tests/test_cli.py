@@ -745,9 +745,9 @@ def write_cifar(tmp_path, name, n, rng):
     return str(tmp_path / name)
 
 
-def write_image_dir(root, per_class, rng):
+def write_image_dir(root, per_class, rng, labels="abcd"):
     """Classes a..d of per_class images each, 8 x 8 grey and 10 x 12 RGB in turn."""
-    for label in "abcd":
+    for label in labels:
         (root / label).mkdir(parents=True)
         for i in range(per_class):
             write_pnm(root / label / f"{i:02d}.pnm", rng.random((8, 8, 1) if i % 2 else (10, 12, 3)))
@@ -802,6 +802,25 @@ def test_test_data_without_images_is_named(tmp_path, capsys, command):
     assert main([command, "--config", str(config)]) == 1
     assert read_stderr_error(capsys) == {"error": "the test data holds no images",
                                          "type": "ValueError"}
+
+
+def test_report_of_a_class_without_test_images_is_strict_json(tmp_path):
+    rng = np.random.default_rng(5)
+    ds = {"kind": "image_dir", "root": write_image_dir(tmp_path / "train", 8, rng),
+          "test_root": write_image_dir(tmp_path / "test", 4, rng, labels="abc")}
+    config = write_config(tmp_path, dataset=ds, image_size=[8, 8], channels=3,
+                          budgets={"train": 2, "val": 3, "test": 2})
+    assert main(["fit", "--config", str(config)]) == 0
+    assert main(["eval", "--config", str(config), "--protocol", "plain,fixed"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for protocol in ("plain", "fixed"):
+        text = (tmp_path / "out" / f"report_{protocol}.json").read_text()
+        per_class = json.loads(text, parse_constant=reject)["per_class_accuracy"]
+        assert per_class["d"] is None
+        assert all(0.0 <= per_class[z] <= 1.0 for z in "abc")
 
 
 def test_mixed_channel_counts_are_named(tmp_path, capsys):

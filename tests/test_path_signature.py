@@ -300,8 +300,9 @@ def fold_cases(draw):
     threshold d**(order-1); coordinates on a coarse grid, so that many
     increments and products are exact zeros of either sign.  Some columns
     are still (+0.0, -0.0 or a nonzero constant throughout) or move only by
-    -0.0, and some points repeat the one before, in every stream of the
-    batch or in one stream only."""
+    -0.0, some columns pause at some steps (a +0.0 or a -0.0 increment), and
+    some points repeat the one before, each in every stream of the batch or
+    in one stream only."""
     d = draw(st.integers(1, 6))
     order = draw(st.integers(1, 4 if d <= 4 else 3))
     threshold = d ** (order - 1)
@@ -316,6 +317,13 @@ def fold_cases(draw):
     for j in np.flatnonzero(rng.random(d) < still):
         fills = (0.0, -0.0, rng.normal(), np.where(rng.random((batch, n)) < 0.5, 0.0, -0.0))
         points[:, :, j] = fills[rng.integers(len(fills))]
+    for j in np.flatnonzero(rng.random(d) < draw(st.sampled_from([0.0, 0.5]))):
+        for s in np.flatnonzero(rng.random(n - 1) < 0.5):  # column j pauses at step s
+            rows = slice(None) if rng.random() < 0.7 else int(rng.integers(batch))
+            if rng.random() < 0.5:
+                points[rows, s + 1, j] = points[rows, s, j]  # a +0.0 increment
+            else:
+                points[rows, s : s + 2, j] = 0.0, -0.0  # a -0.0 increment
     for s in np.flatnonzero(rng.random(n - 1) < draw(st.sampled_from([0.0, 0.3, 0.7]))):
         rows = slice(None) if rng.random() < 0.7 else int(rng.integers(batch))
         points[rows, s + 1] = points[rows, s]
@@ -334,17 +342,28 @@ def same_bytes(x, y):
 def test_in_place_fold_is_byte_identical_to_the_allocating_fold(case):
     points, order = case
     batch, _, d = points.shape
-    exp_into, level_lists = path_signature._exp_increment_into, []
+    exp_into, layouts = path_signature._exp_increment_into, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(path_signature, "_exp_increment_into",
-                   lambda levels, inc: level_lists.append(levels) or exp_into(levels, inc))
-        assert same_bytes(signature_many(points, order), reference_features(points, order))
-    top = level_lists[0][order]
-    if batch > 1 and top.shape[1] > 1:
-        # the layout the fold chose for this shape
-        assert top.flags.f_contiguous == (batch >= d ** (order - 1))
-    assert same_bytes(log_signature_many(points, order),
-                      reference_features(points, order, log=True))
+                   lambda levels, inc: layouts.append((len(levels) - 1, levels[-1].shape[1],
+                                                       levels[-1].flags.f_contiguous))
+                   or exp_into(levels, inc))
+        # the real budget, and a budget of one chunk for the batch, under
+        # which the streams are wide exactly when the chunk is batch-outer
+        for budget in (FOLD_BYTES, 8 * d**order * batch):
+            mp.setattr(path_signature, "FOLD_BYTES", budget)
+            layouts.clear()
+            assert same_bytes(signature_many(points, order), reference_features(points, order))
+            assert same_bytes(log_signature_many(points, order),
+                              reference_features(points, order, log=True))
+    # the layout the fold chose for this shape: a batch-inner chunk folds
+    # every level in one list, batch axis innermost; a batch-outer one of
+    # wide streams (whose levels stay finite here) holds its top level apart
+    batch_inner = batch >= d ** (order - 1)
+    top, width, f_contiguous = layouts[0]
+    assert top == order - (not batch_inner)
+    if batch > 1 and width > 1:
+        assert f_contiguous == batch_inner
 
 
 @FOLD_PROPERTY
@@ -375,30 +394,117 @@ def test_fold_skips_still_steps_and_still_coordinates(monkeypatch):
         repeats = np.ones(n, dtype=int)
         repeats[1 : k + 1] = 2  # each a still step after the first
         points = np.repeat(base, repeats, axis=1)
-        # one stream: n + k - 1 steps, the first an exponential, k of them still
-        widths.clear()
-        assert same_bytes(signature_many(points[:1], order), reference_features(points[:1], order))
-        assert widths == [4] * (n - 2)
-        # the second stream moves coordinate 3 and repeats the same points
-        points[1, :, 3] = np.repeat(rng.normal(size=n), repeats)
-        widths.clear()
-        assert same_bytes(signature_many(points, order), reference_features(points, order))
-        assert widths == [5] * (n - 2)
+        # n + k - 1 steps, the first an exponential, k of them still: at
+        # the real budget each still one is an x + 0.0 pass; at two streams
+        # a chunk these streams are wide, and each is folded (the top level
+        # only in its -0.0 columns)
+        for budget, folded in ((FOLD_BYTES, n - 2), (8 * 6**order * 2, n - 2 + k)):
+            monkeypatch.setattr(path_signature, "FOLD_BYTES", budget)
+            widths.clear()
+            assert same_bytes(signature_many(points[:1], order),
+                              reference_features(points[:1], order))
+            assert widths == [4] * folded
+            # the second stream moves coordinate 3 and repeats the same points
+            moved = points.copy()
+            moved[1, :, 3] = np.repeat(rng.normal(size=n), repeats)
+            widths.clear()
+            assert same_bytes(signature_many(moved, order), reference_features(moved, order))
+            assert widths == [5] * folded
 
 
-def test_mnist_shaped_rows_with_still_margins_match_the_allocating_fold():
-    # basepointed rows of 28 x 28 digits whose ink sits in a shifted 20 x 20
-    # box: black margin columns are still coordinates, black rows still
-    # steps, and each chunk of 2 at the real FOLD_BYTES keeps its own width
+def mnist_shaped_points(first_row, basepoint):
+    """Rows of 5 28 x 28 digits whose ink sits in a 20 x 20 box from row
+    first_row, the box shifted 2 columns right a digit: black margin columns
+    are still coordinates, black rows still steps."""
     rng = np.random.default_rng(21)
     pixels = np.zeros((5, 28, 28, 1))
     for i in range(5):
         ink = rng.random((20, 20, 1))
-        pixels[i, 4:24, 2 * i : 2 * i + 20] = np.where(ink < 0.4, ink, 0.0)
-    points = StreamConvention("rows", True).points(pixels)
+        pixels[i, first_row : first_row + 20, 2 * i : 2 * i + 20] = np.where(ink < 0.4, ink, 0.0)
+    return StreamConvention("rows", basepoint).points(pixels)
+
+
+def test_mnist_shaped_rows_with_still_margins_match_the_allocating_fold():
+    # each chunk of 2 at the real FOLD_BYTES keeps its own width
+    points = mnist_shaped_points(4, True)
     assert points.shape == (5, 29, 28) and FOLD_BYTES // (8 * 28**3) == 2
     assert same_bytes(signature_many(points, 3), reference_features(points, 3))
     assert same_bytes(log_signature_many(points, 3), reference_features(points, 3, log=True))
+
+
+def negative_zero(x):
+    return (x == 0.0) & np.signbit(x)
+
+
+def expected_top_columns(chunk, order):
+    """The top-level columns a batch-outer fold of a (batch, n, d) chunk
+    updates, one set of positions among the kept coordinates (those that
+    move, and the first still one) a folded step: the coordinates whose
+    increment is not +0.0 in some stream, and those whose column holds a
+    -0.0 after the steps before, by the allocating fold.  A still step is
+    folded when the step before it moved.  Also whether some step updates a
+    column that does not move in it."""
+    incs = np.diff(chunk, axis=1)
+    moving = (incs.view(np.uint64) != 0).any(axis=0)  # (n - 1, d)
+    d = chunk.shape[2]
+    kept = moving.any(axis=0) | (np.arange(d) == np.argmin(moving.any(axis=0)))
+    run, expected, flagged_still = _exp_increment_levels(incs[:, 0], order), [], False
+    for s in range(1, incs.shape[1]):
+        top = run[order].reshape(chunk.shape[0], -1, d)
+        updated = moving[s] | negative_zero(top).any(axis=(0, 1))
+        if moving[s].any() or moving[s - 1].any():
+            expected.append(set(np.flatnonzero(updated[kept])))
+            flagged_still |= bool((updated & ~moving[s] & kept).any())
+        run = reference_mul_levels(run, _exp_increment_levels(incs[:, s], order))
+    return expected, flagged_still
+
+
+@pytest.mark.parametrize("first_row, basepoint", [(4, True), (0, False)])
+def test_top_level_updates_only_moving_and_negative_zero_columns(monkeypatch, first_row,
+                                                                 basepoint):
+    # with ink from row 0 and no basepoint, the first step leaves -0.0 in
+    # top-level columns that do not move at the next step
+    points = mnist_shaped_points(first_row, basepoint)
+    fold, updated = path_signature._fold_top_columns, []
+    monkeypatch.setattr(path_signature, "_fold_top_columns",
+                        lambda top, run, exp, cols, *rest:
+                        updated.append(set(cols)) or fold(top, run, exp, cols, *rest))
+    assert same_bytes(signature_many(points, 3), reference_features(points, 3))
+    expected, flagged_still = [], []
+    for start in range(0, len(points), 2):  # the chunks of 2 at FOLD_BYTES
+        steps, flags = expected_top_columns(points[start : start + 2], 3)
+        expected += steps
+        flagged_still.append(flags)
+    assert updated == expected
+    assert any(flagged_still) == (not basepoint)
+
+
+def test_negative_zero_left_in_a_still_column_by_the_first_step(monkeypatch):
+    # the first step leaves -0.0 at (0, 1, 2) and (1, 0, 2) of level 3 in
+    # the first stream; coordinate 2 never moves, and the next step's +0.0
+    # terms turn those entries into +0.0; one stream a chunk makes the
+    # streams wide
+    monkeypatch.setattr(path_signature, "FOLD_BYTES", 8 * 3**3)
+    points = np.array([[[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [1.5, 1.0, 0.0], [0.5, 2.0, 0.0]],
+                       [[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [3.0, 0.0, 0.0]]])
+    first, second = (reference_features(points[:1, :k], 3)[0, 3 + 9 :] for k in (2, 3))
+    assert negative_zero(first[2::3]).any() and not negative_zero(second).any()
+    assert same_bytes(signature_many(points, 3), reference_features(points, 3))
+    assert same_bytes(log_signature_many(points, 3), reference_features(points, 3, log=True))
+
+
+def test_partial_motion_after_overflow_is_folded_in_full(monkeypatch):
+    # level 2 overflows at the first step; at the next, coordinate 1 is still
+    # while coordinate 0 moves, and the full fold's inf * 0.0 terms turn
+    # level 3 entries ending in 1 into NaN where a column-wise step would
+    # leave them as they were; one stream a chunk makes the stream wide
+    monkeypatch.setattr(path_signature, "FOLD_BYTES", 8 * 2**3)
+    points = np.array([[[0.0, 0.0], [1e160, -3e119], [2e160, -3e119], [2e160, 1e119]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_features(points, 3)
+        assert np.isnan(expected).any()
+        assert same_bytes(signature_many(points, 3), expected)
+        assert same_bytes(log_signature_many(points, 3), reference_features(points, 3, log=True))
 
 
 def test_still_step_after_overflow_is_folded_in_full():

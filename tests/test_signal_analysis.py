@@ -130,3 +130,19 @@ def test_export_four_files(tmp_path):
     assert len(series) == 4
     files = sorted(p.name for p in tmp_path.glob("spectrum_*.csv"))
     assert files == [f"spectrum_{z}.csv" for z in sorted(model.classes)]
+
+
+def test_labels_sharing_a_file_name_are_named_before_any_file_is_written(tmp_path):
+    model = shapes_model()
+    clash = type(model)(
+        config=model.config,
+        classes=("cat dog", "cat_dog"),
+        stream_dim=model.stream_dim,
+        representatives=model.representatives[:2],
+        train_counts={"cat dog": 1, "cat_dog": 1},
+    )
+    with pytest.raises(ValueError, match="class labels 'cat dog' and 'cat_dog' both map to "
+                                         "spectrum_cat_dog.csv"):
+        export_spectrum(clash, 5, 2, out_dir=tmp_path / "spectra")
+    assert not (tmp_path / "spectra").exists()
+    assert [s.label for s in export_spectrum(clash, 5, 2)] == ["cat dog", "cat_dog"]
