@@ -9,7 +9,7 @@ from the clipped closed form.
 import numpy as np
 
 from sigclass import CalibrationSet, closed_form_lambda, optimize_lambda
-from sigclass.calibration import _objective_and_subgrad
+from sigclass.calibration import _objective
 
 rng = np.random.default_rng(42)
 n = 12
@@ -37,9 +37,8 @@ cal2 = CalibrationSet(
 for gamma in (0.0, 0.1, 0.3):
     out = optimize_lambda(cal2, gamma=gamma, box=5.0, iters=500)
     own, other = rep, [rep_b]
-    v_start, _ = _objective_and_subgrad(
-        np.clip(closed_form_lambda(cal2)[0], -5, 5), val_a, own, other, gamma)
-    v_final, _ = _objective_and_subgrad(out[0], val_a, own, other, gamma)
+    v_start, _ = _objective(val_a, own, other, gamma)(np.clip(closed_form_lambda(cal2)[0], -5, 5))
+    v_final, _ = _objective(val_a, own, other, gamma)(out[0])
     print(f"gamma={gamma:3.1f}: class-a objective start {v_start:9.4f} -> final {v_final:9.4f}"
           f"   ||lambda||_inf = {np.abs(out[0]).max():.3f}")
 

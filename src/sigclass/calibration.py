@@ -85,7 +85,11 @@ STEP0 = 0.1  # optimize_lambda's first step length
 # optimize_lambda's budget for one temporary.  On a 4-class, 40 x 39
 # calibration set, 1 MiB (one residual chunk an iteration, not two) gave a
 # 7 % faster fit but a 0.2 MB higher peak RSS; 128 KiB left it unchanged.
-SOLVE_BYTES = 1 << 17
+# 256 KiB holds that set's whole 200 KB table in one chunk, tiled once a
+# block (see _objective): its 500-step solve took 47-52 ms against 56-66 ms
+# at 128 KiB (60-66 ms before the state was built once a block), and the
+# peak RSS rose 0.04 MB.
+SOLVE_BYTES = 1 << 18
 
 
 # Each solver setting's check, as the solvers and solver_settings apply it
@@ -108,38 +112,51 @@ def solver_settings(method: str, settings: dict) -> dict:
     return {key: _SETTINGS[key](value) for key, value in settings.items()}
 
 
-def _objective_and_subgrad(lam, xs, own_rep, other_reps, gamma):
-    """Scalarized objective sum_v MAE(lam*x_v, own) - gamma * sum_{l,v} MAE(lam*x_v, other_l)
-    and its subgradient (0 at kinks).
+def _objective(xs, own_rep, other_reps, gamma):
+    """The scalarized objective sum_v MAE(lam*x_v, own) - gamma * sum_{l,v}
+    MAE(lam*x_v, other_l) as a function of lam, returning the value and its
+    subgradient (0 at kinks), with every buffer it uses allocated here, once.
 
-    Broadcasts over leading axes: lam (..., F), xs (..., n, F), own_rep
-    (..., F) and a sequence other_reps of (..., F) arrays give a value (...)
-    and a gradient (..., F).  The representatives, own first, are stacked
+    Broadcasts over leading axes: xs (..., n, F), own_rep (..., F) and a
+    sequence other_reps of (..., F) arrays give a function of lam (..., F)
+    returning a value (...) and a gradient (..., F), written into the same
+    two arrays at every call.  The representatives, own first, are stacked
     into one (R, ..., F) table and scored a chunk of rows at a time, the
-    (chunk, ..., n, F) residuals kept within SOLVE_BYTES (at least one row).
-    The R terms are folded left in table order, so the bits equal a
+    (chunk, ..., n, F) residuals kept within SOLVE_BYTES (at least one
+    row).  When one chunk holds the whole table, it is tiled to the
+    residuals' shape, so that each subtract is same-shape.  The R terms are
+    folded left in table order, so the bits equal a
     one-representative-at-a-time sum.
     """
-    f = lam.shape[-1]
-    scaled = lam[..., None, :] * xs
+    f = xs.shape[-1]
     table = np.stack([own_rep, *other_reps])
-    chunk = max(1, SOLVE_BYTES // scaled.nbytes)
-    resid, signs = (np.empty((min(chunk, len(table)),) + scaled.shape) for _ in range(2))
+    chunk = max(1, SOLVE_BYTES // xs.nbytes)
+    scaled = np.empty(xs.shape)
+    resid, signs = (np.empty((min(chunk, len(table)),) + xs.shape) for _ in range(2))
+    if len(resid) < len(table):
+        chunks = [table[r0:r0 + chunk, ..., None, :] for r0 in range(0, len(table), chunk)]
+    else:
+        chunks = [np.empty(resid.shape)]
+        chunks[0][...] = table[..., None, :]
     sums, grads = np.empty(table.shape[:-1]), np.empty(table.shape)
-    for r0 in range(0, len(table), chunk):
-        reps = table[r0:r0 + chunk]
-        res, sig = resid[:len(reps)], signs[:len(reps)]
-        np.subtract(scaled, reps[..., None, :], out=res)
-        np.abs(res, out=sig).reshape(sig.shape[:-2] + (-1,)).sum(-1, out=sums[r0:r0 + chunk])
-        np.sign(res, out=sig)  # not in place: numpy's in-place sign is several times slower
-        sig *= xs
-        sig.sum(-2, out=grads[r0:r0 + chunk])
-    # weighted in place, as copies would raise the peak; row 0, the own class, is unweighted
-    sums[1:] *= gamma
-    grads[1:] *= gamma
-    sums /= f
-    grads /= f
-    return np.subtract.reduce(sums), np.subtract.reduce(grads)
+    value, grad = np.empty(table.shape[1:-1]), np.empty(table.shape[1:])
+
+    def evaluate(lam):
+        np.multiply(lam[..., None, :], xs, out=scaled)
+        for r0, reps in zip(range(0, len(table), chunk), chunks):
+            rows = slice(r0, r0 + len(reps))
+            res, sig = resid[:len(reps)], signs[:len(reps)]
+            np.subtract(scaled, reps, out=res)
+            np.abs(res, out=sig).reshape(sig.shape[:-2] + (-1,)).sum(-1, out=sums[rows])
+            np.sign(res, out=sig)  # not in place: numpy's in-place sign is several times slower
+            sig *= xs
+            sig.sum(-2, out=grads[rows])
+        for terms in (sums, grads):  # weighted in place; row 0, the own class, is unweighted
+            terms[1:] *= gamma
+            terms /= f
+        return np.subtract.reduce(sums, out=value), np.subtract.reduce(grads, out=grad)
+
+    return evaluate
 
 
 def optimize_lambda(
@@ -163,9 +180,12 @@ def optimize_lambda(
     Classes with equal validation counts descend together, in blocks whose
     (block, n, F) validation stack fits SOLVE_BYTES (at least one class).
     Each step scores a block against a table of every representative, own
-    first, a chunk of rows at a time within the same budget, in two
-    residual buffers allocated for that step; every factor is bit-identical
-    to solving each class on its own.  gamma
+    first, a chunk of rows at a time within the same budget.  A block's
+    table and buffers (see _objective) are built once, before its first
+    step, and freed before the next block builds its own; the iterate is
+    stepped in place, so an iteration allocates no array the size of the
+    problem, and memory does not grow with iters.  Every factor is
+    bit-identical to solving each class on its own.  gamma
     must be a finite real >= 0, box a real > 0 (inf allowed), iters an
     integer >= 1 and epsilon a finite real > 0; anything else, bools and
     strings included, is a ValueError naming the argument.
@@ -175,17 +195,16 @@ def optimize_lambda(
 
     start = closed_form_lambda(cal, epsilon=epsilon)
     reps, labels = cal.representatives, cal.classes
-    steps = STEP0 / np.sqrt(np.arange(1, iters + 1))
     out = np.empty(reps.shape)
     for block in _class_blocks(cal):
         xs = np.stack([cal.validation[labels[zi]] for zi in block])
-        own = reps[block]
         # row k holds the k-th other representative of each block class, in class order
         others = reps[np.array([np.delete(np.arange(len(reps)), zi) for zi in block]).T]
+        objective = _objective(xs, reps[block], others, gamma)
         lam = np.clip(start[block], -box, box)
         best, best_val = np.empty_like(lam), np.full(len(block), np.inf)
-        for t, step in enumerate(steps, 1):
-            value, grad = _objective_and_subgrad(lam, xs, own, others, gamma)
+        for t in range(1, iters + 1):
+            value, grad = objective(lam)
             bad = ~np.isfinite(value)
             if bad.any():
                 raise ArithmeticError(
@@ -194,11 +213,13 @@ def optimize_lambda(
                 )
             better = value < best_val
             best_val[better], best[better] = value[better], lam[better]
-            lam = np.clip(lam - step * grad, -box, box)
-        final_val, _ = _objective_and_subgrad(lam, xs, own, others, gamma)
+            grad *= STEP0 / math.sqrt(t)
+            np.clip(np.subtract(lam, grad, out=lam), -box, box, out=lam)
+        final_val, _ = objective(lam)
         better = np.isfinite(final_val) & (final_val < best_val)
         best[better] = lam[better]
         out[block] = best
+        del xs, others, objective  # free this block's state before the next builds its own
     return out
 
 

@@ -239,8 +239,8 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
     still = ~moved.any(axis=1)
     # streams so wide that even a full chunk is batch-outer
     split = not batch_inner and _chunk(d, order) < d ** (order - 1) and _stays_finite(incs, order)
-    run, exp, scratch = ([np.ones(batch)]
-                         + [empty(batch, width**k) for k in range(1, order + 1 - split)]
+    # level 0 is None, read by ta.mul_levels as exactly 1.0
+    run, exp, scratch = ([None] + [empty(batch, width**k) for k in range(1, order + 1 - split)]
                          for _ in range(3))
     _exp_increment_into(run, incs[:, 0])
     if split:
@@ -265,7 +265,7 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
         run.append(top.transpose(0, 2, 1).reshape(batch, -1))
         del top
     if kind == LOG_SIGNATURE:
-        run = ta.log_levels(run)
+        run = ta.log_levels([np.ones(batch)] + run[1:])
     if width == d:
         np.concatenate(run[1:], axis=-1, out=out)
         return

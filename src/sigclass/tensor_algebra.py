@@ -31,10 +31,12 @@ def mul_levels(a: list[np.ndarray], b: list[np.ndarray], out=None, scratch=None
     is still unchanged when it is read.  `scratch`, when given, holds one
     buffer shaped like out[k] for each k >= 1, for the a_0 b_k and cross
     terms.  A level 0 that is exactly 1.0 is not multiplied by, since
-    1.0 * x == x bit for bit.
+    1.0 * x == x bit for bit.  A level 0 of None is read as exactly 1.0
+    without looking at it; the product's level 0 is None when both are.
     """
     order = len(a) - 1
-    a_one, b_one = bool((a[0] == 1.0).all()), bool((b[0] == 1.0).all())
+    a_one = a[0] is None or bool((a[0] == 1.0).all())
+    b_one = b[0] is None or bool((b[0] == 1.0).all())
     if out is None:
         out = [None] + [np.empty(np.broadcast(a[k], b[k]).shape) for k in range(1, order + 1)]
     for k in range(order, 0, -1):
@@ -47,7 +49,8 @@ def mul_levels(a: list[np.ndarray], b: list[np.ndarray], out=None, scratch=None
             cross = tmp.reshape(tmp.shape[:-1] + (a[i].shape[-1], -1))
             np.multiply(a[i][..., :, None], b[k - i][..., None, :], out=cross)
             np.add(acc, tmp, out=acc)
-    out[0] = a[0] * b[0]
+    a0, b0 = (1.0 if x[0] is None else x[0] for x in (a, b))
+    out[0] = None if a[0] is None and b[0] is None else a0 * b0
     return out
 
 

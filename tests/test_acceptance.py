@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sigclass as sc
-from sigclass.calibration import _objective_and_subgrad, closed_form_lambda, optimize_lambda
+from sigclass.calibration import _objective, closed_form_lambda, optimize_lambda
 from sigclass.classifier import ModelConfig, calibrate, evaluate, fit
 from sigclass.cli import main
 from sigclass.data_io import ShapeJitter, gen_four_shapes, load_cifar10, load_mnist_idx
@@ -327,8 +327,8 @@ def test_criterion_6_optimizer_sanity():
         xs_t = rep_t[None, :] * rng.uniform(0.7, 1.3, size=(5, n))
         cal_t = sc.CalibrationSet(representatives=rep_t[None, :], validation={"a": xs_t})
         out = optimize_lambda(cal_t, gamma=0.0, box=5.0, iters=300)[0]
-        v_ones, _ = _objective_and_subgrad(np.ones(n), xs_t, rep_t, [], 0.0)
-        v_out, _ = _objective_and_subgrad(out, xs_t, rep_t, [], 0.0)
+        v_ones, _ = _objective(xs_t, rep_t, [], 0.0)(np.ones(n))
+        v_out, _ = _objective(xs_t, rep_t, [], 0.0)(out)
         worst_gap = max(worst_gap, v_out - v_ones)
         never_worse = never_worse and v_out <= v_ones + 1e-12
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sigclass.calibration as calibration
 from sigclass.calibration import (
     CalibrationSet,
-    _objective_and_subgrad,
+    _objective,
     closed_form_lambda,
     optimize_lambda,
 )
@@ -135,7 +135,7 @@ def test_exact_minimizer_is_fixed_point():
     cal = one_class_set(rep, [x])
     lam = optimize_lambda(cal, gamma=0.0, box=np.inf, iters=50)[0]
     assert np.allclose(lam, rep / x, atol=0)
-    value, _ = _objective_and_subgrad(lam, x[None, :], rep, [], 0.0)
+    value, _ = _objective(x[None, :], rep, [], 0.0)(lam)
     assert value == 0.0
 
 
@@ -150,8 +150,8 @@ def test_descent_on_two_class_problem():
         own = cal.representatives[zi]
         others = [cal.representatives[oi] for oi in range(len(cal.classes)) if oi != zi]
         start = np.clip(closed_form_lambda(cal)[zi], -10.0, 10.0)
-        v_start, _ = _objective_and_subgrad(start, xs, own, others, gamma)
-        v_final, _ = _objective_and_subgrad(out[zi], xs, own, others, gamma)
+        v_start, _ = _objective(xs, own, others, gamma)(start)
+        v_final, _ = _objective(xs, own, others, gamma)(out[zi])
         assert v_final <= v_start + 1e-12
 
 
@@ -163,8 +163,8 @@ def test_never_worse_than_all_ones_at_gamma_zero():
         for zi, label in enumerate(cal.classes):
             xs = cal.validation[label]
             own = cal.representatives[zi]
-            v_ones, _ = _objective_and_subgrad(np.ones(xs.shape[1]), xs, own, [], 0.0)
-            v_out, _ = _objective_and_subgrad(out[zi], xs, own, [], 0.0)
+            v_ones, _ = _objective(xs, own, [], 0.0)(np.ones(xs.shape[1]))
+            v_out, _ = _objective(xs, own, [], 0.0)(out[zi])
             assert v_out <= v_ones + 1e-12
 
 
@@ -299,7 +299,7 @@ def test_batched_solver_matches_per_class_loop(problem):
     reps, start = cal.representatives, np.clip(closed_form_lambda(cal), -1.0, 1.0)
     for zi, xs in enumerate(cal.validation.values()):
         others = [rep for oi, rep in enumerate(reps) if oi != zi]
-        got = _objective_and_subgrad(start[zi], xs, reps[zi], others, kwargs["gamma"])
+        got = _objective(xs, reps[zi], others, kwargs["gamma"])(start[zi])
         want = reference_objective(start[zi], xs, reps[zi], others, kwargs["gamma"])
         assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]
 
@@ -340,42 +340,95 @@ def budgets(cal):
     }
 
 
-@pytest.mark.parametrize("budget", ["one byte", "whole problem", "partial last chunk"])
-def test_batched_solver_matches_under_any_budget(monkeypatch, budget):
-    seen = {"block": 0, "chunk": []}
-    kernel = calibration._objective_and_subgrad
+def recorded_blocks(monkeypatch):
+    """A list that records, for each _objective built from here on, (block,
+    chunk, rows, tiled): its class count, the leading length of its residual
+    buffers, its table's row count and whether it tiled the table."""
+    blocks = []
+    build = calibration._objective
     numpy = RecordingNumpy()
     monkeypatch.setattr(calibration, "np", numpy)
 
-    def recording_kernel(lam, xs, own_rep, other_reps, gamma):
+    def recording_build(xs, own_rep, other_reps, gamma):
         numpy.shapes.clear()
-        result = kernel(lam, xs, own_rep, other_reps, gamma)
-        seen["block"] = max(seen["block"], len(lam))
-        # the residual buffers are (chunk, *xs.shape), or (rows, *xs.shape) for fewer rows
-        lead = {shape[0] for shape in numpy.shapes if shape[1:] == xs.shape}
-        assert len(lead) == 1
-        seen["chunk"].append((lead.pop(), 1 + len(other_reps)))
-        return result
+        objective = build(xs, own_rep, other_reps, gamma)
+        # two residual buffers, (chunk, *xs.shape) or (rows, *xs.shape) for
+        # fewer rows, and the tiled table, the same shape, when there is one
+        leads = [shape[0] for shape in numpy.shapes if shape[1:] == xs.shape]
+        assert len(set(leads)) == 1 and len(leads) in (2, 3)
+        blocks.append((len(xs), leads[0], 1 + len(other_reps), len(leads) == 3))
+        return objective
 
-    monkeypatch.setattr(calibration, "_objective_and_subgrad", recording_kernel)
+    monkeypatch.setattr(calibration, "_objective", recording_build)
+    return blocks
+
+
+@pytest.mark.parametrize("budget", ["one byte", "whole problem", "partial last chunk"])
+def test_batched_solver_matches_under_any_budget(monkeypatch, budget):
+    blocks = recorded_blocks(monkeypatch)
     for cal in uneven_problems(7):
         monkeypatch.setattr(calibration, "SOLVE_BYTES", budgets(cal)[budget])
         expected = reference_optimize(cal, gamma=0.2, box=4.0, iters=30)
         assert optimize_lambda(cal, gamma=0.2, box=4.0, iters=30).tobytes() == expected.tobytes()
-    chunks = [chunk for chunk, _ in seen["chunk"]]
-    if budget == "one byte":
-        assert seen["block"] == 1 and set(chunks) == {1}
-    elif budget == "whole problem":
-        assert seen["block"] > 1 and max(chunks) > 1
-    else:  # three or more chunks, the last one partial
-        assert any(chunk > 1 and rows > 2 * chunk and rows % chunk for chunk, rows in seen["chunk"])
+    chunks = [chunk for _, chunk, _, _ in blocks]
+    if budget == "one byte":  # the table's rows broadcast one at a time
+        assert max(block for block, *_ in blocks) == 1 and set(chunks) == {1}
+        assert not any(tiled for *_, tiled in blocks)
+    elif budget == "whole problem":  # one chunk, tiled
+        assert max(block for block, *_ in blocks) > 1 and max(chunks) > 1
+        assert all(tiled for *_, tiled in blocks)
+    else:  # three or more chunks, the last one partial, so rows broadcast
+        assert any(chunk > 1 and rows > 2 * chunk and rows % chunk and not tiled
+                   for _, chunk, rows, tiled in blocks)
+
+
+def test_benchmark_shaped_problem_matches_per_class_loop(monkeypatch):
+    # cifar-pixels-logsig's calibration shape at the real budget: one block
+    # of 4 classes of 40 x 39, its whole table tiled in one chunk
+    rng = np.random.default_rng(10)
+    reps = rng.normal(size=(4, 39))
+    cal = CalibrationSet(reps, {f"c{i}": reps[i] * rng.uniform(0.5, 1.5, size=(40, 39))
+                                for i in range(4)})
+    expected = reference_optimize(cal, gamma=0.1, box=50.0, iters=50)
+    blocks = recorded_blocks(monkeypatch)
+    assert optimize_lambda(cal, gamma=0.1, box=50.0, iters=50).tobytes() == expected.tobytes()
+    assert blocks == [(4, 4, 4, True)]
+
+
+def test_solver_state_is_built_once_a_block(monkeypatch):
+    numpy = RecordingNumpy()
+    monkeypatch.setattr(calibration, "np", numpy)
+    cal = synthetic_two_class(np.random.default_rng(9))
+    for budget in (1, calibration.SOLVE_BYTES):  # a block a class, and one block
+        monkeypatch.setattr(calibration, "SOLVE_BYTES", budget)
+        counts = []
+        for iters in (3, 30):
+            numpy.shapes.clear()
+            optimize_lambda(cal, gamma=0.1, box=2.0, iters=iters)
+            counts.append(len(numpy.shapes))
+        assert counts[0] == counts[1], budget
+
+
+def test_solver_memory_does_not_grow_with_iters():
+    # a step length array would take 8 bytes an iteration, 160 KB here
+    cal = one_class_set([1.5], [[0.5]])
+    tracemalloc.start()
+    try:
+        optimize_lambda(cal, gamma=0.0, box=np.inf, iters=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_solver_memory_stays_within_the_budget(monkeypatch):
     """Every solver temporary is at most max(SOLVE_BYTES, one (n, F) matrix).
-    At most four are live at once (the validation stack, the scaled stack
-    and two residual buffers), beside numpy's own iteration buffers and the
-    (Z, F) start and result."""
+    At most five are live at once, all of one class block's state: the
+    validation stack, the scaled stack, two residual buffers and, when one
+    chunk holds the whole representative table, the table tiled to the
+    residuals' shape.  Beside them are the block's (R, block, F) table and
+    gradient terms, numpy's own iteration buffers and the (Z, F) start and
+    result."""
     rng = np.random.default_rng(8)
     z, n, f = 6, 16, 1024
     reps = rng.normal(size=(z, f))

@@ -542,6 +542,28 @@ def test_mul_levels_in_place_matches_out_of_place(level0):
         assert all(same_bytes(x, y) for x, y in zip(got, expected))
 
 
+@pytest.mark.parametrize("none_in", ["a", "b", "both"])
+def test_mul_levels_reads_a_none_level0_as_one(none_in):
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        d, order, batch = (int(v) for v in rng.integers(1, 4, size=3))
+
+        def levels(none):
+            lv = [None if none else np.ones(batch)]
+            lv += [rng.normal(size=(batch, d**k)) for k in range(1, order + 1)]
+            lv[1][:, -1] = -0.0
+            return lv
+
+        a, b = levels(none_in != "b"), levels(none_in != "a")
+        expected = mul_levels([np.ones(batch)] + a[1:], [np.ones(batch)] + b[1:])
+        got = mul_levels(a, b, out=a)
+        assert got is a and all(same_bytes(x, y) for x, y in zip(got[1:], expected[1:]))
+        if none_in == "both":
+            assert got[0] is None
+        else:
+            assert same_bytes(got[0], expected[0])
+
+
 # ---------------------------------------------------------------------------
 # contracts
 # ---------------------------------------------------------------------------
