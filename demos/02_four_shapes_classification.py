@@ -40,7 +40,7 @@ model = fit(train, config)
 print("feature length:", model.feature_length)
 
 model = calibrate(model, val, method="closed_form", epsilon=1e-3)
-thresholds = ova_thresholds(model, val)
+thresholds = ova_thresholds(model)
 
 print("\nprotocol                     accuracy  (on {} test samples)".format(len(test)))
 for protocol in ("plain", "fixed", "ova", "oracle"):

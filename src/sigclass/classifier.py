@@ -7,7 +7,8 @@ factors.  Four evaluation protocols are provided:
   plain   argmin over classes of score(x, rep_z), no scale factors.
   fixed   argmin of score(lambda_z * x, rep_z): each class applies its own
           factor inside its own comparison.  No test-label knowledge.
-  ova     per-class accept thresholds tuned on validation, one-vs-all.
+  ova     one-vs-all: class z accepts a score up to slack times its worst
+          own-class validation score, which calibrate() stores in the model.
   oracle  the TRUE class's factor is applied before scoring all classes.
           This leaks the test label and exists only to audit the
           oracle-scale-factor evaluation; it is segregated from predict().
@@ -91,9 +92,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ClassModel:
-    """Row z of representatives and of factors belongs to classes[z].  Both
-    are held as read-only float64 views of the given arrays, which callers
-    should not change afterwards; factors default to all ones."""
+    """Row z of representatives and of factors, and ova_scores[z], belong to
+    classes[z].  All are held as read-only float64 views of the given arrays,
+    which callers should not change afterwards; factors default to all ones."""
 
     config: ModelConfig
     classes: tuple[str, ...]
@@ -101,21 +102,27 @@ class ClassModel:
     representatives: np.ndarray  # (Z, F)
     train_counts: dict[str, int]
     factors: np.ndarray | None = None  # (Z, F)
+    ova_scores: np.ndarray | None = None  # (Z,) max own-class validation score, or unknown
 
     def __post_init__(self):
         if not self.classes:
             raise ValueError("model has no classes")
         shape = (len(self.classes), feature_length(self.stream_dim, self.config.order))
         factors = np.ones(shape) if self.factors is None else self.factors
-        for name, table in (("representatives", self.representatives), ("factors", factors)):
+        tables = {"representatives": (self.representatives, shape), "factors": (factors, shape)}
+        if self.ova_scores is not None:
+            tables["ova_scores"] = (self.ova_scores, shape[:1])
+        for name, (table, want) in tables.items():
             table = np.asarray(table, dtype=np.float64).view()
-            if table.shape != shape:
+            if table.shape != want:
                 raise ValueError(
-                    f"{name} must have shape {shape} for {len(self.classes)} classes,"
+                    f"{name} must have shape {want} for {len(self.classes)} classes,"
                     f" stream_dim={self.stream_dim}, order={self.config.order}; got {table.shape}"
                 )
             if not np.all(np.isfinite(table)):
                 raise ValueError(f"{name} contain non-finite entries")
+            if name == "ova_scores" and np.any(table < 0):
+                raise ValueError(f"ova_scores must be >= 0, got {table.tolist()}")
             table.setflags(write=False)
             object.__setattr__(self, name, table)
         if sorted(self.train_counts) != sorted(self.classes):
@@ -254,14 +261,22 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
     both metrics.  method "none" resets the factors to the identity.  An
     unknown method, or a keyword the method's solver does not take or a
     value it rejects, is a ValueError before any feature is computed.  The
-    validation images must be of the model's classes, each class at least once.
+    validation images must be of the model's classes, each class at least once
+    ("none" takes none, and then stores no ova_scores).  ova_scores[z] is class
+    z's worst own-class score under its factors, scored BLOCK_BYTES of rows at a time.
     """
     kwargs = solver_settings(method, kwargs)
-    if method == "none":
-        return replace(model, factors=None)
+    val_images = list(val_images)
+    if method == "none" and not val_images:
+        return replace(model, factors=None, ova_scores=None)
+    cal = calibration_set(model, val_images)
     solver = closed_form_lambda if method == "closed_form" else optimize_lambda
-    factors = solver(calibration_set(model, val_images), **kwargs)
-    return replace(model, factors=factors)
+    model = replace(model, factors=None if method == "none" else solver(cal, **kwargs))
+    rows = max(1, BLOCK_BYTES // (8 * model.feature_length))
+    return replace(model, ova_scores=[
+        np.max([score_rows(x[i:i + rows] * lam, rep, model.config.metric).max()
+                for i in range(0, len(x), rows)])
+        for x, lam, rep in zip(cal.validation.values(), model.factors, model.representatives)])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +299,8 @@ def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, th
     missing = [z for z in model.classes if z not in thresholds]
     if missing:
         raise ValueError(f"thresholds lack classes: {missing}")
-    tau = np.array([max(thresholds[z], 1e-12) for z in model.classes])
+    tau = np.array([max(real(f"threshold of class {z!r}", thresholds[z], zero_ok=True), 1e-12)
+                    for z in model.classes])
     normalized = scores / tau
     # a class over its threshold is out, unless every class is
     rejected = (scores > tau) & (scores <= tau).any(axis=1, keepdims=True)
@@ -318,16 +334,14 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
     return predicted == true_label, predicted, scores
 
 
-def ova_thresholds(model: ClassModel, val_images, slack: float = 1.1) -> dict[str, float]:
+def ova_thresholds(model: ClassModel, slack: float = 1.1) -> dict[str, float]:
     """Per-class accept threshold: slack times the worst own-class validation
-    score.  slack must be a finite real > 0.  The validation images must be
-    of the model's classes, each class at least once."""
+    score that calibrate() stored.  slack must be a finite real > 0."""
     slack = real("slack", slack)
-    _, blocks, _ = _class_features(val_images, model.config, model.classes)
-    return {
-        z: float(slack * score_rows(x * lam, rep, model.config.metric).max())
-        for z, x, lam, rep in zip(model.classes, blocks, model.factors, model.representatives)
-    }
+    if model.ova_scores is None:
+        raise ValueError("the model holds no ova scores: refit it, calibrated on a nonzero"
+                         " validation budget, to use protocol 'ova'")
+    return {z: float(slack * score) for z, score in zip(model.classes, model.ova_scores)}
 
 
 def predict_ova(model: ClassModel, image, thresholds: dict[str, float], augment_seed=None):
@@ -411,16 +425,15 @@ def _factor_to_json(row: np.ndarray, to_json):
 
 def model_to_dict(model: ClassModel, to_json=np.ndarray.tolist) -> dict:
     """The model file's JSON object; to_json gives the value written for a
-    representative row and for a factor row that is not all ones."""
+    representative row and for a factor row that is not all ones.  A class's
+    "ova_score" is written when the model holds the scores."""
     per_class = {}
-    for z, rep, lam in zip(model.classes, model.representatives, model.factors):
+    scores = [None] * len(model.classes) if model.ova_scores is None else model.ova_scores.tolist()
+    for z, rep, lam, score in zip(model.classes, model.representatives, model.factors, scores):
         lam_json = _factor_to_json(lam, to_json)
-        per_class[z] = {
-            "representative": to_json(rep),
-            "train_count": model.train_counts[z],
-            "lambda_rmse": lam_json,
-            "lambda_mae": lam_json,
-        }
+        per_class[z] = {"representative": to_json(rep), "train_count": model.train_counts[z],
+                        **({} if score is None else {"ova_score": score}),
+                        "lambda_rmse": lam_json, "lambda_mae": lam_json}
     return {
         "schema_version": SCHEMA_VERSION,
         "config": asdict(model.config),
@@ -434,7 +447,8 @@ def model_to_dict(model: ClassModel, to_json=np.ndarray.tolist) -> dict:
 # ModelConfig fields that hold a nested config object (augment may be null)
 _NESTED = {"convention": StreamConvention, "augment": AugmentSpec}
 _MODEL_FIELDS = ("config", "classes", "stream_dim", "feature_length", "per_class")
-_CLASS_FIELDS = ("representative", "train_count", "lambda_rmse", "lambda_mae")
+# every field but the last is required; "ova_score" is on every class or on none
+_CLASS_FIELDS = ("representative", "train_count", "lambda_rmse", "lambda_mae", "ova_score")
 
 
 def model_from_dict(doc: dict) -> ClassModel:
@@ -467,28 +481,31 @@ def model_from_dict(doc: dict) -> ClassModel:
                          f" streams of {config.image_size} images with {' or '.join(map(str, counts))}"
                          " channels")
     shape = (len(classes), length)
-    reps, factors, counts = np.empty(shape), np.empty(shape), {}
+    reps, factors, counts, scores = np.empty(shape), np.empty(shape), {}, {}
     for zi, z in enumerate(classes):
-        entry = json_object(f"model file class {z!r}", per_class[z], _CLASS_FIELDS, _CLASS_FIELDS)
+        entry = json_object(f"model file class {z!r}", per_class[z], _CLASS_FIELDS, _CLASS_FIELDS[:-1])
         _fill_row(reps, zi, z, "representative", entry["representative"])
         _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
         counts[z] = integer(f"model file class {z!r} field 'train_count'", entry["train_count"], 1)
         if entry["lambda_mae"] != entry["lambda_rmse"]:
             raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
-    return ClassModel(
-        config=config,
-        classes=classes,
-        stream_dim=stream_dim,
-        representatives=reps,
-        train_counts=counts,
-        factors=factors,
-    )
+        if "ova_score" in entry:
+            scores[z] = real(f"model file class {z!r} field 'ova_score'", entry["ova_score"],
+                             zero_ok=True)
+    if 0 < len(scores) < len(classes):
+        raise ValueError(f"model file classes {[z for z in classes if z not in scores]} lack field"
+                         " 'ova_score', which other classes have")
+    return ClassModel(config=config, classes=classes, stream_dim=stream_dim, representatives=reps,
+                      train_counts=counts, factors=factors, ova_scores=list(scores.values()) or None)
 
 
 def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value) -> None:
     """table[zi] = a model file's list of numbers; a factor row may also be
     one number, which fills the row."""
-    row = np.asarray(value)
+    try:
+        row = np.asarray(value)
+    except ValueError:  # numpy refuses lists nested to unequal depths or lengths
+        raise ValueError(f"model file class {label!r} field {key!r} is a ragged list") from None
     if row.dtype.kind not in "iuf":
         raise ValueError(f"model file class {label!r} field {key!r} holds non-numbers")
     if row.shape != table.shape[1:] and (key == "representative" or row.ndim != 0):

@@ -430,19 +430,12 @@ def cmd_eval(args) -> int:
     for protocol in protocols:
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
+    thresholds = ova_thresholds(model, slack=config.ova_slack) if "ova" in protocols else None
 
     pools = load_pools(config)
-    _, val, test = split_dataset(config, pools)
-    test = prepare_images(test, pools, config)
+    test = prepare_images(split_dataset(config, pools)[2], pools, config)
     if not test:
         raise ValueError("test budget is zero; nothing to evaluate")
-
-    thresholds = None
-    if "ova" in protocols:
-        if not val:
-            raise ValueError("protocol 'ova' requires a nonzero validation budget")
-        val = prepare_images(val, pools, config)
-        thresholds = ova_thresholds(model, val, slack=config.ova_slack)
 
     os.makedirs(config.out_dir, exist_ok=True)
     eval_seed = substream_seed(config.seed, "augment")

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -216,7 +217,7 @@ def test_ova_fallback_when_nothing_accepted():
 def test_ova_thresholds_cover_validation():
     tr, va, _ = shapes_split()
     model = calibrate(fit(tr, cfg(size=16)), va, method="closed_form", epsilon=1e-3)
-    thresholds = ova_thresholds(model, va, slack=1.1)
+    thresholds = ova_thresholds(model, slack=1.1)
     assert set(thresholds) == set(model.classes)
     # with 1.1 slack every validation sample is accepted by its own class
     for im in va:
@@ -228,7 +229,41 @@ def test_ova_thresholds_cover_validation():
 def test_ova_thresholds_reject_bad_slack(slack):
     tr, va, _ = shapes_split()
     with pytest.raises(ValueError, match="^slack must be"):
-        ova_thresholds(fit(tr, cfg(size=16)), va, slack=slack)
+        ova_thresholds(calibrate(fit(tr, cfg(size=16)), va, method="none"), slack=slack)
+
+
+@pytest.mark.parametrize("method", ["closed_form", "none"])
+@pytest.mark.parametrize("budget", ["block", "one row"])
+@pytest.mark.parametrize("metric", ["rmse", "mae"])
+@pytest.mark.parametrize("size, order", [(6, 2), (28, 3)], ids=["6x6-o2", "mnist-rows-o3"])
+def test_stored_ova_scores_are_the_worst_own_class_scores(monkeypatch, size, order, metric, budget,
+                                                          method):
+    # calibrate scores the validation rows a block at a time; the stored
+    # score, and slack times it, keep the bits of one whole-class score
+    rng = np.random.default_rng(24)
+    config = cfg(size=size, order=order, metric=metric)  # 28x28: (29, 28) streams, 22,764 features
+    train, val = tiny_images(rng, list("abab"), size), tiny_images(rng, list("abbababaabbaba"), size)
+    if budget == "one row":
+        monkeypatch.setattr(classifier, "BLOCK_BYTES", 1)
+    model = calibrate(fit(train, config), val, method=method)
+    thresholds = ova_thresholds(model, slack=1.1)
+    for zi, z in enumerate(model.classes):
+        x = features_for_images([im for im in val if im.label == z], config) * model.factors[zi]
+        worst = classifier.score_rows(x, model.representatives[zi], metric).max()
+        assert model.ova_scores[zi] == worst
+        assert thresholds[z] == float(1.1 * worst)
+
+
+def test_ova_scores_are_unknown_without_validation_images():
+    tr, va, _ = shapes_split(per_class=6, train=3, val=3)
+    model = calibrate(fit(tr, cfg(size=16)), va)
+    assert model.ova_scores.shape == (4,)
+    reset = calibrate(model, [], method="none")
+    assert reset.ova_scores is None and np.array_equal(reset.factors, np.ones(model.factors.shape))
+    with pytest.raises(ValueError, match=r"^the model holds no ova scores: refit it"):
+        ova_thresholds(reset)
+    with pytest.raises(ValueError, match=r"^validation set lacks classes: \['circle', "):
+        calibrate(model, [])
 
 
 def test_ova_vs_fixed_accuracy_recorded():
@@ -236,15 +271,15 @@ def test_ova_vs_fixed_accuracy_recorded():
     # typically land close together on the desk-scale shapes
     tr, va, te = shapes_split(per_class=40, train=10, val=15)
     model = calibrate(fit(tr, cfg(size=16)), va, method="closed_form", epsilon=1e-3)
-    thresholds = ova_thresholds(model, va)
+    thresholds = ova_thresholds(model)
     fixed = evaluate(model, te, "fixed").accuracy
     ova = evaluate(model, te, "ova", thresholds=thresholds).accuracy
     print(f"fixed={fixed:.4f} ova={ova:.4f} gap={abs(ova - fixed):.4f}")
 
 
 def test_labelled_sets_fold_once_and_match_per_class_features(monkeypatch):
-    # fit, calibration and ova thresholds each fold a whole split in one
-    # call; every class's rows equal that class folded on its own
+    # fit and calibration each fold a whole split in one call, and the ova
+    # thresholds fold nothing; every class's rows equal that class folded on its own
     rng = np.random.default_rng(20)
     config = cfg(metric="mae")
     train = tiny_images(rng, list("bacabccab"))
@@ -276,9 +311,9 @@ def test_labelled_sets_fold_once_and_match_per_class_features(monkeypatch):
     for z in model.classes:
         assert np.array_equal(cal.validation[z], own["val"][z])
 
-    model = replace(model, factors=rng.uniform(0.5, 1.5, size=model.factors.shape))
     calls.clear()
-    thresholds = ova_thresholds(model, val, slack=1.3)
+    model = calibrate(model, val)
+    thresholds = ova_thresholds(model, slack=1.3)
     assert calls == [len(val)]
     for zi, z in enumerate(model.classes):
         x = own["val"][z] * model.factors[zi]
@@ -287,7 +322,7 @@ def test_labelled_sets_fold_once_and_match_per_class_features(monkeypatch):
 
     calls.clear()
     partial = [im for im in val if im.label != "b"]
-    for solver in (classifier.calibration_set, ova_thresholds):
+    for solver in (classifier.calibration_set, calibrate, lambda m, v: calibrate(m, v, "none")):
         with pytest.raises(ValueError, match=r"validation set lacks classes: \['b'\]"):
             solver(model, partial)
     assert calls == []
@@ -323,8 +358,8 @@ def test_class_runs_fold_each_split_once_in_input_order(train_labels, data):
         patch.setattr(classifier, "signature_many", counted)
         model = fit(train, config)
         cal = classifier.calibration_set(model, val)
-        model = replace(model, factors=rng.uniform(0.5, 1.5, size=model.factors.shape))
-        thresholds = ova_thresholds(model, val, slack=1.2)
+        model = calibrate(model, val)
+        thresholds = ova_thresholds(model, slack=1.2)
     assert calls == [len(train), len(val), len(val)]
     assert model.classes == tuple(classes)
     assert model.train_counts == {z: train_labels.count(z) for z in classes}
@@ -337,7 +372,7 @@ def test_class_runs_fold_each_split_once_in_input_order(train_labels, data):
         assert thresholds[z] == float(expected)
 
 
-@pytest.mark.parametrize("entry", ["calibrate", "calibrate-optimize", "ova_thresholds", "evaluate"])
+@pytest.mark.parametrize("entry", ["calibrate", "calibrate-optimize", "calibrate-none", "evaluate"])
 def test_images_of_a_class_the_model_lacks_are_a_named_error(monkeypatch, entry):
     rng = np.random.default_rng(21)
     model = fit(tiny_images(rng, list("abab")), cfg())
@@ -347,7 +382,7 @@ def test_images_of_a_class_the_model_lacks_are_a_named_error(monkeypatch, entry)
     run = {
         "calibrate": lambda: calibrate(model, split),
         "calibrate-optimize": lambda: calibrate(model, split, method="optimize", iters=2),
-        "ova_thresholds": lambda: ova_thresholds(model, split),
+        "calibrate-none": lambda: calibrate(model, split, method="none"),
         "evaluate": lambda: evaluate(model, split, "plain"),
     }[entry]
     what = "test" if entry == "evaluate" else "validation"
@@ -413,7 +448,7 @@ def calibrated_aug_model(metric):
     tr, va, te = shapes_split(per_class=13, train=4, val=4)
     model = fit(tr, cfg(size=16, metric=metric, augment=AUG))
     model = calibrate(model, va, method="closed_form", epsilon=1e-3)
-    return model, ova_thresholds(model, va), te
+    return model, ova_thresholds(model), te
 
 
 @pytest.mark.parametrize("metric", ["rmse", "mae"])
@@ -507,6 +542,25 @@ def test_evaluate_error_paths():
         predict_ova(model, images[0], {"a": 0.5})
 
 
+@pytest.mark.parametrize("value, match", [
+    (np.nan, "must be finite and >= 0, got nan"),
+    (np.inf, "must be finite and >= 0, got inf"),
+    (-1.0, "must be finite and >= 0, got -1.0"),
+    ("x", "must be a real number, got 'x'"),
+    (None, "must be a real number, got None"),
+    (True, "must be a real number, got True"),
+])
+def test_bad_threshold_values_are_named(value, match):
+    rng = np.random.default_rng(12)
+    images = tiny_images(rng, ["a", "b"])
+    model = fit(images, cfg())
+    thresholds = {"a": 0.0, "b": value}
+    for run in (lambda: evaluate(model, images, ("plain", "ova"), thresholds=thresholds),
+                lambda: predict_ova(model, images[0], thresholds)):
+        with pytest.raises(ValueError, match=f"^threshold of class 'b' {re.escape(match)}$"):
+            run()
+
+
 @pytest.mark.parametrize("entry", ["evaluate", "predict", "evaluate-later-block"])
 def test_test_images_of_another_channel_count_are_a_named_error(monkeypatch, entry):
     # a model fit on grey images with channels unset, given an RGB image
@@ -579,6 +633,9 @@ def test_class_model_leaves_caller_factor_arrays_alone():
         ({"classes": ()}, "no classes"),
         ({"representatives": np.full((2, 42), np.nan)}, "representatives contain non-finite"),
         ({"train_counts": {"a": 1}}, r"train_counts \['a'\] must name each class once"),
+        ({"ova_scores": [0.5]}, r"ova_scores must have shape \(2,\) .* got \(1,\)"),
+        ({"ova_scores": [0.5, np.inf]}, "ova_scores contain non-finite"),
+        ({"ova_scores": [0.0, -1e-300]}, r"^ova_scores must be >= 0, got \[0.0, -1e-300\]$"),
     ):
         with pytest.raises(ValueError, match=match):
             _rebuilt(model, **changes)
@@ -736,6 +793,26 @@ MALFORMED_MODELS = {
                         "'config' must be a JSON object, got NoneType"),
     "string feature_length": (("feature_length",), "42",
                               "'feature_length' must be an integer >= 1, got '42'"),
+    "ragged representative": (("per_class", "a", "representative"), [[1, 2], [3]],
+                              "class 'a' field 'representative' is a ragged list"),
+    "ragged lambda_rmse": (("per_class", "b", "lambda_rmse"), [1.0, [2.0, 3.0]],
+                           "class 'b' field 'lambda_rmse' is a ragged list"),
+    "bool ova_score": (("per_class", "a", "ova_score"), True,
+                       "class 'a' field 'ova_score' must be a real number, got True"),
+    "string ova_score": (("per_class", "a", "ova_score"), "0.5",
+                         "class 'a' field 'ova_score' must be a real number, got '0.5'"),
+    "null ova_score": (("per_class", "a", "ova_score"), None,
+                       "class 'a' field 'ova_score' must be a real number, got None"),
+    "negative ova_score": (("per_class", "a", "ova_score"), -0.5,
+                           "class 'a' field 'ova_score' must be finite and >= 0, got -0.5"),
+    "overflowing ova_score": (("per_class", "a", "ova_score"), json.loads("1e400"),
+                              "class 'a' field 'ova_score' must be finite and >= 0, got inf"),
+    "huge integer ova_score": (("per_class", "a", "ova_score"), 10 ** 400,
+                               "class 'a' field 'ova_score' must be finite and >= 0, got 1000"),
+    "nan ova_score": (("per_class", "a", "ova_score"), json.loads("NaN"),
+                      "class 'a' field 'ova_score' must be finite and >= 0, got nan"),
+    "ova_score on some classes": (("per_class", "a", "ova_score"), 0.5,
+                                  r"classes \['b'\] lack field 'ova_score', which other classes have"),
 }
 
 
@@ -778,6 +855,30 @@ def test_bad_augment_field_in_model_file_is_a_named_error(case):
     doc["config"]["augment"][key] = "@"
     with pytest.raises(ValueError, match=f"^{match}$"):
         model_from_dict(json.loads(json.dumps(doc).replace('"@"', text)))
+
+
+def test_model_file_without_ova_scores_loads_without_them():
+    tr, va, _ = shapes_split(per_class=6, train=3, val=3)
+    doc = model_to_dict(calibrate(fit(tr, cfg(size=16)), va))
+    for entry in doc["per_class"].values():
+        del entry["ova_score"]
+    model = model_from_dict(doc)  # a file written before the scores were stored
+    assert model.ova_scores is None
+    with pytest.raises(ValueError, match="^the model holds no ova scores"):
+        ova_thresholds(model)
+
+
+def test_ova_scores_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(25)
+    model = fit(tiny_images(rng, list("abcdef")), cfg())
+    scores = np.array([0.0, 5e-324, 0.1 + 0.2, 1.7976931348623157e308, 2.0 ** -1074 * 3, 1 / 3])
+    model = replace(model, ova_scores=scores)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert path.read_text() == json.dumps(model_to_dict(model), indent=2) + "\n"
+    back = load_model(path)
+    assert back.ova_scores.tobytes() == scores.tobytes()
+    assert ova_thresholds(back, 0.5) == ova_thresholds(model, 0.5)
 
 
 def test_save_load_save_is_byte_identical(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sigclass.classifier as classifier
 import sigclass.cli as cli
 from sigclass.calibration import METHODS, closed_form_lambda, optimize_lambda
 from sigclass.cli import main
@@ -499,6 +500,37 @@ def test_eval_ova_protocol(tmp_path):
     assert report["protocol"] == "ova"
 
 
+def test_eval_ova_folds_only_test_images(tmp_path, monkeypatch):
+    # the thresholds come from the scores that fit stored in the model
+    config = write_config(tmp_path)  # budgets train 4, val 6, test 6
+    assert main(["fit", "--config", str(config)]) == 0
+    folded = []
+    fold = classifier.signature_many
+
+    def counted(points, order):
+        folded.append(len(points))
+        return fold(points, order)
+
+    monkeypatch.setattr(classifier, "signature_many", counted)
+    assert main(["eval", "--config", str(config), "--protocol", "fixed,ova"]) == 0
+    assert folded == [4 * 6]
+
+
+def test_eval_ova_with_a_model_without_scores_fails_naming_the_refit(tmp_path, capsys):
+    config = write_config(tmp_path, calibration={"method": "none"},
+                          budgets={"train": 4, "val": 0, "test": 6})
+    assert main(["fit", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config), "--protocol", "plain,ova"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [{
+        "error": "the model holds no ova scores: refit it, calibrated on a nonzero validation"
+                 " budget, to use protocol 'ova'",
+        "type": "ValueError",
+    }]
+    assert not (tmp_path / "out" / "report_plain.json").exists()
+
+
 def test_eval_rerun_byte_identical(tmp_path):
     config = write_config(tmp_path)
     assert main(["fit", "--config", str(config)]) == 0
@@ -583,7 +615,7 @@ def test_commands_render_only_what_they_use(tmp_path, monkeypatch):
     for argv, expected in (
         (["fit"], 4 * (4 + 6)),
         (["eval", "--protocol", "plain,fixed,oracle"], 4 * 6),
-        (["eval", "--protocol", "fixed,ova"], 4 * (6 + 6)),
+        (["eval", "--protocol", "fixed,ova"], 4 * 6),
         (["embed", "--samples", "40", "--perplexity", "5", "--iterations", "20"], 40),
     ):
         rendered.clear()
@@ -853,7 +885,7 @@ def test_file_commands_convert_only_what_they_use(tmp_path, monkeypatch, kind):
     for argv, expected in (
         (["fit"], 4 * (2 + 3)),
         (["eval", "--protocol", "plain,fixed,oracle"], 4 * 2),
-        (["eval", "--protocol", "fixed,ova"], 4 * (2 + 3)),
+        (["eval", "--protocol", "fixed,ova"], 4 * 2),
         (["embed", "--samples", "20", "--perplexity", "5", "--iterations", "20"], 20),
     ):
         converted.clear()
