@@ -336,12 +336,13 @@ def predict_oracle(model: ClassModel, image, true_label: str, augment_seed=None)
 
 def ova_thresholds(model: ClassModel, slack: float = 1.1) -> dict[str, float]:
     """Per-class accept threshold: slack times the worst own-class validation
-    score that calibrate() stored.  slack must be a finite real > 0."""
+    score that calibrate() stored.  slack and each threshold must be finite."""
     slack = real("slack", slack)
     if model.ova_scores is None:
         raise ValueError("the model holds no ova scores: refit it, calibrated on a nonzero"
                          " validation budget, to use protocol 'ova'")
-    return {z: float(slack * score) for z, score in zip(model.classes, model.ova_scores)}
+    return {z: real(f"class {z!r} ova threshold {slack!r} x {score!r}", slack * score, zero_ok=True)
+            for z, score in zip(model.classes, model.ova_scores.tolist())}
 
 
 def predict_ova(model: ClassModel, image, thresholds: dict[str, float], augment_seed=None):

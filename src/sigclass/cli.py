@@ -366,6 +366,9 @@ def cmd_gen_shapes(args) -> int:
     overrides = {"seed": args.seed, "out_dir": args.out}
     if args.config:
         config = load_config(args.config, overrides)
+        kind = config.dataset["kind"]
+        if kind != "four_shapes":
+            raise ValueError(f"gen-shapes renders four_shapes, not dataset kind {kind!r}")
     else:
         dataset = {"kind": "four_shapes", "per_class": 10}
         config = config_from_dict({"dataset": dataset, **_not_none(overrides)})
@@ -474,7 +477,7 @@ def cmd_embed(args) -> int:
     images = prepare_images(embed_sample(config, pools, samples), pools, config)
 
     feats = features_for_images(images, config.model)
-    k = min(50, feats.shape[0] - 1, feats.shape[1])
+    k = max(1, min(50, feats.shape[0] - 1, feats.shape[1]))  # >= 1: tsne_exact checks n
     reduced = pca_reduce(feats, k)
     result = tsne_exact(
         reduced,

@@ -10,6 +10,11 @@ from ._checks import integer, real
 
 __all__ = ["EmbeddingResult", "pca_reduce", "tsne_exact", "embedding_csv"]
 
+LEARNING_RATE = 200.0  # the standard schedule's (van der Maaten & Hinton, JMLR 2008)
+RECORD_EVERY = 25  # iterations between two records of tsne_exact's KL trace
+BISECT_TOL = 1e-5  # entropy tolerance of _conditional_probs' bisection
+BISECT_STEPS = 50  # the most bisection steps a row takes
+
 
 @dataclass(frozen=True)
 class EmbeddingResult:
@@ -54,13 +59,13 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _conditional_probs(d2: np.ndarray, perplexity: float, tol: float = 1e-5, max_iter: int = 50):
+def _conditional_probs(d2: np.ndarray, perplexity: float):
     """Per-point Gaussian affinities with bandwidths bisected to the target
-    perplexity (entropy tolerance tol, at most max_iter bisections).
+    perplexity (entropy tolerance BISECT_TOL, at most BISECT_STEPS steps).
 
     All rows are bisected at once.  A row freezes at the first bandwidth
-    whose entropy is within tol of the target, so each row takes exactly
-    the steps of a bisection of that row alone.
+    whose entropy is within BISECT_TOL of the target, so each row takes
+    exactly the steps of a bisection of that row alone.
     """
     n = d2.shape[0]
     target = np.log(perplexity)
@@ -70,12 +75,12 @@ def _conditional_probs(d2: np.ndarray, perplexity: float, tol: float = 1e-5, max
     beta_min = np.full(n, -np.inf)
     beta_max = np.full(n, np.inf)
     live, r = np.arange(n), rows  # the rows still bisecting
-    for _ in range(max_iter):
+    for _ in range(BISECT_STEPS):
         b = beta[live]
         w = np.exp(-r * b[:, None])
         s = np.maximum(w.sum(axis=1), 1e-300)
         diff = np.log(s) + b * (r * w).sum(axis=1) / s - target
-        going = ~(np.abs(diff) <= tol)
+        going = ~(np.abs(diff) <= BISECT_TOL)
         if not going.all():
             live, r, b, diff = live[going], r[going], b[going], diff[going]
             if live.size == 0:
@@ -137,18 +142,17 @@ def tsne_exact(
     iterations: int = 1000,
     seed: int = 0,
     labels=None,
-    learning_rate: float = 200.0,
-    record_every: int = 25,
 ) -> EmbeddingResult:
     """Exact O(n^2) t-SNE to 2-D.
 
     Standard schedule: early exaggeration x12 for the first 250 iterations,
-    momentum 0.5 switching to 0.8 at iteration 250, adaptive per-component
-    gains, seeded Gaussian initialization (sigma 1e-4).  kl_trace records
-    the KL divergence against the un-exaggerated affinities every
-    record_every iterations and once after the last; runs need
-    iterations > 250 for the trace to settle (shorter runs never leave the
-    exploration phase and the final KL may exceed the initial one).
+    momentum 0.5 switching to 0.8 at iteration 250, learning rate
+    LEARNING_RATE, adaptive per-component gains, seeded Gaussian
+    initialization (sigma 1e-4).  kl_trace records the KL divergence
+    against the un-exaggerated affinities every RECORD_EVERY iterations
+    and once after the last; runs need iterations > 250 for the trace to
+    settle (shorter runs never leave the exploration phase and the final
+    KL may exceed the initial one).
     The loop reuses three n x n buffers and allocates no others.
     """
     x = _as_matrix(points)
@@ -159,8 +163,6 @@ def tsne_exact(
     if not perplexity < n / 3:
         raise ValueError(f"perplexity must be < n/3 = {n / 3:.2f}, got {perplexity}")
     iterations = integer("iterations", iterations, 0)
-    record_every = integer("record_every", record_every, 1)
-    learning_rate = real("learning_rate", learning_rate)
     seed = integer("seed", seed, 0)
     if labels is not None and len(labels) != n:
         raise ValueError("labels length does not match sample count")
@@ -185,7 +187,7 @@ def tsne_exact(
     kl_trace = []
     for t in range(iterations):
         _student_affinities(y, num, q)
-        if t % record_every == 0:
+        if t % RECORD_EVERY == 0:
             kl_trace.append(_kl_divergence(p, q, pq))
 
         if t < 250:
@@ -200,7 +202,7 @@ def tsne_exact(
         same_sign = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
         gains = np.maximum(gains, 0.01)
-        velocity = momentum * velocity - learning_rate * gains * grad
+        velocity = momentum * velocity - LEARNING_RATE * gains * grad
         y = y + velocity
         y = y - y.mean(axis=0)
 

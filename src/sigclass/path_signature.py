@@ -237,8 +237,8 @@ def _fold_into(out: np.ndarray, points: np.ndarray, order: int, kind: str) -> No
         incs = np.take(incs, kept, axis=2, out=empty(batch, n - 1, width))
         moved = moved[:, kept]
     still = ~moved.any(axis=1)
-    # streams so wide that even a full chunk is batch-outer
-    split = not batch_inner and _chunk(d, order) < d ** (order - 1) and _stays_finite(incs, order)
+    # streams so wide that even a full chunk, and so this one, is batch-outer
+    split = _chunk(d, order) < d ** (order - 1) and _stays_finite(incs, order)
     # level 0 is None, read by ta.mul_levels as exactly 1.0
     run, exp, scratch = ([None] + [empty(batch, width**k) for k in range(1, order + 1 - split)]
                          for _ in range(3))
@@ -327,6 +327,8 @@ def log_signature_many(points: np.ndarray, order: int) -> np.ndarray:
 # path.  Independent of the product route above; intended for tests.
 # ---------------------------------------------------------------------------
 
+ORACLE_PANELS = 1024  # the fewest Simpson panels the oracle spreads over a stream
+
 
 def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral along the last axis of f sampled at spacing h.
@@ -343,13 +345,13 @@ def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def signature_oracle(points, order: int, min_panels: int = 1024) -> np.ndarray:
+def signature_oracle(points, order: int) -> np.ndarray:
     """Signature via direct numerical quadrature of the iterated integrals.
 
     The stream is interpreted as a piecewise-linear path.  Each coordinate
     iterated integral is built level by level: the running integrand is
     integrated segment by segment with composite Simpson (at least
-    min_panels panels in total, an even number per segment).  O(d**order)
+    ORACLE_PANELS panels in total, an even number per segment).  O(d**order)
     integrals; slow, but independent of the Chen-product implementation.
     Takes one (n, d) stream and returns its flat (feature_length,) signature.
     """
@@ -359,7 +361,7 @@ def signature_oracle(points, order: int, min_panels: int = 1024) -> np.ndarray:
     # per-segment derivative w.r.t. a unit-length local parameter
     deriv = np.diff(pts, axis=0)  # (nseg, d)
 
-    per_seg = 2 * max(1, -(-min_panels // (2 * nseg)))  # even, total >= min_panels
+    per_seg = 2 * max(1, -(-ORACLE_PANELS // (2 * nseg)))  # even, total >= ORACLE_PANELS
     h = 1.0 / per_seg
     nodes = per_seg + 1
 

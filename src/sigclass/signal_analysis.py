@@ -53,24 +53,15 @@ def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     return kernel
 
 
-def _mirror_indices(n: int, pad: int) -> np.ndarray:
-    """Indices implementing mirror (reflect-without-repeat) padding."""
-    idx = np.arange(-pad, n + pad)
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * (n - 1)
-    idx = np.abs(idx) % period
-    return np.where(idx >= n, period - idx, idx)
-
-
 def savgol_filter(series, window: int, polyorder: int) -> np.ndarray:
-    """Length-preserving Savitzky-Golay smoothing under mirror padding."""
+    """Length-preserving Savitzky-Golay smoothing under mirror padding, which
+    reflects the series about its end samples (np.pad "reflect", scipy "mirror")."""
     values = np.asarray(series, dtype=np.float64).reshape(-1)
     if values.size < 1:
         raise ValueError("series must have length >= 1")
     kernel = savgol_coefficients(window, polyorder)
     pad = (window - 1) // 2
-    padded = values[_mirror_indices(values.size, pad)]
+    padded = np.pad(values, pad, mode="reflect")
     return np.correlate(padded, kernel, mode="valid")
 
 

@@ -30,13 +30,11 @@ def mul_levels(a: list[np.ndarray], b: list[np.ndarray], out=None, scratch=None
     be `a` itself: levels are written top first, so each lower level of `a`
     is still unchanged when it is read.  `scratch`, when given, holds one
     buffer shaped like out[k] for each k >= 1, for the a_0 b_k and cross
-    terms.  A level 0 that is exactly 1.0 is not multiplied by, since
-    1.0 * x == x bit for bit.  A level 0 of None is read as exactly 1.0
-    without looking at it; the product's level 0 is None when both are.
+    terms.  A level 0 of None is exactly 1.0 and is not multiplied by; an
+    array level 0 always is.  The product's level 0 is None when both are.
     """
     order = len(a) - 1
-    a_one = a[0] is None or bool((a[0] == 1.0).all())
-    b_one = b[0] is None or bool((b[0] == 1.0).all())
+    a_one, b_one = a[0] is None, b[0] is None
     if out is None:
         out = [None] + [np.empty(np.broadcast(a[k], b[k]).shape) for k in range(1, order + 1)]
     for k in range(order, 0, -1):

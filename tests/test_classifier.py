@@ -881,6 +881,17 @@ def test_ova_scores_round_trip_bit_for_bit(tmp_path):
     assert ova_thresholds(back, 0.5) == ova_thresholds(model, 0.5)
 
 
+def test_ova_threshold_past_the_float_range_is_named():
+    rng = np.random.default_rng(25)
+    model = replace(fit(tiny_images(rng, list("ab")), cfg()),
+                    ova_scores=np.array([0.25, 1.5e308]))
+    assert ova_thresholds(model, 1.1) == {"a": float(1.1 * np.float64(0.25)),
+                                          "b": float(1.1 * np.float64(1.5e308))}
+    with pytest.raises(ValueError, match=r"^class 'b' ova threshold 1\.3 x 1\.5e\+308 must be"
+                                         r" finite and >= 0, got inf$"):
+        ova_thresholds(model, 1.3)
+
+
 def test_save_load_save_is_byte_identical(tmp_path):
     tr, va, _ = shapes_split(per_class=6, train=3, val=3)
     for method in ("none", "closed_form"):

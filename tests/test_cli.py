@@ -436,6 +436,16 @@ def test_gen_shapes_config_renders_the_fit_pool(tmp_path):
         assert np.array_equal(np.frombuffer(data[-24 * 24 * 3:], np.uint8), expected.ravel())
 
 
+def test_gen_shapes_config_of_another_dataset_kind_is_refused(tmp_path, capsys):
+    dataset = {"kind": "mnist", "train_images": "train-images", "train_labels": "train-labels"}
+    out = tmp_path / "shapes"
+    args = ["gen-shapes", "--config", str(write_config(tmp_path, dataset=dataset)), "--out", str(out)]
+    assert main(args) == 1
+    assert read_stderr_error(capsys) == {
+        "error": "gen-shapes renders four_shapes, not dataset kind 'mnist'", "type": "ValueError"}
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -588,6 +598,13 @@ def test_embed_flags_override_config_even_when_zero(tmp_path, capsys):
     assert first == final  # no iteration ran: the trace holds one KL
     assert main(["embed", "--config", str(config), "--perplexity", "0"]) == 1
     assert "perplexity must be > 0" in read_stderr_error(capsys)["error"]
+
+
+def test_embed_of_one_sample_names_the_sample_count(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["embed", "--config", str(config), "--samples", "1"]) == 1
+    assert read_stderr_error(capsys) == {"error": "need at least 5 samples, got 1",
+                                         "type": "ValueError"}
 
 
 def test_embed_perplexity_validation(tmp_path, capsys):

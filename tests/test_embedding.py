@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigclass import embedding
 from sigclass.embedding import (
     EmbeddingResult,
     _conditional_probs,
@@ -112,15 +113,16 @@ def test_bisection_matches_row_by_row_reference_bytes(n, dim, scale, perplexity)
     assert _conditional_probs(d2, perplexity).tobytes() == ref.tobytes()
 
 
-def test_bisection_matches_reference_on_rows_that_exhaust_it():
+def test_bisection_matches_reference_on_rows_that_exhaust_it(monkeypatch):
     # Four copies of each point: a row's entropy never drops below log(3),
-    # so at perplexity 2 every row runs all max_iter bisections.
+    # so at perplexity 2 every row runs all BISECT_STEPS bisections.
     rng = np.random.default_rng(9)
     points = np.repeat(rng.normal(size=(6, 3)), 4, axis=0)
     d2 = _pairwise_sq_dists(points)
     for perplexity, max_iter in ((2.0, 50), (2.0, 7), (6.0, 50)):
+        monkeypatch.setattr(embedding, "BISECT_STEPS", max_iter)
         ref, exhausted = reference_conditional_probs(d2, perplexity, max_iter=max_iter)
-        got = _conditional_probs(d2, perplexity, max_iter=max_iter)
+        got = _conditional_probs(d2, perplexity)
         assert got.tobytes() == ref.tobytes()
         if perplexity == 2.0:
             assert exhausted == len(points)
@@ -173,12 +175,13 @@ def reference_tsne_loop(points, perplexity, iterations, seed, learning_rate=200.
     return y, kl
 
 
-def test_first_iterations_match_reference_loop():
+def test_first_iterations_match_reference_loop(monkeypatch):
+    monkeypatch.setattr(embedding, "RECORD_EVERY", 1)
     rng = np.random.default_rng(10)
     points, _ = three_clusters(rng, per_cluster=15)
     for iterations in (1, 5):
         ref_y, ref_kl = reference_tsne_loop(points, 8.0, iterations, seed=2)
-        got = tsne_exact(points, perplexity=8.0, iterations=iterations, seed=2, record_every=1)
+        got = tsne_exact(points, perplexity=8.0, iterations=iterations, seed=2)
         assert np.abs(got.coords - ref_y).max() <= 1e-12 * np.abs(ref_y).max()
         assert np.allclose(got.kl_trace, ref_kl, rtol=1e-12, atol=0.0)
 
@@ -241,13 +244,13 @@ def test_sample_count_and_perplexity_contracts():
         ({"perplexity": -2.0}, "perplexity must be > 0"),
         ({"perplexity": float("nan")}, "perplexity must be > 0"),
         ({"iterations": -1}, "iterations must be an integer >= 0"),
-        ({"record_every": 0}, "record_every must be an integer >= 1"),
+        ({"perplexity": float("inf")}, "perplexity must be < n/3 = 4.00, got inf"),
         ({"perplexity": True}, "perplexity must be a real number, got True"),
         ({"iterations": 2.5}, "iterations must be an integer >= 0, got 2.5"),
         ({"iterations": True}, "iterations must be an integer >= 0, got True"),
-        ({"record_every": 2.5}, "record_every must be an integer >= 1, got 2.5"),
-        ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
-        ({"learning_rate": -1.0}, "learning_rate must be finite and > 0, got -1.0"),
+        ({"perplexity": 10**400}, "perplexity must be within a float's range or inf"),
+        ({"perplexity": np.float64(4.0)}, "perplexity must be < n/3 = 4.00, got 4.0$"),
+        ({"seed": 2.0}, "seed must be an integer >= 0, got 2.0"),
         ({"seed": True}, "seed must be an integer >= 0, got True"),
         ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),

@@ -82,11 +82,13 @@ def test_filter_linearity():
 
 
 def test_filter_matches_scipy_mirror_mode():
+    # a lone sample, and series shorter than the padding, reflected more than once
     rng = np.random.default_rng(1)
-    series = rng.normal(size=50)
-    ours = savgol_filter(series, 9, 3)
-    reference = scipy.signal.savgol_filter(series, 9, 3, mode="mirror")
-    assert np.abs(ours - reference).max() < 1e-10
+    for length in (50, 1, 2, 3, 5):
+        series = rng.normal(size=length)
+        ours = savgol_filter(series, 9, 3)
+        reference = scipy.signal.savgol_filter(series, 9, 3, mode="mirror")
+        assert np.abs(ours - reference).max() < 1e-10
 
 
 def shapes_model(per_class=4):
