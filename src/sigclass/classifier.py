@@ -16,6 +16,7 @@ factors.  Four evaluation protocols are provided:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -284,8 +285,8 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
 # ---------------------------------------------------------------------------
 
 
-def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, thresholds=None):
-    """(predicted class indices (n,), score matrix (n, Z)) of feature rows x."""
+def _scores(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None) -> np.ndarray:
+    """(n, Z) score matrix of feature rows x; fixed and ova score the same one."""
     reps, lams = model.representatives, model.factors
     if protocol == "oracle":
         x = lams[true_idx] * x
@@ -293,7 +294,11 @@ def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, th
     # one class at a time: temporaries stay (n, F), never (n, Z, F)
     cols = [score_rows(rep, lams[zi] * x if per_class else x, model.config.metric)
             for zi, rep in enumerate(reps)]
-    scores = np.stack(cols, axis=1)
+    return np.stack(cols, axis=1)
+
+
+def _decide(model: ClassModel, scores: np.ndarray, protocol: str, thresholds=None):
+    """(predicted class indices (n,), reported score matrix (n, Z)) of a score matrix."""
     if protocol != "ova":
         return np.argmin(scores, axis=1), scores
     missing = [z for z in model.classes if z not in thresholds]
@@ -310,7 +315,7 @@ def _classify(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None, th
 def _predict_one(model, image, protocol, augment_seed, true_idx=None, thresholds=None):
     pixels = image.pixels if isinstance(image, LabeledImage) else image
     x = _test_features(model, [pixels], [augment_seed])
-    predicted, scores = _classify(model, x, protocol, true_idx, thresholds)
+    predicted, scores = _decide(model, _scores(model, x, protocol, true_idx), protocol, thresholds)
     return model.classes[int(predicted[0])], {z: float(v) for z, v in zip(model.classes, scores[0])}
 
 
@@ -357,7 +362,8 @@ def evaluate(
     """Aggregate per-sample predictions over a labeled test set.
 
     protocol is one name, giving one EvalReport, or a sequence of names,
-    giving a tuple of reports in the same order from one feature pass.
+    giving a tuple of reports in the same order from one feature pass;
+    fixed and ova decide on one score matrix.
     Augmentation randomness (when the model enables it) is drawn from a
     per-sample stream keyed by (seed, sample index), so the report is
     deterministic and independent of evaluation order.  The test set is
@@ -385,8 +391,12 @@ def evaluate(
         stop = min(start + block, len(test))
         seeds = [[seed, i] for i in range(start, stop)]
         x = _test_features(model, [im.pixels for im in test[start:stop]], seeds)
+        matrices = {}  # ova decides on fixed's matrix
         for name in parts:
-            parts[name].append(_classify(model, x, name, true_idx[start:stop], thresholds))
+            kind = "fixed" if name == "ova" else name
+            if kind not in matrices:
+                matrices[kind] = _scores(model, x, kind, true_idx[start:stop])
+            parts[name].append(_decide(model, matrices[kind], name, thresholds))
     reports = tuple(_report(name, model.classes, true_idx, parts[name]) for name in protocols)
     return reports[0] if isinstance(protocol, str) else reports
 
@@ -488,7 +498,10 @@ def model_from_dict(doc: dict) -> ClassModel:
         _fill_row(reps, zi, z, "representative", entry["representative"])
         _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
         counts[z] = integer(f"model file class {z!r} field 'train_count'", entry["train_count"], 1)
-        if entry["lambda_mae"] != entry["lambda_rmse"]:
+        rmse, mae = entry["lambda_rmse"], entry["lambda_mae"]
+        if _holds_bool(mae):
+            raise ValueError(f"model file class {z!r} field 'lambda_mae' holds non-numbers")
+        if mae is not rmse and mae != rmse:  # a twin gives both fields one array
             raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
         if "ova_score" in entry:
             scores[z] = real(f"model file class {z!r} field 'ova_score'", entry["ova_score"],
@@ -500,14 +513,19 @@ def model_from_dict(doc: dict) -> ClassModel:
                       train_counts=counts, factors=factors, ova_scores=list(scores.values()) or None)
 
 
+def _holds_bool(value) -> bool:
+    """Whether value is a list with a bool item, which numpy would read as 0 or 1."""
+    return isinstance(value, list) and bool in set(map(type, value))
+
+
 def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value) -> None:
-    """table[zi] = a model file's list of numbers; a factor row may also be
-    one number, which fills the row."""
+    """table[zi] = a model file's list of numbers, or a twin's row; a factor
+    row may also be one number, which fills the row."""
     try:
         row = np.asarray(value)
     except ValueError:  # numpy refuses lists nested to unequal depths or lengths
         raise ValueError(f"model file class {label!r} field {key!r} is a ragged list") from None
-    if row.dtype.kind not in "iuf":
+    if row.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"model file class {label!r} field {key!r} holds non-numbers")
     if row.shape != table.shape[1:] and (key == "representative" or row.ndim != 0):
         raise ValueError(
@@ -524,6 +542,10 @@ def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value) -> None:
 _ROW_MARK = "\x00"
 _MARKED = ': "\\u0000'
 
+# A model file's twin: the suffix of its name and the fields of its header.
+_TWIN_SUFFIX = ".rows"
+_TWIN_FIELDS = ("sha256", "shape", "skeleton")
+
 
 def _row_text(row: np.ndarray) -> str:
     """json.dump's indent=2 text of a per-class row list (finite floats)."""
@@ -531,28 +553,75 @@ def _row_text(row: np.ndarray) -> str:
 
 
 def save_model(model: ClassModel, path):
-    """The bytes of json.dump(model_to_dict(model), indent=2) and a newline,
-    written one row at a time into the dumped skeleton of the rest."""
-    texts = []
+    """Write the bytes of json.dump(model_to_dict(model), indent=2) and a
+    newline to path, one row at a time into the dumped skeleton of the rest.
+
+    Also write path's twin, path + ".rows", a cache that load_model reads
+    instead of parsing the file.  Its first line is JSON with sorted keys:
+    "sha256", the hex digest of the file's bytes; "shape", [K, F]; and
+    "skeleton", model_to_dict with row i replaced by the row marker of i.
+    The K rows follow as little-endian float64."""
+    texts, rows = [], []
 
     def mark(row):
         texts.append(_row_text(row))
+        rows.append(row)
         return f"{_ROW_MARK}{len(texts) - 1}"
 
-    parts = json.dumps(model_to_dict(model, mark), indent=2).split(_MARKED)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(parts[0])
+    skeleton = model_to_dict(model, mark)
+    parts = json.dumps(skeleton, indent=2).split(_MARKED)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(text):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        put(parts[0])
         for part in parts[1:]:
             index, _, rest = part.partition('"')
-            fh.write(": ")
-            fh.write(texts[int(index)])
-            fh.write(rest)
-        fh.write("\n")
+            put(": ")
+            put(texts[int(index)])
+            put(rest)
+        put("\n")
+    head = {"sha256": digest.hexdigest(), "shape": [len(rows), model.feature_length],
+            "skeleton": skeleton}
+    with open(f"{path}{_TWIN_SUFFIX}", "wb") as fh:
+        fh.write(json.dumps(head, sort_keys=True).encode("ascii") + b"\n")
+        fh.writelines(np.ascontiguousarray(row, "<f8") for row in rows)
+
+
+def _twin_document(path, data: bytes) -> dict | None:
+    """The model document of path's twin when it was written with the model
+    file bytes data, else None: the twin is missing, garbled, truncated or
+    stale.  Each row marker in the skeleton becomes a read-only float64 row."""
+    try:
+        with open(f"{path}{_TWIN_SUFFIX}", "rb") as fh:
+            head = json_object("model twin header", json.loads(fh.readline()), _TWIN_FIELDS,
+                               _TWIN_FIELDS)
+            if head["sha256"] != hashlib.sha256(data).hexdigest():
+                return None
+            table = np.frombuffer(fh.read(), "<f8").reshape(head["shape"])
+    except (OSError, ValueError, TypeError):  # TypeError: a shape of non-integers
+        return None
+    rows = {f"{_ROW_MARK}{i}": row for i, row in enumerate(table)}
+    doc = head["skeleton"]
+    for entry in doc["per_class"].values():
+        for key, value in entry.items():
+            if isinstance(value, str):
+                entry[key] = rows.get(value, value)
+    return doc
 
 
 def load_model(path) -> ClassModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """The model in the file at path, built from its twin when the twin was
+    written with the file's exact bytes, else by parsing the file; either
+    way every check of model_from_dict runs."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = _twin_document(path, data)
+    return model_from_dict(json.loads(data.decode("utf-8")) if doc is None else doc)
 
 
 def report_to_dict(report: EvalReport) -> dict:

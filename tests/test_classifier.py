@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import re
 import tracemalloc
@@ -481,6 +482,26 @@ def test_evaluate_matches_per_image_predictions(monkeypatch, metric):
         assert single.mean_margin == report.mean_margin
 
 
+def test_fixed_and_ova_score_each_block_once(monkeypatch):
+    model, thresholds, te = calibrated_aug_model("rmse")
+    per_image = 8 * AUG.copies * (model.feature_length + 17 * 16)
+    monkeypatch.setattr(classifier, "BLOCK_BYTES", 5 * per_image)
+    calls = []
+    score = classifier.score_rows
+
+    def counted(*args):
+        calls.append(1)
+        return score(*args)
+
+    monkeypatch.setattr(classifier, "score_rows", counted)
+    counts = []
+    for protocols in (("fixed",), ("fixed", "ova"), ("ova",)):
+        calls.clear()
+        evaluate(model, te, protocols, thresholds=thresholds, seed=9)
+        counts.append(len(calls))
+    assert counts == [4 * len(model.classes)] * 3
+
+
 @pytest.mark.parametrize("metric", ["rmse", "mae"])
 def test_predict_scores_match_reference_kernel(metric):
     # reference: mean of the augmented copies' features, scored one class at
@@ -678,29 +699,151 @@ AWKWARD_LABELS = ("plain", 'quo"te', "back\\slash", "ünï©ødé", "\x00", ': "
                   '"lambda_rmse": "\\u0000"', "representative")
 
 
-@pytest.mark.parametrize("factors", ["random", "none", "mixed"])
-def test_save_model_bytes_equal_json_dump(tmp_path, factors):
+def awkward_model(factors: str, scores: bool = False) -> ClassModel:
+    """A model of AWKWARD_LABELS whose rows hold -0.0, subnormals and values
+    near the float range; factors "none" writes every factor row as 1.0, and
+    "mixed" the even classes' rows only."""
     rng = np.random.default_rng(22)
     shape = (len(AWKWARD_LABELS), 42)
     reps = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-    reps[0, :8] = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e-300, 1.7976931348623157e308, 1.0]
+    reps[0, :9] = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e-300, 1.7976931348623157e308, 1.0, 1e308]
     lam = {"random": rng.uniform(0.01, 100.0, size=shape),
            "none": np.ones(shape),  # calibration.method none: rows written as 1.0
            "mixed": np.where(np.arange(shape[0])[:, None] % 2, reps, 1.0)}[factors]
-    model = ClassModel(config=cfg(), classes=AWKWARD_LABELS, stream_dim=6,
-                       representatives=reps, factors=lam,
-                       train_counts={z: i + 1 for i, z in enumerate(AWKWARD_LABELS)})
+    return ClassModel(config=cfg(), classes=AWKWARD_LABELS, stream_dim=6,
+                      representatives=reps, factors=lam,
+                      train_counts={z: i + 1 for i, z in enumerate(AWKWARD_LABELS)},
+                      ova_scores=np.abs(reps[:, 0]) if scores else None)
+
+
+@pytest.mark.parametrize("factors", ["random", "none", "mixed"])
+def test_save_model_bytes_equal_json_dump(tmp_path, factors):
+    model = awkward_model(factors)
     path = tmp_path / "model.json"
     save_model(model, path)
     expected = json.dumps(model_to_dict(model), indent=2) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
     back = load_model(path)
     assert back.classes == AWKWARD_LABELS
-    assert np.array_equal(back.representatives, reps) and np.array_equal(back.factors, lam)
+    assert np.array_equal(back.representatives, model.representatives)
+    assert np.array_equal(back.factors, model.factors)
 
 
-def test_model_schema_version_checked():
-    good = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a"]), cfg()))
+def _parsed(path) -> ClassModel:
+    """The model that path's JSON text gives, without its twin."""
+    return model_from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def assert_same_model(a: ClassModel, b: ClassModel):
+    assert (a.config, a.classes, a.stream_dim, a.train_counts) == (
+        b.config, b.classes, b.stream_dim, b.train_counts)
+    for name in ("representatives", "factors", "ova_scores"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def spy_json_loads(monkeypatch) -> list:
+    """The list of every text that json.loads is given from now on."""
+    seen = []
+    loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        seen.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(classifier.json, "loads", spy)
+    return seen
+
+
+@pytest.mark.parametrize("scores", [True, False], ids=["ova_scores", "no ova_scores"])
+@pytest.mark.parametrize("factors", ["random", "none", "mixed"])
+def test_twin_and_json_load_the_same_model_bit_for_bit(tmp_path, monkeypatch, factors, scores):
+    model = awkward_model(factors, scores)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    seen = spy_json_loads(monkeypatch)
+    from_twin = load_model(path)
+    assert seen and all(s not in (text, text.encode("utf-8")) for s in seen)
+    monkeypatch.undo()
+    assert_same_model(from_twin, model)
+    assert_same_model(from_twin, _parsed(path))
+    with pytest.raises(ValueError, match="read-only"):
+        from_twin.representatives[0, 0] = 1.0
+
+
+def test_twin_is_a_pure_function_of_the_model(tmp_path):
+    model = awkward_model("mixed", True)
+    for name in ("first.json", "second.json"):
+        save_model(model, tmp_path / name)
+    twins = [(tmp_path / f"{name}.rows").read_bytes() for name in ("first.json", "second.json")]
+    assert twins[0] == twins[1]
+    head, _, payload = twins[0].partition(b"\n")
+    head = json.loads(head)
+    assert sorted(head) == ["sha256", "shape", "skeleton"]
+    assert head["sha256"] == hashlib.sha256((tmp_path / "first.json").read_bytes()).hexdigest()
+    # eight representative rows and the four odd classes' factor rows; even classes' are 1.0
+    assert head["shape"] == [12, 42] and len(payload) == 8 * 12 * 42
+    assert head["skeleton"]["per_class"]["plain"]["lambda_rmse"] == 1.0
+
+
+# how a twin goes wrong: each of these loads the model by parsing the file
+TWIN_FAULTS = {
+    "missing": lambda twin: twin.unlink(),
+    "empty": lambda twin: twin.write_bytes(b""),
+    "header not JSON": lambda twin: twin.write_bytes(b"{not json\n" + twin.read_bytes()),
+    "header not UTF-8": lambda twin: twin.write_bytes(b"\xff\xfe\n"),
+    "header a list": lambda twin: twin.write_bytes(b'["sha256", "shape", "skeleton"]\n'),
+    "header lacks shape": lambda twin: _rewrite_head(twin, lambda head: head.pop("shape")),
+    "header has an extra key": lambda twin: _rewrite_head(twin, lambda head: head.update(x=1)),
+    "shape of strings": lambda twin: _rewrite_head(twin, lambda head: head.update(shape="ab")),
+    "shape too long": lambda twin: _rewrite_head(
+        twin, lambda head: head.update(shape=head["shape"] + [2])),
+    "stale digest": lambda twin: _rewrite_head(twin, lambda head: head.update(sha256="0" * 64)),
+    "digest not a string": lambda twin: _rewrite_head(twin, lambda head: head.update(sha256=[1])),
+    "truncated payload": lambda twin: twin.write_bytes(twin.read_bytes()[:-8]),
+    "payload cut mid-value": lambda twin: twin.write_bytes(twin.read_bytes()[:-3]),
+    "payload too long": lambda twin: twin.write_bytes(twin.read_bytes() + bytes(8)),
+    "directory": lambda twin: (twin.unlink(), twin.mkdir()),
+}
+
+
+def _rewrite_head(twin, change):
+    head, _, payload = twin.read_bytes().partition(b"\n")
+    head = json.loads(head)
+    change(head)
+    twin.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+
+
+@pytest.mark.parametrize("fault", TWIN_FAULTS)
+def test_faulty_twin_falls_back_to_parsing_the_file(tmp_path, monkeypatch, fault):
+    model = awkward_model("mixed", True)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    TWIN_FAULTS[fault](tmp_path / "model.json.rows")
+    seen = spy_json_loads(monkeypatch)
+    back = load_model(path)
+    assert seen[-1] == path.read_text(encoding="utf-8")
+    assert_same_model(back, model)
+
+
+def assert_load_error(tmp_path, model: ClassModel, doc, match: str):
+    """model_from_dict(doc) raises match, and so does load_model of doc's JSON
+    written over a saved model, whose twin is then stale."""
+    with pytest.raises(ValueError, match=match):
+        model_from_dict(doc)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        load_model(path)
+
+
+def test_model_schema_version_checked(tmp_path):
+    model = fit(tiny_images(np.random.default_rng(13), ["a"]), cfg())
+    good = model_to_dict(model)
     for path, value, match in (
         (("schema_version",), 99, "schema_version"),
         (("per_class",), None, "top level lacks field 'per_class'"),
@@ -736,6 +879,14 @@ def test_model_schema_version_checked():
         (("per_class", "a", "lambda_rmse"), "x", "class 'a' field 'lambda_rmse' holds non-numbers"),
         (("per_class", "a", "lambda_rmse"), [[1.0] * 42],
          r"class 'a' field 'lambda_rmse' has shape \(1, 42\)"),
+        # numpy reads a JSON boolean among numbers as 0 or 1
+        (("per_class", "a", "representative"), [True] + [0.11] * 41,
+         "class 'a' field 'representative' holds non-numbers"),
+        (("per_class", "a", "representative"), [True] * 42,
+         "class 'a' field 'representative' holds non-numbers"),
+        (("per_class", "a", "lambda_rmse"), [0.5] * 41 + [False],
+         "class 'a' field 'lambda_rmse' holds non-numbers"),
+        (("per_class", "a", "lambda_rmse"), True, "class 'a' field 'lambda_rmse' holds non-numbers"),
     ):
         doc = copy.deepcopy(good)
         parent = doc
@@ -747,8 +898,12 @@ def test_model_schema_version_checked():
             parent[path[-1]] = value
             if path[-1] == "lambda_rmse":
                 parent["lambda_mae"] = value
-        with pytest.raises(ValueError, match=match):
-            model_from_dict(doc)
+        assert_load_error(tmp_path, model, doc, match)
+    # a factor row equal to lambda_rmse under == but for a boolean
+    doc = copy.deepcopy(good)
+    doc["per_class"]["a"]["lambda_rmse"] = [1.0] * 42
+    doc["per_class"]["a"]["lambda_mae"] = [True] + [1.0] * 41
+    assert_load_error(tmp_path, model, doc, "class 'a' field 'lambda_mae' holds non-numbers")
 
 
 # (where in the model document, value; () for the whole document, which
@@ -817,9 +972,10 @@ MALFORMED_MODELS = {
 
 
 @pytest.mark.parametrize("case", MALFORMED_MODELS)
-def test_malformed_model_file_is_a_named_error(case):
+def test_malformed_model_file_is_a_named_error(tmp_path, case):
     path, value, match = MALFORMED_MODELS[case]
-    doc = model_to_dict(fit(tiny_images(np.random.default_rng(13), ["a", "b"]), cfg()))
+    model = fit(tiny_images(np.random.default_rng(13), ["a", "b"]), cfg())
+    doc = model_to_dict(model)
     if path:
         parent = doc
         for key in path[:-1]:
@@ -827,8 +983,7 @@ def test_malformed_model_file_is_a_named_error(case):
         parent[path[-1]] = value
     else:
         doc = [doc]
-    with pytest.raises(ValueError, match=match):
-        model_from_dict(doc)
+    assert_load_error(tmp_path, model, doc, match)
 
 
 # augment field, its value as model-file JSON text, error

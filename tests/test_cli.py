@@ -577,6 +577,53 @@ def test_spectra_command(tmp_path):
     assert len(list(out.glob("spectrum_*.csv"))) == 4
 
 
+def test_eval_and_spectra_outputs_do_not_depend_on_the_model_twin(tmp_path, capsys):
+    config = write_config(tmp_path)
+    model_path, twin = tmp_path / "out" / "model.json", tmp_path / "out" / "model.json.rows"
+
+    def outputs():
+        """Every report, CSV and line of stdout that eval and spectra write."""
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--protocol", "plain,fixed,ova,oracle"]) == 0
+        assert main(["spectra", "--model", str(model_path), "--window", "5", "--polyorder", "2",
+                     "--out", str(tmp_path / "spectra")]) == 0
+        files = [*model_path.parent.glob("*_*.*"), *(tmp_path / "spectra").iterdir()]
+        assert len(files) == 8 + 4
+        return {path.name: path.read_bytes() for path in files}, capsys.readouterr().out
+
+    assert main(["fit", "--config", str(config)]) == 0
+    fitted = twin.read_bytes()
+    assert main(["fit", "--config", str(config)]) == 0
+    assert twin.read_bytes() == fitted
+    expected = outputs()
+    twin.write_bytes(fitted[:-5])
+    assert outputs() == expected
+    twin.unlink()
+    assert outputs() == expected
+
+    # stale: another fit's model file replaces this one, and the old twin stays
+    (tmp_path / "other").mkdir()
+    other = write_config(tmp_path / "other", seed=4, out_dir=str(tmp_path / "other" / "out"))
+    assert main(["fit", "--config", str(other)]) == 0
+    model_path.write_bytes((tmp_path / "other" / "out" / "model.json").read_bytes())
+    expected = outputs()
+    twin.write_bytes(fitted)
+    assert outputs() == expected
+
+    # stale: one digit of the file is edited
+    text = model_path.read_text()
+    doc = json.loads(text)
+    row = [repr(v) for v in doc["per_class"][doc["classes"][0]]["representative"]]
+    value = max(row, key=len)  # its first copy in the file is this row's item i
+    i = row.index(value)
+    edited = value[:-1] + ("1" if value[-1] != "1" else "2")
+    model_path.write_text(text.replace(f" {value},\n", f" {edited},\n", 1))
+    assert load_model(model_path).representatives[0, i] == float(edited) != float(value)
+    expected = outputs()
+    twin.unlink()
+    assert outputs() == expected
+
+
 def test_embed_command_rows_and_determinism(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

@@ -237,23 +237,39 @@ def test_sample_count_and_perplexity_contracts():
         tsne_exact(rng.normal(size=(12, 3)), perplexity=3.0, labels=["x"] * 5)
 
 
+# Each id is the one pytest numbered the case with before the ids were
+# written out; fixed, it stays when another case is added or removed.
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"perplexity": 0.0}, "perplexity must be > 0"),
-        ({"perplexity": -2.0}, "perplexity must be > 0"),
-        ({"perplexity": float("nan")}, "perplexity must be > 0"),
-        ({"iterations": -1}, "iterations must be an integer >= 0"),
-        ({"perplexity": float("inf")}, "perplexity must be < n/3 = 4.00, got inf"),
-        ({"perplexity": True}, "perplexity must be a real number, got True"),
-        ({"iterations": 2.5}, "iterations must be an integer >= 0, got 2.5"),
-        ({"iterations": True}, "iterations must be an integer >= 0, got True"),
-        ({"perplexity": 10**400}, "perplexity must be within a float's range or inf"),
-        ({"perplexity": np.float64(4.0)}, "perplexity must be < n/3 = 4.00, got 4.0$"),
-        ({"seed": 2.0}, "seed must be an integer >= 0, got 2.0"),
-        ({"seed": True}, "seed must be an integer >= 0, got True"),
-        ({"seed": 2.5}, "seed must be an integer >= 0, got 2.5"),
-        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        pytest.param({"perplexity": 0.0}, "perplexity must be > 0",
+                     id="kwargs0-perplexity must be > 0"),
+        pytest.param({"perplexity": -2.0}, "perplexity must be > 0",
+                     id="kwargs1-perplexity must be > 0"),
+        pytest.param({"perplexity": float("nan")}, "perplexity must be > 0",
+                     id="kwargs2-perplexity must be > 0"),
+        pytest.param({"iterations": -1}, "iterations must be an integer >= 0",
+                     id="kwargs3-iterations must be an integer >= 0"),
+        pytest.param({"perplexity": float("inf")}, "perplexity must be < n/3 = 4.00, got inf",
+                     id="kwargs4-perplexity must be < n/3 = 4.00, got inf"),
+        pytest.param({"perplexity": True}, "perplexity must be a real number, got True",
+                     id="kwargs5-perplexity must be a real number, got True"),
+        pytest.param({"iterations": 2.5}, "iterations must be an integer >= 0, got 2.5",
+                     id="kwargs6-iterations must be an integer >= 0, got 2.5"),
+        pytest.param({"iterations": True}, "iterations must be an integer >= 0, got True",
+                     id="kwargs7-iterations must be an integer >= 0, got True"),
+        pytest.param({"perplexity": 10**400}, "perplexity must be within a float's range or inf",
+                     id="kwargs8-perplexity must be within a float's range or inf"),
+        pytest.param({"perplexity": np.float64(4.0)}, "perplexity must be < n/3 = 4.00, got 4.0$",
+                     id="kwargs9-perplexity must be < n/3 = 4.00, got 4.0$"),
+        pytest.param({"seed": 2.0}, "seed must be an integer >= 0, got 2.0",
+                     id="kwargs10-seed must be an integer >= 0, got 2.0"),
+        pytest.param({"seed": True}, "seed must be an integer >= 0, got True",
+                     id="kwargs11-seed must be an integer >= 0, got True"),
+        pytest.param({"seed": 2.5}, "seed must be an integer >= 0, got 2.5",
+                     id="kwargs12-seed must be an integer >= 0, got 2.5"),
+        pytest.param({"seed": -1}, "seed must be an integer >= 0, got -1",
+                     id="kwargs13-seed must be an integer >= 0, got -1"),
     ],
 )
 def test_embedding_parameters_rejected_by_name(kwargs, match):
