@@ -3,7 +3,8 @@
 number it holds; a Python int or float is returned as it is, so a value
 written to a file keeps its text.  The one rule for JSON objects: a dict
 whose keys are all known and include the required ones, and from which
-alone a config object is built.  A breach is a ValueError naming it."""
+alone a config object is built.  A breach is a ValueError naming it.  The one
+rule for a float written as text: its repr."""
 
 import dataclasses
 import math
@@ -79,3 +80,10 @@ def config_object(cls, where: str, value, complete: bool = False, nested=None):
             v = config_object(nested[key], where, v, complete)
         values[key] = tuple(v) if isinstance(v, list) else v
     return cls(**values)
+
+
+def float_texts(values) -> list[str]:
+    """repr of each float64 of a 1-D array, with repr called once per distinct
+    bit pattern (by bits, not value: 0.0 and -0.0 keep their own texts)."""
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.uint64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import config_object, integer, json_object, real
+from ._checks import config_object, float_texts, integer, json_object, real
 from .calibration import CalibrationSet, closed_form_lambda, optimize_lambda, solver_settings
 from .data_io import AugmentSpec, LabeledImage, augment, ensure_channels
 from .path_signature import (
@@ -274,9 +274,15 @@ def calibrate(model: ClassModel, val_images, method: str = "closed_form", **kwar
     solver = closed_form_lambda if method == "closed_form" else optimize_lambda
     model = replace(model, factors=None if method == "none" else solver(cal, **kwargs))
     rows = max(1, BLOCK_BYTES // (8 * model.feature_length))
+    scratch = np.empty((min(rows, max(map(len, cal.validation.values()))), model.feature_length))
+
+    def worst(x, lam, rep):  # block by block, scaled and scored in the one scratch buffer
+        blocks = (np.multiply(x[i:i + rows], lam, out=scratch[:len(x) - i])
+                  for i in range(0, len(x), rows))
+        return np.max([score_rows(block, rep, model.config.metric, block).max() for block in blocks])
+
     return replace(model, ova_scores=[
-        np.max([score_rows(x[i:i + rows] * lam, rep, model.config.metric).max()
-                for i in range(0, len(x), rows)])
+        worst(x, lam, rep)
         for x, lam, rep in zip(cal.validation.values(), model.factors, model.representatives)])
 
 
@@ -291,8 +297,10 @@ def _scores(model: ClassModel, x: np.ndarray, protocol: str, true_idx=None) -> n
     if protocol == "oracle":
         x = lams[true_idx] * x
     per_class = protocol in ("fixed", "ova")
-    # one class at a time: temporaries stay (n, F), never (n, Z, F)
-    cols = [score_rows(rep, lams[zi] * x if per_class else x, model.config.metric)
+    # one class at a time, in one (n, F) scratch buffer, never (n, Z, F)
+    scratch = np.empty(x.shape)
+    cols = [score_rows(rep, np.multiply(lams[zi], x, out=scratch) if per_class else x,
+                       model.config.metric, scratch)
             for zi, rep in enumerate(reps)]
     return np.stack(cols, axis=1)
 
@@ -548,25 +556,26 @@ _TWIN_FIELDS = ("sha256", "shape", "skeleton")
 
 
 def _row_text(row: np.ndarray) -> str:
-    """json.dump's indent=2 text of a per-class row list (finite floats)."""
-    return "[\n        " + ",\n        ".join(map(repr, row.tolist())) + "\n      ]"
+    """json.dump's indent=2 text of a per-class row list (finite floats): each
+    value's repr, formatted once per distinct bit pattern of the row."""
+    return "[\n        " + ",\n        ".join(float_texts(row)) + "\n      ]"
 
 
 def save_model(model: ClassModel, path):
     """Write the bytes of json.dump(model_to_dict(model), indent=2) and a
-    newline to path, one row at a time into the dumped skeleton of the rest.
+    newline to path, one row at a time into the dumped skeleton of the rest;
+    a row's text is formatted as it is written, each distinct value once.
 
     Also write path's twin, path + ".rows", a cache that load_model reads
     instead of parsing the file.  Its first line is JSON with sorted keys:
     "sha256", the hex digest of the file's bytes; "shape", [K, F]; and
     "skeleton", model_to_dict with row i replaced by the row marker of i.
     The K rows follow as little-endian float64."""
-    texts, rows = [], []
+    rows = []
 
     def mark(row):
-        texts.append(_row_text(row))
         rows.append(row)
-        return f"{_ROW_MARK}{len(texts) - 1}"
+        return f"{_ROW_MARK}{len(rows) - 1}"
 
     skeleton = model_to_dict(model, mark)
     parts = json.dumps(skeleton, indent=2).split(_MARKED)
@@ -579,10 +588,13 @@ def save_model(model: ClassModel, path):
             fh.write(data)
 
         put(parts[0])
+        shown = text = None
         for part in parts[1:]:
             index, _, rest = part.partition('"')
+            if index != shown:  # a factor row's marker comes twice in a row
+                shown, text = index, _row_text(rows[int(index)])
             put(": ")
-            put(texts[int(index)])
+            put(text)
             put(rest)
         put("\n")
     head = {"sha256": digest.hexdigest(), "shape": [len(rows), model.feature_length],
@@ -595,7 +607,9 @@ def save_model(model: ClassModel, path):
 def _twin_document(path, data: bytes) -> dict | None:
     """The model document of path's twin when it was written with the model
     file bytes data, else None: the twin is missing, garbled, truncated or
-    stale.  Each row marker in the skeleton becomes a read-only float64 row."""
+    stale, or its skeleton's "per_class" is not an object of objects whose
+    every string is a row marker of the payload.  Each row marker becomes a
+    read-only float64 row."""
     try:
         with open(f"{path}{_TWIN_SUFFIX}", "rb") as fh:
             head = json_object("model twin header", json.loads(fh.readline()), _TWIN_FIELDS,
@@ -603,14 +617,15 @@ def _twin_document(path, data: bytes) -> dict | None:
             if head["sha256"] != hashlib.sha256(data).hexdigest():
                 return None
             table = np.frombuffer(fh.read(), "<f8").reshape(head["shape"])
-    except (OSError, ValueError, TypeError):  # TypeError: a shape of non-integers
+        rows = {f"{_ROW_MARK}{i}": row for i, row in enumerate(table)}
+        doc = json_object("model twin skeleton", head["skeleton"], required=("per_class",))
+        for entry in json_object("model twin field 'per_class'", doc["per_class"]).values():
+            for key, value in json_object("model twin class", entry).items():
+                if isinstance(value, str):
+                    entry[key] = rows[value]
+    # KeyError: a marker of no row; TypeError: a shape of non-integers
+    except (OSError, KeyError, ValueError, TypeError):
         return None
-    rows = {f"{_ROW_MARK}{i}": row for i, row in enumerate(table)}
-    doc = head["skeleton"]
-    for entry in doc["per_class"].values():
-        for key, value in entry.items():
-            if isinstance(value, str):
-                entry[key] = rows.get(value, value)
     return doc
 
 

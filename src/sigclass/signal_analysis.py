@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import float_texts, integer
 
 __all__ = [
     "SpectrumSeries",
@@ -84,7 +84,8 @@ def export_spectrum(model, window: int, polyorder: int, out_dir=None) -> list[Sp
     """Smoothed absolute representative spectra, one series per class.
 
     When out_dir is given, each class is written as
-    spectrum_<label>.csv with columns index,raw_abs,smoothed.  Windows
+    spectrum_<label>.csv with columns index,raw_abs,smoothed, each value as
+    its repr, formatted once per distinct bit pattern of its column.  Windows
     larger than the feature length are clamped (largest odd value that
     fits) with a warning.  Two labels that map to one file name are a
     ValueError, raised before any file is written.
@@ -107,7 +108,8 @@ def export_spectrum(model, window: int, polyorder: int, out_dir=None) -> list[Sp
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("index,raw_abs,smoothed\n")
-                fh.writelines(f"{i},{r!r},{s!r}\n"
-                              for i, (r, s) in enumerate(zip(raw.tolist(), smoothed.tolist())))
+                # one write: writelines would make a write call per line
+                fh.write("index,raw_abs,smoothed\n" + "".join([
+                    f"{i},{r},{s}\n"
+                    for i, (r, s) in enumerate(zip(float_texts(raw), float_texts(smoothed)))]))
     return out

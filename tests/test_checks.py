@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigclass._checks import band, config_object, integer, json_object, real
+from sigclass._checks import band, config_object, float_texts, integer, json_object, real
 from sigclass.classifier import ModelConfig, calibrate, fit, model_from_dict, model_to_dict, save_model
 from sigclass.cli import config_from_dict
 from sigclass.data_io import AugmentSpec, LabeledImage, ShapeJitter, gen_four_shapes
@@ -312,3 +312,18 @@ def test_config_object_builds_tuples_and_nested_objects():
     del doc["metric"]
     with pytest.raises(ValueError, match="^w lacks field 'metric'$"):
         config_object(ModelConfig, "w", doc, True, nested)
+
+
+# floats whose texts are easy to get wrong: both zeros, subnormals, the ends of
+# the range, and infinities and nans of either sign
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan, -math.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.floats(), max_size=4), picks=st.lists(st.integers(0, 15), max_size=80))
+@example(pool=[], picks=[0, 1, 0, 1, 1, 0])
+def test_float_texts_are_each_values_repr(pool, picks):
+    pool = AWKWARD_FLOATS + pool  # few distinct values, each drawn many times
+    values = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+    assert float_texts(values) == list(map(repr, values.tolist()))

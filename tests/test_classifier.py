@@ -807,6 +807,15 @@ TWIN_FAULTS = {
     "payload cut mid-value": lambda twin: twin.write_bytes(twin.read_bytes()[:-3]),
     "payload too long": lambda twin: twin.write_bytes(twin.read_bytes() + bytes(8)),
     "directory": lambda twin: (twin.unlink(), twin.mkdir()),
+    # the digest matches, but the skeleton is not shaped like a model
+    "skeleton empty": lambda twin: _rewrite_head(twin, lambda head: head.update(skeleton={})),
+    "skeleton a list": lambda twin: _rewrite_head(twin, lambda head: head.update(skeleton=[])),
+    "per_class a list": lambda twin: _rewrite_head(
+        twin, lambda head: head["skeleton"].update(per_class=[])),
+    "class entry a number": lambda twin: _rewrite_head(
+        twin, lambda head: head["skeleton"].update(per_class={"0": 5})),
+    "marker out of range": lambda twin: _rewrite_head(  # the twin holds rows 0..11
+        twin, lambda head: head["skeleton"]["per_class"]["plain"].update(representative="\x0012")),
 }
 
 

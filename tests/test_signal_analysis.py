@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -148,3 +150,18 @@ def test_labels_sharing_a_file_name_are_named_before_any_file_is_written(tmp_pat
         export_spectrum(clash, 5, 2, out_dir=tmp_path / "spectra")
     assert not (tmp_path / "spectra").exists()
     assert [s.label for s in export_spectrum(clash, 5, 2)] == ["cat dog", "cat_dog"]
+
+
+def test_spectrum_csv_is_each_value_repr(tmp_path):
+    # rows that repeat a few values, with zeros of both signs, subnormals and 1e308
+    model = shapes_model()
+    pool = np.array([0.0, -0.0, 5e-324, -1e-310, 2.5, -2.5, 1e-300, 0.1])
+    reps = pool[np.random.default_rng(5).integers(0, len(pool), size=model.representatives.shape)]
+    reps[1, reps.shape[1] // 2] = 1e308
+    series = export_spectrum(replace(model, representatives=reps), 5, 2, out_dir=tmp_path)
+    for s in series:
+        rows = enumerate(zip(s.raw_abs.tolist(), s.values.tolist()))
+        expected = "index,raw_abs,smoothed\n" + "".join(f"{i},{r!r},{v!r}\n" for i, (r, v) in rows)
+        assert (tmp_path / f"spectrum_{s.label}.csv").read_bytes() == expected.encode("utf-8")
+    assert 1e308 in series[1].raw_abs and 5e-324 in series[0].raw_abs
+    assert all(len(np.unique(s.raw_abs)) < len(s.raw_abs) / 4 for s in series)
