@@ -471,6 +471,12 @@ _CLASS_FIELDS = ("representative", "train_count", "lambda_rmse", "lambda_mae", "
 
 
 def model_from_dict(doc: dict) -> ClassModel:
+    return _model_of(doc, {})
+
+
+def _model_of(doc: dict, rows: dict) -> ClassModel:
+    """The model of a model document whose per-class row fields may also hold
+    a key of rows, a twin's row marker, in place of the row it maps to."""
     if json_object("model file top level", doc).get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {doc.get('schema_version')!r}")
     json_object("model file top level", doc, ("schema_version", *_MODEL_FIELDS), _MODEL_FIELDS)
@@ -503,13 +509,13 @@ def model_from_dict(doc: dict) -> ClassModel:
     reps, factors, counts, scores = np.empty(shape), np.empty(shape), {}, {}
     for zi, z in enumerate(classes):
         entry = json_object(f"model file class {z!r}", per_class[z], _CLASS_FIELDS, _CLASS_FIELDS[:-1])
-        _fill_row(reps, zi, z, "representative", entry["representative"])
-        _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"])
+        _fill_row(reps, zi, z, "representative", entry["representative"], rows)
+        _fill_row(factors, zi, z, "lambda_rmse", entry["lambda_rmse"], rows)
         counts[z] = integer(f"model file class {z!r} field 'train_count'", entry["train_count"], 1)
         rmse, mae = entry["lambda_rmse"], entry["lambda_mae"]
         if _holds_bool(mae):
             raise ValueError(f"model file class {z!r} field 'lambda_mae' holds non-numbers")
-        if mae is not rmse and mae != rmse:  # a twin gives both fields one array
+        if mae != rmse:  # in a twin, both fields hold the same row marker
             raise ValueError(f"model file class {z!r} has lambda_rmse != lambda_mae")
         if "ova_score" in entry:
             scores[z] = real(f"model file class {z!r} field 'ova_score'", entry["ova_score"],
@@ -526,9 +532,11 @@ def _holds_bool(value) -> bool:
     return isinstance(value, list) and bool in set(map(type, value))
 
 
-def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value) -> None:
-    """table[zi] = a model file's list of numbers, or a twin's row; a factor
-    row may also be one number, which fills the row."""
+def _fill_row(table: np.ndarray, zi: int, label: str, key: str, value, rows: dict) -> None:
+    """table[zi] = a model file's list of numbers, or the row that rows maps a
+    marker string to; a factor row may also be one number, which fills the row."""
+    if isinstance(value, str):
+        value = rows.get(value, value)
     try:
         row = np.asarray(value)
     except ValueError:  # numpy refuses lists nested to unequal depths or lengths
@@ -604,12 +612,10 @@ def save_model(model: ClassModel, path):
         fh.writelines(np.ascontiguousarray(row, "<f8") for row in rows)
 
 
-def _twin_document(path, data: bytes) -> dict | None:
-    """The model document of path's twin when it was written with the model
-    file bytes data, else None: the twin is missing, garbled, truncated or
-    stale, or its skeleton's "per_class" is not an object of objects whose
-    every string is a row marker of the payload.  Each row marker becomes a
-    read-only float64 row."""
+def _twin_model(path, data: bytes) -> ClassModel | None:
+    """The model of path's twin when it was written with the model file bytes
+    data, else None: the twin is missing, garbled, truncated or stale, or its
+    skeleton and rows fail a check of model_from_dict."""
     try:
         with open(f"{path}{_TWIN_SUFFIX}", "rb") as fh:
             head = json_object("model twin header", json.loads(fh.readline()), _TWIN_FIELDS,
@@ -617,26 +623,19 @@ def _twin_document(path, data: bytes) -> dict | None:
             if head["sha256"] != hashlib.sha256(data).hexdigest():
                 return None
             table = np.frombuffer(fh.read(), "<f8").reshape(head["shape"])
-        rows = {f"{_ROW_MARK}{i}": row for i, row in enumerate(table)}
-        doc = json_object("model twin skeleton", head["skeleton"], required=("per_class",))
-        for entry in json_object("model twin field 'per_class'", doc["per_class"]).values():
-            for key, value in json_object("model twin class", entry).items():
-                if isinstance(value, str):
-                    entry[key] = rows[value]
-    # KeyError: a marker of no row; TypeError: a shape of non-integers
-    except (OSError, KeyError, ValueError, TypeError):
+        return _model_of(head["skeleton"], {f"{_ROW_MARK}{i}": row for i, row in enumerate(table)})
+    except (OSError, ValueError, TypeError):  # TypeError: a shape of non-integers
         return None
-    return doc
 
 
 def load_model(path) -> ClassModel:
     """The model in the file at path, built from its twin when the twin was
-    written with the file's exact bytes, else by parsing the file; either
-    way every check of model_from_dict runs."""
+    written with the file's exact bytes and passes every check of
+    model_from_dict, else by parsing the file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = _twin_document(path, data)
-    return model_from_dict(json.loads(data.decode("utf-8")) if doc is None else doc)
+    model = _twin_model(path, data)
+    return model_from_dict(json.loads(data.decode("utf-8"))) if model is None else model
 
 
 def report_to_dict(report: EvalReport) -> dict:

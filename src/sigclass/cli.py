@@ -1,10 +1,10 @@
 """Command-line orchestration: gen-shapes, fit, eval, spectra, embed.
 
-Every command is a pure function of (config file, input files, seed):
+Every command is a pure function of its config file and input files:
 re-running with identical inputs produces byte-identical artifacts.  All
-randomness flows from the single config seed through named sub-streams.
-Errors are reported as one machine-readable JSON line on stderr with a
-nonzero exit code.
+randomness flows from the config's seed, which no flag overrides, through
+named sub-streams.  Errors are reported as one machine-readable JSON line
+on stderr with a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ BUDGET_DEFAULTS = {"train": 10, "val": 100, "test": 200}
 EMBED_DEFAULTS = {"samples": 300, "perplexity": 30.0, "iterations": 500}
 
 
-def _embed_setting(key: str, value, name: str):
-    """One embed setting checked under `name`: samples an integer >= 1, iterations >= 0,
-    and perplexity a real > 0, whose upper bound, a third of the samples, tsne_exact checks."""
-    if key == "perplexity":
-        return real(name, value, inf_ok=True)
-    return integer(name, value, 1 if key == "samples" else 0)
-
-
 @dataclass
 class RunConfig:
     seed: int
@@ -134,9 +126,9 @@ def _dataset(section) -> dict:
 
 
 def _paths(name: str, value, many: bool = False):
-    """value as a path, a string, or when many, a non-empty list of paths."""
+    """value as a path, a non-empty string, or when many, a non-empty list of paths."""
     paths = value if many else [value]
-    if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
+    if not (isinstance(paths, list) and paths and all(isinstance(p, str) and p for p in paths)):
         raise ValueError(f"{name} must be {'a non-empty list of paths' if many else 'a path'},"
                          f" got {value!r}")
     return value
@@ -177,9 +169,12 @@ def config_from_dict(doc: dict) -> RunConfig:
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
 
-    embed = json_object("config 'embed'", doc.get("embed", {}), EMBED_DEFAULTS)
-    embed = {key: _embed_setting(key, value, f"embed {key!r}")
-             for key, value in dict(EMBED_DEFAULTS, **embed).items()}
+    # perplexity's upper bound, a third of the samples, is checked by tsne_exact
+    embed = dict(EMBED_DEFAULTS,
+                 **json_object("config 'embed'", doc.get("embed", {}), EMBED_DEFAULTS))
+    embed = {"samples": integer("embed 'samples'", embed["samples"], 1),
+             "perplexity": real("embed 'perplexity'", embed["perplexity"], inf_ok=True),
+             "iterations": integer("embed 'iterations'", embed["iterations"], 0)}
     json_object("config 'spectra'", doc.get("spectra", {}), ("window", "polyorder"))
 
     return RunConfig(
@@ -227,7 +222,7 @@ def _shape_params(config: RunConfig) -> dict:
     return {
         "per_class": ds.get("per_class", sum(config.budgets.values())),
         "size": ds.get("size", config.model.image_size[0]),
-        "jitter": ds.get("jitter", ShapeJitter()),
+        "jitter": ds["jitter"],
         "seed": substream_seed(config.seed, "shapes"),
     }
 
@@ -363,8 +358,8 @@ def prepare_images(chosen: dict, pools: dict, config: RunConfig) -> list[Labeled
 
 def cmd_gen_shapes(args) -> int:
     """Write four-shapes PPMs: with a config, the pool that fit, eval and embed render."""
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    if args.config:
+    overrides = {"out_dir": args.out}
+    if args.config is not None:
         config = load_config(args.config, overrides)
         kind = config.dataset["kind"]
         if kind != "four_shapes":
@@ -372,7 +367,7 @@ def cmd_gen_shapes(args) -> int:
     else:
         dataset = {"kind": "four_shapes", "per_class": 10}
         config = config_from_dict({"dataset": dataset, **_not_none(overrides)})
-    params = dict(_shape_params(config), **_not_none({"per_class": args.per_class, "size": args.size}))
+    params = _shape_params(config)
     out_dir = config.out_dir
 
     images = gen_four_shapes(**params)
@@ -398,7 +393,7 @@ def cmd_gen_shapes(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
+    config = load_config(args.config, {"out_dir": args.out})
     pools = load_pools(config)
     train, val, _ = split_dataset(config, pools)
     train = prepare_images(train, pools, config)
@@ -427,12 +422,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    model = load_model(args.model or os.path.join(config.out_dir, "model.json"))
-    protocols = (args.protocol or config.protocol).split(",")
+    config = load_config(args.config, {"out_dir": args.out})
+    protocols = (config.protocol if args.protocol is None else args.protocol).split(",")
     for protocol in protocols:
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}")
+    model = load_model(os.path.join(config.out_dir, "model.json") if args.model is None
+                       else args.model)
     thresholds = ova_thresholds(model, slack=config.ova_slack) if "ova" in protocols else None
 
     pools = load_pools(config)
@@ -456,7 +452,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    out_dir = args.out or "out"
+    out_dir = "out" if args.out is None else args.out
     model = load_model(args.model)
     series = export_spectrum(model, args.window, args.polyorder, out_dir=out_dir)
     for s in series:
@@ -466,23 +462,17 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
-    samples, perplexity, iterations = (
-        config.embed[key] if getattr(args, key) is None
-        else _embed_setting(key, getattr(args, key), f"--{key}")
-        for key in ("samples", "perplexity", "iterations")
-    )
-
+    config = load_config(args.config, {"out_dir": args.out})
     pools = load_pools(config)
-    images = prepare_images(embed_sample(config, pools, samples), pools, config)
+    images = prepare_images(embed_sample(config, pools, config.embed["samples"]), pools, config)
 
     feats = features_for_images(images, config.model)
     k = max(1, min(50, feats.shape[0] - 1, feats.shape[1]))  # >= 1: tsne_exact checks n
     reduced = pca_reduce(feats, k)
     result = tsne_exact(
         reduced,
-        perplexity=perplexity,
-        iterations=iterations,
+        perplexity=config.embed["perplexity"],
+        iterations=config.embed["iterations"],
         seed=substream_seed(config.seed, "tsne"),
         labels=[im.label for im in images],
     )
@@ -511,13 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
 
     p = sub.add_parser("gen-shapes", help="render the procedural four-shapes dataset")
     common(p)
-    p.add_argument("--per-class", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
     p.set_defaults(func=cmd_gen_shapes)
 
     p = sub.add_parser("fit", help="fit and calibrate a model")
@@ -543,21 +530,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="PCA + exact t-SNE 2-D embedding CSV")
     common(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--perplexity", type=float, default=None)
-    p.add_argument("--iterations", type=int, default=None)
     p.set_defaults(func=cmd_embed)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None) is None and args.command in ("fit", "eval", "embed"):
-        _fail(ValueError(f"command {args.command!r} requires --config"))
-        return 1
+    args = build_parser().parse_args(argv)
     try:
+        for flag in ("config", "out", "model"):  # the flags that name a file
+            if getattr(args, flag, None) is not None:
+                _paths(f"--{flag}", getattr(args, flag))
+        if getattr(args, "config", None) is None and args.command in ("fit", "eval", "embed"):
+            raise ValueError(f"command {args.command!r} requires --config")
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _fail(exc)

@@ -816,7 +816,19 @@ TWIN_FAULTS = {
         twin, lambda head: head["skeleton"].update(per_class={"0": 5})),
     "marker out of range": lambda twin: _rewrite_head(  # the twin holds rows 0..11
         twin, lambda head: head["skeleton"]["per_class"]["plain"].update(representative="\x0012")),
+    # the digest matches and the skeleton is shaped like a model, but it fails
+    # a check that the file passes
+    "train_count a row marker": lambda twin: _rewrite_class(
+        twin, "plain", lambda entry: entry.update(train_count=entry["representative"])),
+    "lambda_mae marks another row": lambda twin: _rewrite_class(  # an odd class: factors are rows
+        twin, AWKWARD_LABELS[1], lambda entry: entry.update(lambda_mae=entry["representative"])),
+    "stream_dim of another model": lambda twin: _rewrite_head(
+        twin, lambda head: head["skeleton"].update(stream_dim=7)),
 }
+
+
+def _rewrite_class(twin, label, change):
+    _rewrite_head(twin, lambda head: change(head["skeleton"]["per_class"][label]))
 
 
 def _rewrite_head(twin, change):

@@ -256,82 +256,106 @@ def test_calibration_settings_are_checked_before_data_is_loaded(
 
 
 @pytest.mark.parametrize(
-    "overrides, flags, message",
-    [({"stream": {"mode": "rows", "basepoint": "no"}}, [],
+    "overrides, message",
+    [({"stream": {"mode": "rows", "basepoint": "no"}},
       "stream basepoint must be true or false, got 'no'"),
-     ({"channels": 2}, [], "channels must be None, 1 or 3, got 2"),
-     ({"augment": {"copies": 2.5}}, [], "AugmentSpec copies must be an integer >= 1, got 2.5"),
-     ({}, ["--samples", "-3"], "--samples must be an integer >= 1, got -3"),
-     ({}, ["--samples", "0"], "--samples must be an integer >= 1, got 0"),
-     ({}, ["--iterations", "-1"], "--iterations must be an integer >= 0, got -1"),
-     ({}, ["--perplexity", "-2"], "--perplexity must be > 0, got -2.0"),
-     ({}, ["--perplexity", "nan"], "--perplexity must be > 0, got nan"),
-     ({"budgets": [1]}, [], "config 'budgets' must be a JSON object, got list"),
-     ({"embed": [1]}, [], "config 'embed' must be a JSON object, got list"),
-     ({"calibration": [1]}, [], "config 'calibration' must be a JSON object, got list"),
-     ({"dataset": [1]}, [], "config 'dataset' must be a JSON object, got list"),
-     ({"dataset": {"jitter": 5}}, [], "config 'dataset.jitter' must be a JSON object, got int"),
-     ({"augment": [1]}, [], "config 'augment' must be a JSON object, got list"),
-     ({"feature": "sig"}, [], "config 'feature' must be a JSON object, got str"),
-     ({"stream": {"mode": "rows", "base_point": True}}, [],
+     ({"channels": 2}, "channels must be None, 1 or 3, got 2"),
+     ({"augment": {"copies": 2.5}}, "AugmentSpec copies must be an integer >= 1, got 2.5"),
+     ({"embed": {"perplexity": -2.0}}, "embed 'perplexity' must be > 0, got -2.0"),
+     ({"embed": {"perplexity": float("nan")}}, "embed 'perplexity' must be > 0, got nan"),
+     ({"dataset": {"kind": "four_shapes", "per_class": 0}},
+      "dataset 'per_class' must be an integer >= 1, got 0"),
+     ({"dataset": {"kind": "four_shapes", "size": 0}},
+      "dataset 'size' must be an integer >= 8, got 0"),
+     ({"budgets": [1]}, "config 'budgets' must be a JSON object, got list"),
+     ({"embed": [1]}, "config 'embed' must be a JSON object, got list"),
+     ({"calibration": [1]}, "config 'calibration' must be a JSON object, got list"),
+     ({"dataset": [1]}, "config 'dataset' must be a JSON object, got list"),
+     ({"dataset": {"jitter": 5}}, "config 'dataset.jitter' must be a JSON object, got int"),
+     ({"augment": [1]}, "config 'augment' must be a JSON object, got list"),
+     ({"feature": "sig"}, "config 'feature' must be a JSON object, got str"),
+     ({"stream": {"mode": "rows", "base_point": True}},
       "config 'stream' has unknown field 'base_point'"),
-     ({"augment": {"copy": 2}}, [], "config 'augment' has unknown field 'copy'"),
-     ({"dataset": {"kind": "mnist", "train_images": "a"}}, [],
+     ({"augment": {"copy": 2}}, "config 'augment' has unknown field 'copy'"),
+     ({"dataset": {"kind": "mnist", "train_images": "a"}},
       "config 'dataset' lacks field 'train_labels'"),
      ({"dataset": {"kind": "mnist", "train_images": "a", "train_labels": "b", "test_images": "c"}},
-      [], "config 'dataset' lacks field 'test_labels'"),
-     ({"dataset": {"kind": "image_dir"}, "image_size": [8, 8]}, [],
+      "config 'dataset' lacks field 'test_labels'"),
+     ({"dataset": {"kind": "image_dir"}, "image_size": [8, 8]},
       "config 'dataset' lacks field 'root'"),
-     ({"dataset": {"kind": ["mnist"]}}, [], "unknown dataset kind ['mnist']"),
-     ({"calibration": {"method": ["optimize"]}}, [], "unknown calibration method ['optimize']"),
-     ({"dataset": {"kind": "four_shapes", "per_class": "3"}}, [],
+     ({"dataset": {"kind": ["mnist"]}}, "unknown dataset kind ['mnist']"),
+     ({"calibration": {"method": ["optimize"]}}, "unknown calibration method ['optimize']"),
+     ({"dataset": {"kind": "four_shapes", "per_class": "3"}},
       "dataset 'per_class' must be an integer >= 1, got '3'"),
-     ({"dataset": {"kind": "four_shapes", "per_class": 2.5}}, [],
+     ({"dataset": {"kind": "four_shapes", "per_class": 2.5}},
       "dataset 'per_class' must be an integer >= 1, got 2.5"),
-     ({"dataset": {"kind": "four_shapes", "per_class": True}}, [],
+     ({"dataset": {"kind": "four_shapes", "per_class": True}},
       "dataset 'per_class' must be an integer >= 1, got True"),
-     ({"dataset": {"kind": "cifar10", "train_batches": 5}}, [],
+     ({"dataset": {"kind": "cifar10", "train_batches": 5}},
       "dataset 'train_batches' must be a non-empty list of paths, got 5"),
-     ({"dataset": {"kind": "cifar10", "train_batches": []}}, [],
+     ({"dataset": {"kind": "cifar10", "train_batches": []}},
       "dataset 'train_batches' must be a non-empty list of paths, got []"),
-     ({"dataset": {"kind": "image_dir", "root": 5}, "image_size": [8, 8]}, [],
+     ({"dataset": {"kind": "image_dir", "root": 5}, "image_size": [8, 8]},
       "dataset 'root' must be a path, got 5"),
-     ({"dataset": {"kind": "four_shapes", "jitter": {"center_frac": 10**400}}}, [],
+     ({"dataset": {"kind": "four_shapes", "jitter": {"center_frac": 10**400}}},
       "ShapeJitter center_frac must be finite and >= 0, got " + str(10**400)),
-     ({"dataset": {"kind": "four_shapes", "size": 4}}, [],
+     ({"dataset": {"kind": "four_shapes", "size": 4}},
       "dataset 'size' must be an integer >= 8, got 4"),
-     ({"dataset": {"kind": "four_shapes", "size": -3}}, [],
+     ({"dataset": {"kind": "four_shapes", "size": -3}},
       "dataset 'size' must be an integer >= 8, got -3"),
-     ({"out_dir": None}, [], "out_dir must be a path, got None"),
-     ({"out_dir": {"a": 1}}, [], "out_dir must be a path, got {'a': 1}")],
-    ids=["string-basepoint", "two-channels", "float-copies", "negative-samples-flag",
-         "zero-samples-flag", "negative-iterations-flag", "negative-perplexity-flag",
-         "nan-perplexity-flag", "list-budgets", "list-embed", "list-calibration", "list-dataset",
-         "int-jitter", "list-augment", "string-feature", "unknown-stream-key",
-         "unknown-augment-key", "mnist-without-train-labels", "mnist-test-images-alone",
-         "image-dir-without-root", "list-dataset-kind", "list-calibration-method",
-         "string-per-class", "float-per-class", "bool-per-class", "int-train-batches",
-         "empty-train-batches", "int-root", "huge-center-frac", "small-size", "negative-size",
-         "null-out-dir", "object-out-dir"],
+     ({"out_dir": None}, "out_dir must be a path, got None"),
+     ({"out_dir": {"a": 1}}, "out_dir must be a path, got {'a': 1}")],
+    ids=["string-basepoint", "two-channels", "float-copies", "negative-perplexity",
+         "nan-perplexity", "zero-per-class", "zero-size", "list-budgets", "list-embed",
+         "list-calibration", "list-dataset", "int-jitter", "list-augment", "string-feature",
+         "unknown-stream-key", "unknown-augment-key", "mnist-without-train-labels",
+         "mnist-test-images-alone", "image-dir-without-root", "list-dataset-kind",
+         "list-calibration-method", "string-per-class", "float-per-class", "bool-per-class",
+         "int-train-batches", "empty-train-batches", "int-root", "huge-center-frac", "small-size",
+         "negative-size", "null-out-dir", "object-out-dir"],
 )
 def test_config_and_embed_flags_are_checked_before_data_is_loaded(
-        tmp_path, capsys, monkeypatch, overrides, flags, message):
+        tmp_path, capsys, monkeypatch, overrides, message):
     def load_pools(config):
         raise AssertionError("embed loaded data before checking its settings")
 
     monkeypatch.setattr(cli, "load_pools", load_pools)
     config = write_config(tmp_path, **overrides)
-    assert main(["embed", "--config", str(config), *flags]) == 1
+    assert main(["embed", "--config", str(config)]) == 1
     assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
 
 
-@pytest.mark.parametrize("flags", [[], ["--seed", "3"]], ids=["plain", "seed-override"])
+@pytest.mark.parametrize("flags", [[], ["--out", "elsewhere"]], ids=["plain", "out-override"])
 def test_config_file_must_hold_a_json_object(tmp_path, capsys, flags):
     path = tmp_path / "config.json"
     path.write_text("[1]")
     assert main(["fit", "--config", str(path), *flags]) == 1
     assert read_stderr_error(capsys) == {"error": "config must be a JSON object, got list",
                                          "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, message",
+    [(["eval", "--config", "CONFIG", "--protocol", ""], {}, "unknown protocol ''"),
+     (["eval", "--config", "CONFIG", "--model", ""], {}, "--model must be a path, got ''"),
+     (["spectra", "--model", "model.json", "--out", ""], {}, "--out must be a path, got ''"),
+     (["fit", "--config", "CONFIG", "--out", ""], {}, "--out must be a path, got ''"),
+     (["fit", "--config", ""], {}, "--config must be a path, got ''"),
+     (["gen-shapes", "--config", ""], {}, "--config must be a path, got ''"),
+     (["fit", "--config", "CONFIG"], {"out_dir": ""}, "out_dir must be a path, got ''"),
+     (["fit", "--config", "CONFIG"], {"dataset": {"kind": "image_dir", "root": ""},
+                                      "image_size": [8, 8]},
+      "dataset 'root' must be a path, got ''"),
+     (["fit", "--config", "CONFIG"], {"dataset": {"kind": "cifar10", "train_batches": ["a", ""]}},
+      "dataset 'train_batches' must be a non-empty list of paths, got ['a', '']")],
+    ids=["eval-protocol", "eval-model", "spectra-out", "fit-out", "fit-config", "gen-shapes-config",
+         "out-dir", "image-dir-root", "cifar-batch"],
+)
+def test_empty_string_flags_and_paths_are_named(tmp_path, capsys, argv, overrides, message):
+    config = str(write_config(tmp_path, **overrides))
+    assert main([config if arg == "CONFIG" else arg for arg in argv]) == 1
+    assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_flag_replaces_a_config_out_dir_before_it_is_checked(tmp_path):
@@ -372,10 +396,17 @@ def test_prepare_images_shares_images_at_size():
 # ---------------------------------------------------------------------------
 
 
+def shapes_config(tmp_path, seed, **dataset):
+    """A gen-shapes config of a seed and a four-shapes dataset section."""
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps({"seed": seed, "dataset": {"kind": "four_shapes", **dataset}}))
+    return str(path)
+
+
 def test_gen_shapes_writes_files_and_manifest(tmp_path):
     out = tmp_path / "shapes"
-    assert main(["gen-shapes", "--per-class", "10", "--size", "16",
-                 "--seed", "1", "--out", str(out)]) == 0
+    config = shapes_config(tmp_path, 1, per_class=10, size=16)
+    assert main(["gen-shapes", "--config", config, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["files"]) == 40
     ppms = sorted(out.glob("*/*.ppm"))
@@ -385,9 +416,9 @@ def test_gen_shapes_writes_files_and_manifest(tmp_path):
 
 def test_gen_shapes_seed_reuse_identical_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
+    config = shapes_config(tmp_path, 9, per_class=2)
     for out in (out1, out2):
-        assert main(["gen-shapes", "--per-class", "2", "--seed", "9",
-                     "--out", str(out)]) == 0
+        assert main(["gen-shapes", "--config", config, "--out", str(out)]) == 0
     for p1 in sorted(out1.rglob("*")):
         if p1.is_file():
             p2 = out2 / p1.relative_to(out1)
@@ -395,25 +426,11 @@ def test_gen_shapes_seed_reuse_identical_bytes(tmp_path):
 
 
 def test_gen_shapes_minimum_size(tmp_path, capsys):
-    assert main(["gen-shapes", "--size", "4", "--out", str(tmp_path / "x")]) == 1
+    config = shapes_config(tmp_path, 0, size=4)
+    assert main(["gen-shapes", "--config", config, "--out", str(tmp_path / "x")]) == 1
     err = read_stderr_error(capsys)
     assert "size" in err["error"]
     assert err["type"] == "ValueError"
-
-
-@pytest.mark.parametrize("with_config", [False, True], ids=["flags", "config"])
-@pytest.mark.parametrize(
-    "flag, message",
-    [("--per-class", "per_class must be an integer >= 1, got 0"),
-     ("--size", "image size must be an integer >= 8, got 0")],
-    ids=["per-class", "size"],
-)
-def test_gen_shapes_zero_flag_is_not_a_default(tmp_path, capsys, with_config, flag, message):
-    args = ["gen-shapes", flag, "0", "--out", str(tmp_path / "x")]
-    if with_config:
-        args += ["--config", str(write_config(tmp_path))]
-    assert main(args) == 1
-    assert read_stderr_error(capsys) == {"error": message, "type": "ValueError"}
 
 
 def test_gen_shapes_config_renders_the_fit_pool(tmp_path):
@@ -625,10 +642,9 @@ def test_eval_and_spectra_outputs_do_not_depend_on_the_model_twin(tmp_path, caps
 
 
 def test_embed_command_rows_and_determinism(tmp_path):
-    config = write_config(tmp_path)
+    config = write_config(tmp_path, embed={"samples": 40, "perplexity": 5, "iterations": 60})
     out = tmp_path / "out"
-    args = ["embed", "--config", str(config), "--samples", "40",
-            "--perplexity", "5", "--iterations", "60"]
+    args = ["embed", "--config", str(config)]
     assert main(args) == 0
     csv1 = (out / "embedding.csv").read_bytes()
     lines = csv1.decode().strip().split("\n")
@@ -638,26 +654,23 @@ def test_embed_command_rows_and_determinism(tmp_path):
     assert (out / "embedding.csv").read_bytes() == csv1
 
 
-def test_embed_flags_override_config_even_when_zero(tmp_path, capsys):
-    config = write_config(tmp_path, embed={"samples": 20, "perplexity": 5, "iterations": 500})
-    assert main(["embed", "--config", str(config), "--iterations", "0"]) == 0
+def test_embed_zero_iterations_in_config_is_not_a_default(tmp_path, capsys):
+    config = write_config(tmp_path, embed={"samples": 20, "perplexity": 5, "iterations": 0})
+    assert main(["embed", "--config", str(config)]) == 0
     first, final = re.search(r"KL (\S+) -> (\S+);", capsys.readouterr().out).groups()
     assert first == final  # no iteration ran: the trace holds one KL
-    assert main(["embed", "--config", str(config), "--perplexity", "0"]) == 1
-    assert "perplexity must be > 0" in read_stderr_error(capsys)["error"]
 
 
 def test_embed_of_one_sample_names_the_sample_count(tmp_path, capsys):
-    config = write_config(tmp_path)
-    assert main(["embed", "--config", str(config), "--samples", "1"]) == 1
+    config = write_config(tmp_path, embed={"samples": 1})
+    assert main(["embed", "--config", str(config)]) == 1
     assert read_stderr_error(capsys) == {"error": "need at least 5 samples, got 1",
                                          "type": "ValueError"}
 
 
 def test_embed_perplexity_validation(tmp_path, capsys):
-    config = write_config(tmp_path)
-    assert main(["embed", "--config", str(config), "--samples", "20",
-                 "--perplexity", "10", "--iterations", "10"]) == 1
+    config = write_config(tmp_path, embed={"samples": 20, "perplexity": 10, "iterations": 10})
+    assert main(["embed", "--config", str(config)]) == 1
     assert "perplexity" in read_stderr_error(capsys)["error"]
 
 
@@ -675,12 +688,13 @@ def test_commands_render_only_what_they_use(tmp_path, monkeypatch):
         return images
 
     monkeypatch.setattr(cli, "gen_four_shapes", counting)
-    config = str(write_config(tmp_path))  # budgets train 4, val 6, test 6
+    embed = {"samples": 40, "perplexity": 5, "iterations": 20}
+    config = str(write_config(tmp_path, embed=embed))  # budgets train 4, val 6, test 6
     for argv, expected in (
         (["fit"], 4 * (4 + 6)),
         (["eval", "--protocol", "plain,fixed,oracle"], 4 * 6),
         (["eval", "--protocol", "fixed,ova"], 4 * 6),
-        (["embed", "--samples", "40", "--perplexity", "5", "--iterations", "20"], 40),
+        (["embed"], 40),
     ):
         rendered.clear()
         assert main([argv[0], "--config", config, *argv[1:]]) == 0
@@ -871,9 +885,10 @@ def file_dataset(tmp_path, kind, with_test):
     return ds
 
 
-def file_config(tmp_path, kind, with_test, image_size=(8, 8)):
+def file_config(tmp_path, kind, with_test, image_size=(8, 8), **overrides):
     return write_config(tmp_path, dataset=file_dataset(tmp_path, kind, with_test),
-                        image_size=list(image_size), budgets={"train": 2, "val": 3, "test": 2})
+                        image_size=list(image_size), budgets={"train": 2, "val": 3, "test": 2},
+                        **overrides)
 
 
 @pytest.mark.parametrize("kind, with_test, image_size", [
@@ -945,12 +960,13 @@ def test_file_commands_convert_only_what_they_use(tmp_path, monkeypatch, kind):
 
     for name in ("load_mnist_idx", "load_cifar10"):
         monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
-    config = str(file_config(tmp_path, kind, with_test=True))  # train 2, val 3, test 2
+    embed = {"samples": 20, "perplexity": 5, "iterations": 20}
+    config = str(file_config(tmp_path, kind, with_test=True, embed=embed))  # train 2, val 3, test 2
     for argv, expected in (
         (["fit"], 4 * (2 + 3)),
         (["eval", "--protocol", "plain,fixed,oracle"], 4 * 2),
         (["eval", "--protocol", "fixed,ova"], 4 * 2),
-        (["embed", "--samples", "20", "--perplexity", "5", "--iterations", "20"], 20),
+        (["embed"], 20),
     ):
         converted.clear()
         assert main([argv[0], "--config", config, *argv[1:]]) == 0
@@ -964,8 +980,8 @@ def test_file_commands_convert_only_what_they_use(tmp_path, monkeypatch, kind):
 
 def test_image_dir_pipeline_with_rgb_ppms(tmp_path):
     shapes = tmp_path / "shapes"
-    assert main(["gen-shapes", "--per-class", "8", "--size", "16",
-                 "--seed", "2", "--out", str(shapes)]) == 0
+    config = shapes_config(tmp_path, 2, per_class=8, size=16)
+    assert main(["gen-shapes", "--config", config, "--out", str(shapes)]) == 0
     config = write_config(
         tmp_path,
         dataset={"kind": "image_dir", "root": str(shapes)},
